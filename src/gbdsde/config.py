@@ -113,7 +113,8 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
     grid = _grid_from(grid_sec)
 
     mc = dict(data.get("monte_carlo", {}))
-    scenarios = int(overrides.get("scenarios") or mc.get("scenarios", 1000))
+    scenarios = int(overrides["scenarios"] if overrides.get("scenarios") is not None
+                    else mc.get("scenarios", 1000))
     seed = int(overrides["seed"]) if overrides.get("seed") is not None else int(mc.get("seed", 0))
     shared_b = bool(mc.get("shared_b", False))
     if scenarios < 1:
@@ -136,7 +137,10 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
                 f"for {basis.name}")
 
     out_dir = Path(overrides.get("out_dir") or data.get("output", {}).get("dir", "out"))
-    workers = int(overrides.get("workers") or data.get("workers", 1))
+    workers = int(overrides["workers"] if overrides.get("workers") is not None
+                  else data.get("workers", 1))
+    if workers < 1:
+        raise ConfigError("workers: must be >= 1")
 
     problem = data.get("problem")
     if problem is not None:

@@ -91,13 +91,16 @@ class BrownianFlow:
         self.grid = grid
         self.fd_step = fd_step
         self.overflow_guard = overflow_guard
+        db = np.diff(b_path, axis=0)
         if lipschitz_hint is not None and lipschitz_hint > 0:
-            db_norm = np.linalg.norm(np.diff(b_path, axis=0), axis=1)
-            self._substeps = np.maximum(
-                1, np.ceil(db_norm * lipschitz_hint / 0.5).astype(int)
-            )
+            db_norm = np.linalg.norm(db, axis=1)
+            substeps = np.maximum(1, np.ceil(db_norm * lipschitz_hint / 0.5).astype(int))
         else:
-            self._substeps = np.ones(grid.step_count, dtype=int)
+            substeps = np.ones(grid.step_count, dtype=int)
+        # per-step invariants of the sweep: (t_i, t_{i+1}, dB_i / m_i, m_i)
+        times = grid.points
+        self._steps = list(zip(times[:-1], times[1:], db / substeps[:, None],
+                               substeps.tolist()))
 
     # -- integration ------------------------------------------------------
 
@@ -115,42 +118,51 @@ class BrownianFlow:
         trajectory ordered forward in time) or an integer array broadcastable
         against y, in which case each batch element is read off at its own
         time index within a single backward sweep.
+
+        The step times, the (sub)increments dB_i / m_i and the substep
+        counts m_i are fixed by the backward path and precomputed at
+        construction; a step only runs its Heun updates.  After every step
+        the overflow guard raises `FlowBlowup`, naming the step index, if
+        any |state| entry (inf included) exceeds ``overflow_guard``; NaN
+        entries are skipped by the guard, so a NaN state does not trip it.
         """
         y = np.asarray(y, dtype=float)
         state = y.copy()
         g = self._g_bound(x)
-        times = self.grid.points
+        step_count = self.grid.step_count
+        guard = self.overflow_guard
         per_element = not np.isscalar(t_index) and np.asarray(t_index).ndim > 0
+        hit_steps = ()
         if per_element:
             if store:
                 raise ValueError("store is not supported with per-element time indices")
             t_arr = np.broadcast_to(np.asarray(t_index, dtype=int), y.shape)
-            out = np.where(t_arr == self.grid.step_count, state, np.nan)
+            out = np.where(t_arr == step_count, state, np.nan)
             stop = int(t_arr.min())
+            # one mask per distinct index, built when its step is reached:
+            # building all up front would hold (distinct x batch) booleans
+            hit_steps = set(np.unique(t_arr).tolist())
         else:
-            t_arr = None
             out = None
             stop = int(t_index)
         traj = None
         if store:
-            traj = np.empty((self.grid.step_count + 1 - stop,) + y.shape)
+            traj = np.empty((step_count + 1 - stop,) + y.shape)
             traj[-1] = state
-        for i in range(self.grid.step_count - 1, stop - 1, -1):
-            db = self.b_path[i + 1] - self.b_path[i]
-            m = int(self._substeps[i])
-            db_sub = db / m
+        steps = self._steps
+        for i in range(step_count - 1, stop - 1, -1):
+            t_left, t_right, db_sub, m = steps[i]
             # Heun predictor-corrector per (sub)increment, read backwards.
             for _ in range(m):
-                g_right = g(times[i + 1], state)
+                g_right = g(t_right, state)
                 pred = state + g_right @ db_sub
-                g_left = g(times[i], pred)
+                g_left = g(t_left, pred)
                 state = state + 0.5 * (g_right + g_left) @ db_sub
-            if np.any(np.abs(state) > self.overflow_guard):
+            # fmax skips NaN, so NaN entries neither trip nor mask the guard
+            if state.size and np.fmax.reduce(np.abs(state), axis=None) > guard:
                 raise FlowBlowup(f"flow exceeded overflow guard at step {i}")
-            if per_element:
-                hit = t_arr == i
-                if np.any(hit):
-                    out = np.where(hit, state, out)
+            if i in hit_steps:
+                out = np.where(t_arr == i, state, out)
             if store:
                 traj[i - stop] = state
         if per_element:
@@ -327,7 +339,9 @@ class FlowTable:
     intermediate time slice, so values of the flow at arbitrary (t_i, x, y)
     come from interpolation instead of fresh integrations.  Only 1-D spatial
     domains are tabulated; higher dimensions fall back to `BrownianFlow`.
-    The y-inverse is tabulated per time slice by monotone re-gridding.
+    The y-inverse is tabulated per time slice, on first use, by monotone
+    re-gridding: one grid evaluation of the value spline on the x grid times
+    a 4x oversampled y grid, then a piecewise-linear inversion per x column.
     """
 
     def __init__(self, flow: BrownianFlow, x_grid: np.ndarray, y_grid: np.ndarray) -> None:
@@ -372,11 +386,9 @@ class FlowTable:
             # piecewise-linear inversion error stays below the spline's own
             fine_y = np.linspace(self.y_grid[0], self.y_grid[-1],
                                  4 * self.y_grid.size)
-            value_sp = self._spline(t_index)
-            inv = np.empty((self.x_grid.size, self.u_grid.size))
-            for ix, xv in enumerate(self.x_grid):
-                fine_vals = value_sp.ev(np.full_like(fine_y, xv), fine_y)
-                inv[ix] = np.interp(self.u_grid, fine_vals, fine_y)
+            fine_vals = self._spline(t_index)(self.x_grid, fine_y)
+            inv = np.array([np.interp(self.u_grid, column, fine_y)
+                            for column in fine_vals])
             sp = RectBivariateSpline(self.x_grid, self.u_grid, inv,
                                      kx=self._kx, ky=self._ky)
             self._inv_splines[t_index] = sp

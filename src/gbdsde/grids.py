@@ -53,9 +53,3 @@ class TimeGrid:
         if abs(self.points[idx] - t) > tol * max(self.dt, 1.0):
             raise ValueError(f"time {t} is not a grid point (dt = {self.dt})")
         return idx
-
-    def refine(self, factor: int) -> "TimeGrid":
-        """Grid with the same horizon and factor-times more steps."""
-        if factor < 1:
-            raise ValueError("refinement factor must be >= 1")
-        return TimeGrid(self.t_start, self.t_end, self.step_count * factor)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import transformed_boundary, transformed_generator, transform_identity_violations  # noqa: F401
+from .flows import transformed_boundary, transformed_generator
 from .geometry import SmoothDomain
 from .grids import TimeGrid
 from .paths import PathBundle

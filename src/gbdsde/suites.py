@@ -217,19 +217,21 @@ def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
     return results
 
 
-def _field_node_entry(raw_config: dict, seed: int, node: list) -> list:
-    """Worker entry: rebuild the problem and evaluate one field node."""
-    from .config import parse_config
+def _field_node_entry(config: ExperimentConfig, node: list) -> list:
+    """Worker entry: rebuild the problem and evaluate one field node.
 
-    cfg = parse_config(raw_config, {"seed": seed, "suite": "field"})
-    coeffs = cfg.coefficient_set()
-    domain = cfg.domain()
-    bundle = sample_paths(cfg.grid, coeffs.d, cfg.seed, cfg.scenarios, cfg.shared_b)
-    g_zero = raw_config.get("problem", {}).get("g", {}).get("kind") == "zero"
+    The parsed config travels whole, so the nodes run at the scenario count,
+    grid and seed the command line chose, not the ones in the file.
+    """
+    coeffs = config.coefficient_set()
+    domain = config.domain()
+    bundle = sample_paths(config.grid, coeffs.d, config.seed, config.scenarios,
+                          config.shared_b)
+    g_zero = (config.problem or {}).get("g", {}).get("kind") == "zero"
     t_node = float(node[0])
     x_node = np.asarray(node[1:], dtype=float)
-    est = evaluate_u(coeffs, domain, [(t_node, x_node)], bundle, cfg.basis(),
-                     mode=raw_config.get("field", {}).get("mode", "pointwise"),
+    est = evaluate_u(coeffs, domain, [(t_node, x_node)], bundle, config.basis(),
+                     mode=config.options.get("field", {}).get("mode", "pointwise"),
                      g_is_zero=g_zero)
     n = est.nodes[0]
     return [n.t, *n.x.tolist(), n.u, n.se_u, n.v]
@@ -244,14 +246,9 @@ def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
 
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            value_rows = list(pool.map(
-                _field_node_entry,
-                [config.raw] * len(nodes),
-                [config.seed] * len(nodes),
-                nodes))
+            value_rows = list(pool.map(_field_node_entry, [config] * len(nodes), nodes))
     else:
-        value_rows = [_field_node_entry(config.raw, config.seed, node)
-                      for node in nodes]
+        value_rows = [_field_node_entry(config, node) for node in nodes]
 
     oracle = None
     results: list[acc.CriterionResult] = []

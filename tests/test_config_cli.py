@@ -147,3 +147,38 @@ def test_config_seed_override(tmp_path):
     assert cfg.seed == 99
     cfg2 = load_config(path, {"suite": "solve-bdsde"})
     assert cfg2.seed == 3
+
+
+@pytest.mark.parametrize("flag, field", [("--scenarios", "monte_carlo.scenarios"),
+                                         ("--workers", "workers")])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_cli_rejects_non_positive_override(tmp_path, capsys, flag, field, value):
+    path = write_config(tmp_path)
+    code = main(["solve-bdsde", "--config", str(path), "--out-dir", str(tmp_path / "out"),
+                 flag, value])
+    assert code == 2
+    assert f"config error: {field}: must be >= 1" in capsys.readouterr().err
+
+
+def test_cli_field_nodes_honour_scenarios_and_dt(tmp_path, monkeypatch):
+    import gbdsde.suites as suites
+
+    sizes = []
+    real_sample_paths = suites.sample_paths
+
+    def recording_sample_paths(grid, d, seed, count, *args, **kwargs):
+        sizes.append((count, grid.step_count))
+        return real_sample_paths(grid, d, seed, count, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "sample_paths", recording_sample_paths)
+    path = write_config(tmp_path)
+    blobs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"field-{workers}"
+        assert main(["field", "--config", str(path), "--seed", "4", "--scenarios", "120",
+                     "--dt", "0.025", "--out-dir", str(out), "--workers", workers]) == 0
+        blobs.append((out / "field.csv").read_bytes())
+    # the serial run samples once per node, at the command-line size
+    assert sizes == [(120, 20)] * len(BASE_CONFIG["field"]["nodes"])
+    # the process pool reads the same forwarded config
+    assert blobs[0] == blobs[1]

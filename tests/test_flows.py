@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from gbdsde import (
     BrownianFlow,
@@ -18,7 +19,7 @@ from gbdsde import (
     transformed_generator,
 )
 from gbdsde.acceptance import SinNoise
-from gbdsde.flows import quadratic_test_field
+from gbdsde.flows import FlowBlowup, quadratic_test_field
 
 
 def _grid_and_path(steps=1000, seed=5):
@@ -382,7 +383,152 @@ def test_flow_blowup_guard():
         return (1.0 + np.square(y))[..., None]
 
     flow = BrownianFlow(explosive, bp, grid, overflow_guard=1e6)
-    from gbdsde.flows import FlowBlowup
-
     with pytest.raises(FlowBlowup):
         flow.solve(0, np.zeros((1, 1)), np.array([50.0]))
+
+
+# ---------------------------------------------------------------------------
+# The sweep against a verbatim copy of the per-step loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_solve(flow, t_index, x, y, store=False, lipschitz_hint=None):
+    """The pre-hoisting sweep: increments, substeps and read-out per step."""
+    if lipschitz_hint is not None and lipschitz_hint > 0:
+        db_norm = np.linalg.norm(np.diff(flow.b_path, axis=0), axis=1)
+        substeps = np.maximum(1, np.ceil(db_norm * lipschitz_hint / 0.5).astype(int))
+    else:
+        substeps = np.ones(flow.grid.step_count, dtype=int)
+    y = np.asarray(y, dtype=float)
+    state = y.copy()
+    g = flow._g_bound(x)
+    times = flow.grid.points
+    per_element = not np.isscalar(t_index) and np.asarray(t_index).ndim > 0
+    if per_element:
+        t_arr = np.broadcast_to(np.asarray(t_index, dtype=int), y.shape)
+        out = np.where(t_arr == flow.grid.step_count, state, np.nan)
+        stop = int(t_arr.min())
+    else:
+        t_arr = None
+        out = None
+        stop = int(t_index)
+    traj = None
+    if store:
+        traj = np.empty((flow.grid.step_count + 1 - stop,) + y.shape)
+        traj[-1] = state
+    for i in range(flow.grid.step_count - 1, stop - 1, -1):
+        db = flow.b_path[i + 1] - flow.b_path[i]
+        m = int(substeps[i])
+        db_sub = db / m
+        for _ in range(m):
+            g_right = g(times[i + 1], state)
+            pred = state + g_right @ db_sub
+            g_left = g(times[i], pred)
+            state = state + 0.5 * (g_right + g_left) @ db_sub
+        if np.any(np.abs(state) > flow.overflow_guard):
+            raise FlowBlowup(f"flow exceeded overflow guard at step {i}")
+        if per_element:
+            hit = t_arr == i
+            if np.any(hit):
+                out = np.where(hit, state, out)
+        if store:
+            traj[i - stop] = state
+    if per_element:
+        return out
+    return traj if store else state
+
+
+def _two_noise_g(t, x, y):
+    x0 = np.asarray(x)[..., 0]
+    return np.stack([0.4 * np.sin(y + x0) * (1.0 + t), 0.3 * np.cos(y - x0)], axis=-1)
+
+
+def _sweep_case(name):
+    """(flow, lipschitz_hint, x, y) for one bit-for-bit case."""
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0.0, 1.0, (40, 1))
+    y = rng.uniform(-2.0, 2.0, 40)
+    if name == "d2":
+        grid = TimeGrid(0.0, 1.0, 200)
+        bp = sample_paths(grid, d=2, seed=8, count=1).B[0]
+        return BrownianFlow(_two_noise_g, bp, grid), None, x, y
+    grid, bp = _grid_and_path(steps=200, seed=9)
+    noise = SinNoise(amp=0.8, x_mod=0.3)
+    if name == "substepped":
+        hint = 40.0
+        return BrownianFlow(noise, bp, grid, lipschitz_hint=hint), hint, x, y
+    if name == "x_none":
+        return BrownianFlow(_linear_g, bp, grid), None, None, y
+    return BrownianFlow(noise, bp, grid), None, x, y
+
+
+@pytest.mark.parametrize("case", ["plain", "substepped", "d2", "x_none"])
+def test_sweep_bit_identical_to_reference_loop(case):
+    flow, hint, x, y = _sweep_case(case)
+    if case == "substepped":
+        assert max(m for *_, m in flow._steps) > 1
+    steps = flow.grid.step_count
+    # scalar index, including the no-step read-out at T
+    for ti in (0, 57, steps):
+        assert np.array_equal(flow.solve(ti, x, y),
+                              _reference_solve(flow, ti, x, y, lipschitz_hint=hint))
+    # whole trajectory
+    assert np.array_equal(flow.solve(13, x, y, store=True),
+                          _reference_solve(flow, 13, x, y, store=True, lipschitz_hint=hint))
+    # per-element indices with repeats and t = step_count
+    t_idx = np.resize(np.array([steps, 0, 57, 57, 199, steps, 3]), y.shape)
+    got = flow.solve(t_idx, x, y)
+    assert not np.any(np.isnan(got))
+    assert np.array_equal(got, _reference_solve(flow, t_idx, x, y, lipschitz_hint=hint))
+
+
+def test_sweep_empty_batch_returns_empty():
+    flow, _, _, _ = _sweep_case("plain")
+    x, y = np.zeros((0, 1)), np.zeros(0)
+    assert flow.solve(0, x, y).shape == (0,)
+    assert flow.solve(5, x, y, store=True).shape == (flow.grid.step_count - 4, 0)
+
+
+def test_flow_blowup_reports_reference_step():
+    grid, bp = _grid_and_path(steps=100, seed=23)
+
+    def explosive(t, x, y):
+        return (1.0 + np.square(y))[..., None]
+
+    flow = BrownianFlow(explosive, bp, grid, overflow_guard=1e6)
+    x, y = np.zeros((2, 1)), np.array([0.5, 50.0])
+    with pytest.raises(FlowBlowup) as expected:
+        _reference_solve(flow, 0, x, y)
+    with pytest.raises(FlowBlowup) as got:
+        flow.solve(0, x, y)
+    assert str(got.value) == str(expected.value)
+
+
+def test_flow_guard_skips_nan_but_not_a_finite_overflow_beside_it():
+    grid, bp = _grid_and_path(steps=20, seed=23)
+    flow = BrownianFlow(_const_g(0.1), bp, grid, overflow_guard=1e6)
+    x = np.zeros((2, 1))
+    nan_only = np.array([np.nan, 1.0])
+    assert np.array_equal(flow.solve(0, x, nan_only), _reference_solve(flow, 0, x, nan_only),
+                          equal_nan=True)
+    with pytest.raises(FlowBlowup, match="at step 19"):
+        flow.solve(0, x, np.array([np.nan, 1e7]))
+
+
+def test_flow_table_inverse_slice_matches_per_column_ev():
+    grid, bp = _grid_and_path(steps=100, seed=21)
+    noise = SinNoise(amp=0.5, x_mod=0.2)
+    flow = BrownianFlow(noise, bp, grid, lipschitz_hint=noise.lipschitz)
+    table = FlowTable(flow, np.linspace(0, 1, 41), np.linspace(-3, 3, 96))
+    for ti in (0, 37, 100):
+        fine_y = np.linspace(table.y_grid[0], table.y_grid[-1], 4 * table.y_grid.size)
+        value_sp = table._spline(ti)
+        inv = np.empty((table.x_grid.size, table.u_grid.size))
+        for ix, xv in enumerate(table.x_grid):
+            fine_vals = value_sp.ev(np.full_like(fine_y, xv), fine_y)
+            inv[ix] = np.interp(table.u_grid, fine_vals, fine_y)
+        expect = RectBivariateSpline(table.x_grid, table.u_grid, inv,
+                                     kx=table._kx, ky=table._ky)
+        got = table._inv_spline(ti)
+        for a, b in zip(got.tck, expect.tck):
+            assert np.array_equal(a, b)
