@@ -147,6 +147,20 @@ class NewtonFailure(RuntimeError):
     """Boundary Newton iteration did not converge at some node."""
 
 
+def _fill_bands(jac: np.ndarray, sel: np.ndarray, dcol: np.ndarray) -> None:
+    """Scatter the response to perturbing nodes ``sel`` into banded Jacobian rows.
+
+    Rows of ``jac`` are (upper, diagonal, lower) in `solve_banded` layout;
+    ``dcol`` is the finite-difference response of every node.
+    """
+    last = jac.shape[1] - 1
+    jac[1, sel] = dcol[sel]                 # diagonal
+    up = sel[sel > 0]
+    jac[0, up] = dcol[up - 1]               # upper band entries (j-1, j)
+    lo = sel[sel < last]
+    jac[2, lo] = dcol[lo + 1]               # lower band entries (j+1, j)
+
+
 def _oracle_pass(
     coeffs: CoefficientSet,
     a: float,
@@ -210,13 +224,7 @@ def _oracle_pass(
                 sel = np.arange(group, j_max + 1, 3)
                 vp[sel] += fd_eps
                 pert = vp - theta * dt_step * rhs_operator(t, vp)
-                dcol = (pert - base) / fd_eps
-                for j in sel:
-                    jac[1, j] = dcol[j]                       # diagonal
-                    if j > 0:
-                        jac[0, j] = dcol[j - 1]               # upper band entry (j-1, j)
-                    if j < j_max:
-                        jac[2, j] = dcol[j + 1]               # lower band entry (j+1, j)
+                _fill_bands(jac, sel, (pert - base) / fd_eps)
             try:
                 delta = solve_banded((1, 1), jac, resid)
             except np.linalg.LinAlgError as exc:  # pragma: no cover

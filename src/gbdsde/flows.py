@@ -117,7 +117,8 @@ class BrownianFlow:
         (returns the values at that index, or with ``store`` the whole
         trajectory ordered forward in time) or an integer array broadcastable
         against y, in which case each batch element is read off at its own
-        time index within a single backward sweep.
+        time index within a single backward sweep.  Every index must lie in
+        [0, step_count]; others raise ValueError.
 
         The step times, the (sub)increments dB_i / m_i and the substep
         counts m_i are fixed by the backward path and precomputed at
@@ -137,14 +138,19 @@ class BrownianFlow:
             if store:
                 raise ValueError("store is not supported with per-element time indices")
             t_arr = np.broadcast_to(np.asarray(t_index, dtype=int), y.shape)
+            # the initial values keep an empty batch valid: it runs no step
+            stop = int(t_arr.min(initial=step_count))
+            if stop < 0 or t_arr.max(initial=0) > step_count:
+                raise ValueError(f"time indices must lie in [0, {step_count}]")
             out = np.where(t_arr == step_count, state, np.nan)
-            stop = int(t_arr.min())
             # one mask per distinct index, built when its step is reached:
             # building all up front would hold (distinct x batch) booleans
             hit_steps = set(np.unique(t_arr).tolist())
         else:
             out = None
             stop = int(t_index)
+            if not 0 <= stop <= step_count:
+                raise ValueError(f"time index {stop} outside [0, {step_count}]")
         traj = None
         if store:
             traj = np.empty((step_count + 1 - stop,) + y.shape)

@@ -92,8 +92,10 @@ def _gaussian_block(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarra
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     raw = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
-    u = (raw.astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u)
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return ndtri(u, out=u)
 
 
 def sample_paths(
@@ -117,7 +119,8 @@ def sample_paths(
     n_steps = grid.step_count
 
     def build(stream: int, rows: int) -> np.ndarray:
-        incr = _gaussian_block(seed, stream, (rows, n_steps, d)) * sqrt_dt
+        incr = _gaussian_block(seed, stream, (rows, n_steps, d))
+        incr *= sqrt_dt
         path = np.empty((rows, n_steps + 1, d))
         path[:, 0, :] = 0.0
         np.cumsum(incr, axis=1, out=path[:, 1:, :])
@@ -129,6 +132,26 @@ def sample_paths(
     else:
         b = build(_STREAM_B, count)
     return PathBundle(grid=grid, W=w, B=b, seed=seed, scenario_count=count, shared_b=shared_b)
+
+
+def swap_scenario_time(arr: np.ndarray) -> np.ndarray:
+    """C-contiguous copy of an array with its first two axes swapped.
+
+    Turns a scenario-major (S, T+1, ...) array into the time-major layout
+    the step loops work on, and back.
+    """
+    return np.ascontiguousarray(np.swapaxes(arr, 0, 1))
+
+
+def time_major_increments(path: np.ndarray) -> np.ndarray:
+    """Increments of a scenario-major (S, T+1, ...) path, laid out as (T, S, ...).
+
+    Equals ``np.diff(path, axis=1)`` with its first two axes swapped, stored
+    C-contiguous, so each step's (S, ...) slice is one contiguous block.
+    """
+    steps = np.swapaxes(path, 0, 1)
+    out = np.empty(steps[1:].shape, dtype=path.dtype)
+    return np.subtract(steps[1:], steps[:-1], out=out)
 
 
 def integrate(

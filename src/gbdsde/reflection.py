@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import SmoothDomain
 from .grids import TimeGrid
-from .paths import PathBundle
+from .paths import PathBundle, swap_scenario_time, time_major_increments
 from .problems import CoefficientSet
 
 
@@ -31,7 +31,9 @@ class ReflectedPath:
     k has shape (scenarios, times), starts at 0 and never decreases, and a
     step increment is positive only when the post-step state sits on the
     boundary.  Scenarios whose proposal blew up are recorded in
-    ``excluded`` and their paths frozen.
+    ``excluded`` and their paths frozen.  The arrays are C-contiguous and
+    scenario-major; `simulate_reflected` steps on private time-major
+    buffers and transposes them once at the end.
     """
 
     grid: TimeGrid
@@ -76,37 +78,46 @@ def simulate_reflected(
     n_scen = bundle.scenario_count
     n_pts = len(grid)
     dt = grid.dt
-    X = np.empty((n_scen, n_pts, domain.dim))
-    k = np.zeros((n_scen, n_pts))
-    flags = np.zeros((n_scen, n_pts), dtype=bool)
-    X[:, : start_idx + 1, :] = x0
+    # time-major working buffers: each step reads and writes whole rows
+    X = np.empty((n_pts, n_scen, domain.dim))
+    k = np.zeros((n_pts, n_scen))
+    flags = np.zeros((n_pts, n_scen), dtype=bool)
+    X[: start_idx + 1] = x0
     excluded = np.zeros(n_scen, dtype=bool)
+    any_excluded = False
 
-    dW = bundle.dW
+    dW = time_major_increments(bundle.W)
     current = np.broadcast_to(x0, (n_scen, domain.dim)).copy()
     for i in range(start_idx, grid.step_count):
         drift = coeffs.b(current) if coeffs.b is not None else 0.0
         if coeffs.sigma is not None:
-            noise = np.einsum("sij,sj->si", coeffs.sigma(current), dW[:, i, :])
+            noise = np.einsum("sij,sj->si", coeffs.sigma(current), dW[i])
         else:
             noise = 0.0
         proposal = current + drift * dt + noise
         bad = ~np.all(np.isfinite(proposal), axis=-1)
         if np.any(bad):
             excluded |= bad
+            any_excluded = True
             proposal = np.where(bad[:, None], current, proposal)
         projected, moved = domain.project(proposal)
-        moved = np.where(excluded, 0.0, moved)
-        projected = np.where(excluded[:, None], current, projected)
-        X[:, i + 1, :] = projected
-        k[:, i + 1] = k[:, i] + moved
-        flags[:, i + 1] = moved > 0
+        if any_excluded:
+            moved = np.where(excluded, 0.0, moved)
+            projected = np.where(excluded[:, None], current, projected)
+        X[i + 1] = projected
+        np.add(k[i], moved, out=k[i + 1])
+        np.greater(moved, 0, out=flags[i + 1])
         current = projected
 
     if np.mean(excluded) > max_excluded_fraction:
         raise SimulationBlowup(
             f"{int(excluded.sum())} of {n_scen} scenarios produced non-finite proposals"
         )
+    # one buffer at a time, so at most one time-major array outlives its copy
+    del dW
+    X = swap_scenario_time(X)
+    k = swap_scenario_time(k)
+    flags = swap_scenario_time(flags)
     return ReflectedPath(grid=grid, X=X, k=k, boundary_flags=flags, excluded=excluded)
 
 

@@ -107,6 +107,11 @@ class DesignProjector:
     column space from a thin SVD truncated at the relative cutoff.  ``fit``
     is then two matrix products and an exact orthogonal projection, so
     refitting fitted values reproduces them to round-off.
+
+    The standardization reproduces numpy's ``mean``/``std`` bit for bit
+    while centring the design once.  ``fit`` takes and returns arrays with
+    scenarios on the leading axis; the orthonormal basis is held as a
+    C-contiguous (scenarios, rank) array.
     """
 
     def __init__(self, feature_points: np.ndarray, basis,
@@ -121,20 +126,26 @@ class DesignProjector:
         if not np.all(np.isfinite(design)):
             raise RegressionRankError(
                 f"non-finite feature values in basis {basis.name}")
-        mean = design.mean(axis=0)
-        std = design.std(axis=0)
+        # numpy's mean/std run exactly these reductions; centring once
+        # serves both the variance and the standardized design
+        mean = np.add.reduce(design, axis=0) / s
+        centered = design - mean
+        std = np.sqrt(np.add.reduce(centered * centered, axis=0) / s)
         keep = std > 1e-12 * (1.0 + np.abs(mean))
-        reduced = (design[:, keep] - mean[keep]) / std[keep]
-        a = np.column_stack([np.ones(s), reduced])
+        a = np.empty((s, 1 + np.count_nonzero(keep)))
+        a[:, 0] = 1.0
+        np.divide(centered[:, keep], std[keep], out=a[:, 1:])
         u, sv, _ = np.linalg.svd(a, full_matrices=False)
         retain = sv > RCOND * sv[0]
-        if not np.any(retain):
+        rank = int(np.count_nonzero(retain))
+        if rank == 0:
             raise RegressionRankError(
                 f"design matrix of basis {basis.name} has rank 0")
         self.basis_name = basis.name
         self.scenario_count = s
-        self.rank = int(np.count_nonzero(retain))
-        self._u = np.ascontiguousarray(u[:, retain])
+        self.rank = rank
+        # the thin SVD's u is C-contiguous already
+        self._u = u if rank == sv.size else np.ascontiguousarray(u[:, retain])
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
         targets = np.asarray(targets, dtype=float)

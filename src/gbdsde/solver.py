@@ -35,7 +35,7 @@ import numpy as np
 from .flows import transformed_boundary, transformed_generator
 from .geometry import SmoothDomain
 from .grids import TimeGrid
-from .paths import PathBundle
+from .paths import PathBundle, swap_scenario_time, time_major_increments
 from .problems import CoefficientSet
 from .reflection import ReflectedPath, simulate_reflected
 from .regression import DesignProjector
@@ -58,6 +58,9 @@ class BdsdeSolution:
     (the control is left-continuous).  ``pathwise_totals`` carries the
     per-scenario unsmoothed estimator of the initial value, whose mean equals
     Y at the start time by construction (every projection preserves means).
+    Y and Z are C-contiguous and scenario-major; the Markovian induction and
+    the Picard coefficient loop step on private time-major copies and
+    transpose once at the end.
     """
 
     grid: TimeGrid
@@ -79,6 +82,12 @@ class BdsdeSolution:
             raise ValueError("solution carries no pathwise totals")
         s = self.pathwise_totals.shape[0]
         return self.pathwise_totals.std(axis=0, ddof=1) / np.sqrt(s)
+
+
+def _require_finite(solver: str, *arrays: np.ndarray) -> None:
+    """Raise FloatingPointError when a returned solution array is not finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FloatingPointError(f"{solver} produced non-finite solution values")
 
 
 def _as_k(k_path: np.ndarray | None, n_scen: int, n_pts: int) -> np.ndarray:
@@ -232,7 +241,8 @@ def picard_solve(
     Freezes (Y, Z) inside f, g, h, solves the resulting simple equation and
     repeats until the weighted norm of successive differences drops below
     tol (or max_iter is hit).  Raises PicardDivergence if the trace grows for
-    three consecutive iterations.
+    three consecutive iterations, and FloatingPointError when a difference
+    norm is not finite (a non-finite iterate makes its norm non-finite).
     """
     grid = bundle.grid
     S, n_pts = bundle.scenario_count, len(grid)
@@ -249,21 +259,31 @@ def picard_solve(
         feature_fn = default_feature_fn(bundle, not bundle.shared_b)
     projectors = [DesignProjector(feature_fn(i), basis)
                   for i in range(grid.step_count)]
+    # coefficients are evaluated per time into time-major buffers; solve_simple
+    # reads them through scenario-major views, so its per-step slices of the
+    # coefficient paths are contiguous
+    x_rows = None if x_path is None else swap_scenario_time(x_path)
+    f_rows = np.empty((n_pts, S, n))
+    h_rows = np.empty((n_pts, S, n))
+    g_rows = np.empty((n_pts, S, n, coeffs.d))
     trace: list[float] = []
     solution = None
     grew = 0
     for _ in range(max_iter):
-        f_path = np.empty((S, n_pts, n))
-        h_path = np.empty((S, n_pts, n))
-        g_path = np.empty((S, n_pts, n, coeffs.d))
+        y_rows, z_rows = swap_scenario_time(Y), swap_scenario_time(Z)
         for i in range(n_pts):
-            x_i = None if x_path is None else x_path[:, i, :]
-            f_path[:, i] = coeffs.f(times[i], x_i, Y[:, i], Z[:, i])
-            h_path[:, i] = coeffs.h(times[i], x_i, Y[:, i])
-            g_path[:, i] = coeffs.g(times[i], x_i, Y[:, i], Z[:, i])
-        solution = solve_simple(xi, f_path, g_path, h_path, k, bundle, basis,
+            x_i = None if x_rows is None else x_rows[i]
+            f_rows[i] = coeffs.f(times[i], x_i, y_rows[i], z_rows[i])
+            h_rows[i] = coeffs.h(times[i], x_i, y_rows[i])
+            g_rows[i] = coeffs.g(times[i], x_i, y_rows[i], z_rows[i])
+        del y_rows, z_rows
+        solution = solve_simple(xi, np.swapaxes(f_rows, 0, 1), np.swapaxes(g_rows, 0, 1),
+                                np.swapaxes(h_rows, 0, 1), k, bundle, basis,
                                 feature_fn, projectors)
         norm = weighted_difference_norm(solution.Y - Y, solution.Z - Z, k, grid, mu, lam)
+        if not np.isfinite(norm):
+            raise FloatingPointError(
+                f"Picard iteration {len(trace) + 1} gave a non-finite difference norm")
         trace.append(norm)
         Y, Z = solution.Y, solution.Z
         if len(trace) >= 2 and trace[-1] > trace[-2]:
@@ -275,7 +295,6 @@ def picard_solve(
         if norm <= tol:
             break
     solution.picard_trace = trace
-    solution.diagnostics.update(solution_norms(Y, Z, k, grid))
     return solution
 
 
@@ -393,16 +412,6 @@ def stability_gap(
     return {"lhs": lhs, "rhs": rhs}
 
 
-def _markov_features(bundle: PathBundle, X: np.ndarray, use_backward_tail: bool):
-    def features(i: int) -> np.ndarray:
-        cols = [X[:, i, :]]
-        if use_backward_tail:
-            cols.append(bundle.B[:, -1, :] - bundle.B[:, i, :])
-        return np.concatenate(cols, axis=1)
-
-    return features
-
-
 def solve_bdsde_markov(
     coeffs: CoefficientSet,
     domain: SmoothDomain,
@@ -421,7 +430,8 @@ def solve_bdsde_markov(
     regresses the one-step target against dW/dt, the value regresses the full
     bracket with the driver evaluated implicitly at the current value via
     ``inner_sweeps`` fixed-point sweeps.  The backward-noise term is read at
-    the right endpoint.  Scalar-valued problems only (n = 1).
+    the right endpoint.  Scalar-valued problems only (n = 1).  Raises
+    FloatingPointError when Y or Z is not finite.
     """
     if coeffs.n != 1:
         raise ValueError("the Markovian solver handles scalar-valued problems (n = 1)")
@@ -431,51 +441,85 @@ def solve_bdsde_markov(
     start_idx = grid.index_of(start_time)
     if reflected is None:
         reflected = simulate_reflected(coeffs, domain, start_time, x0, bundle)
-    X, k = reflected.X, reflected.k
-    S, n_pts, d = bundle.scenario_count, len(grid), bundle.d
-    dt = grid.dt
-    dk = np.diff(k, axis=1)
-    dB, dW = bundle.dB, bundle.dW
-    times = grid.points
-    feature_fn = _markov_features(bundle, X, not bundle.shared_b and not g_is_zero)
+    terminal = coeffs.l(reflected.X[:, -1, :])
+    Y, Z, increments = _markov_induction(
+        coeffs, reflected, bundle, basis, start_idx, terminal, inner_sweeps, g_is_zero)
+    # rebinding frees each time-major buffer before the next copy is made
+    Y = swap_scenario_time(Y)
+    Z = swap_scenario_time(Z)
+    _require_finite("solve_bdsde_markov", Y, Z)
 
-    Y = np.empty((S, n_pts, 1))
-    Z = np.zeros((S, n_pts, 1, d))
-    Y[:, -1, 0] = coeffs.l(X[:, -1, :])
-    increments = np.zeros(S)
-    for i in range(grid.step_count - 1, start_idx - 1, -1):
-        proj = DesignProjector(feature_fn(i), basis)
-        if g_is_zero:
-            g_term = np.zeros((S, 1))
-        else:
-            g_right = coeffs.g(times[i + 1], X[:, i + 1, :], Y[:, i + 1, :], Z[:, i + 1, :, :])
-            g_term = np.einsum("snd,sd->sn", g_right, dB[:, i, :])
-        base = Y[:, i + 1, :] + g_term
-        y_guess = proj.fit(base)
-        # centred increment regression: subtracting the fitted conditional
-        # mean leaves the estimator unbiased and kills the level noise, so a
-        # constant value process yields an exactly zero control
-        z_target = (base - y_guess)[:, :, None] * dW[:, i, None, :] / dt
-        Z[:, i, :, :] = proj.fit(z_target.reshape(S, -1)).reshape(S, 1, d)
-        f_i = h_term = None
-        for _ in range(max(1, inner_sweeps)):
-            f_i = coeffs.f(times[i], X[:, i, :], y_guess, Z[:, i, :, :])
-            h_term = coeffs.h(times[i], X[:, i, :], y_guess) * dk[:, i, None]
-            target = base + f_i * dt + h_term
-            y_guess = proj.fit(target)
-        Y[:, i, :] = y_guess
-        increments += (f_i * dt + h_term + g_term)[:, 0]
-    Y[:, :start_idx, :] = Y[:, start_idx, :][:, None, :]
-
-    totals = coeffs.l(X[:, -1, :]) + increments
+    totals = terminal + increments
     return (
         BdsdeSolution(
             grid=grid, Y=Y, Z=Z,
-            diagnostics=solution_norms(Y, Z, k, grid),
+            diagnostics=solution_norms(Y, Z, reflected.k, grid),
             pathwise_totals=totals[:, None],
         ),
         reflected,
     )
+
+
+def _markov_induction(
+    coeffs: CoefficientSet,
+    reflected: ReflectedPath,
+    bundle: PathBundle,
+    basis,
+    start_idx: int,
+    terminal: np.ndarray,
+    inner_sweeps: int,
+    g_is_zero: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The backward loop of `solve_bdsde_markov` on time-major arrays.
+
+    Works on private time-major copies of X, dk, dW (and of dB and B only
+    when the backward noise enters), so every per-step slice is contiguous;
+    they are freed on return, before the caller builds the scenario-major
+    results.  Returns time-major Y (T+1, S, 1), Z (T+1, S, 1, d) and the
+    per-scenario sum of the driver, boundary and backward-noise terms.
+    """
+    grid = bundle.grid
+    S, n_pts, d = bundle.scenario_count, len(grid), bundle.d
+    dt = grid.dt
+    times = grid.points
+    use_backward_tail = not bundle.shared_b and not g_is_zero
+    X = swap_scenario_time(reflected.X)
+    dk = time_major_increments(reflected.k)
+    dW = time_major_increments(bundle.W)
+    dB = None if g_is_zero else time_major_increments(bundle.B)
+    B = swap_scenario_time(bundle.B) if use_backward_tail else None
+    g_zero = np.zeros((S, 1))
+
+    Y = np.empty((n_pts, S, 1))
+    Z = np.zeros((n_pts, S, 1, d))
+    Y[-1, :, 0] = terminal
+    increments = np.zeros(S)
+    for i in range(grid.step_count - 1, start_idx - 1, -1):
+        x_i = X[i]
+        features = np.concatenate([x_i, B[-1] - B[i]], axis=1) if use_backward_tail else x_i
+        proj = DesignProjector(features, basis)
+        if g_is_zero:
+            g_term = g_zero
+        else:
+            g_right = coeffs.g(times[i + 1], X[i + 1], Y[i + 1], Z[i + 1])
+            g_term = np.einsum("snd,sd->sn", g_right, dB[i])
+        base = Y[i + 1] + g_term
+        y_guess = proj.fit(base)
+        # centred increment regression: subtracting the fitted conditional
+        # mean leaves the estimator unbiased and kills the level noise, so a
+        # constant value process yields an exactly zero control
+        z_target = (base - y_guess)[:, :, None] * dW[i, :, None, :] / dt
+        Z[i] = proj.fit(z_target.reshape(S, -1)).reshape(S, 1, d)
+        f_i = h_term = None
+        for _ in range(max(1, inner_sweeps)):
+            f_i = coeffs.f(times[i], x_i, y_guess, Z[i])
+            h_term = coeffs.h(times[i], x_i, y_guess) * dk[i, :, None]
+            target = base + f_i * dt + h_term
+            y_guess = proj.fit(target)
+        Y[i] = y_guess
+        increments += (f_i * dt + h_term + g_term)[:, 0]
+    Y[:start_idx] = Y[start_idx]
+    return Y, Z, increments
 
 
 def solve_transformed_gbsde(
@@ -493,7 +537,8 @@ def solve_transformed_gbsde(
     scenario, the flow's).  The driver and boundary coefficient are the
     transformed ones; there is no backward integral.  The boundary
     coefficient is only evaluated on scenarios whose state is on the
-    boundary (positive k increment).
+    boundary (positive k increment).  Raises FloatingPointError when the
+    solution is not finite.
     """
     grid = bundle.grid
     X, k = reflected.X, reflected.k
@@ -502,7 +547,6 @@ def solve_transformed_gbsde(
     dk = np.diff(k, axis=1)
     dW = bundle.dW
     times = grid.points
-    feature_fn = _markov_features(bundle, X, False)
 
     U = np.empty((S, n_pts, 1))
     V = np.zeros((S, n_pts, 1, d))
@@ -510,7 +554,7 @@ def solve_transformed_gbsde(
     start_idx = 0
     increments = np.zeros(S)
     for i in range(grid.step_count - 1, start_idx - 1, -1):
-        proj = DesignProjector(feature_fn(i), basis)
+        proj = DesignProjector(X[:, i, :], basis)
         base = U[:, i + 1, :]
         u_guess = proj.fit(base)
         z_target = (base - u_guess)[:, :, None] * dW[:, i, None, :] / dt
@@ -533,6 +577,7 @@ def solve_transformed_gbsde(
             u_guess = proj.fit(target)
         U[:, i, :] = u_guess
         increments += f_i * dt + h_vals * dk[:, i]
+    _require_finite("solve_transformed_gbsde", U, V)
 
     totals = coeffs.l(X[:, -1, :]) + increments
     return BdsdeSolution(

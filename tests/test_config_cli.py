@@ -182,3 +182,19 @@ def test_cli_field_nodes_honour_scenarios_and_dt(tmp_path, monkeypatch):
     assert sizes == [(120, 20)] * len(BASE_CONFIG["field"]["nodes"])
     # the process pool reads the same forwarded config
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("suite, markov", [("solve-bdsde", True), ("solve-bdsde", False),
+                                           ("field", True)])
+def test_cli_non_finite_solution_is_exit_3(tmp_path, capsys, suite, markov):
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["problem"]["f"] = {"kind": "linear", "y": float("nan")}
+    if not markov:
+        del cfg["domain"]  # no domain: the suite runs the Picard solver
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    code = main([suite, "--config", str(path), "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical failure" in captured.err and "non-finite" in captured.err
+    assert "OVERALL: PASS" not in captured.out

@@ -175,3 +175,30 @@ def test_continuity_diagnostic_gap_scales_with_separation():
     assert gaps[0] > gaps[1] > gaps[2]
     ratios = [r["ratio"] for r in rows]
     assert max(ratios) <= 10 * min(r for r in ratios if r > 0)
+
+
+def _reference_band_fill(jac, sel, dcol):
+    """The per-node band scatter of the oracle's Newton Jacobian."""
+    j_max = jac.shape[1] - 1
+    for j in sel:
+        jac[1, j] = dcol[j]
+        if j > 0:
+            jac[0, j] = dcol[j - 1]
+        if j < j_max:
+            jac[2, j] = dcol[j + 1]
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 4, 10, 11, 12])
+def test_oracle_band_fill_matches_per_node_loop(nodes):
+    from gbdsde.fields import _fill_bands
+
+    rng = np.random.default_rng(nodes)
+    got = np.zeros((3, nodes))
+    ref = np.zeros((3, nodes))
+    for group in range(3):
+        sel = np.arange(group, nodes, 3)
+        dcol = rng.normal(size=nodes)
+        _fill_bands(got, sel, dcol)
+        _reference_band_fill(ref, sel, dcol)
+    assert np.array_equal(got, ref)
+    assert ref[0, 0] == 0.0 and ref[2, -1] == 0.0

@@ -487,6 +487,7 @@ def test_sweep_empty_batch_returns_empty():
     x, y = np.zeros((0, 1)), np.zeros(0)
     assert flow.solve(0, x, y).shape == (0,)
     assert flow.solve(5, x, y, store=True).shape == (flow.grid.step_count - 4, 0)
+    assert flow.solve(np.zeros(0, dtype=int), x, y).shape == (0,)
 
 
 def test_flow_blowup_reports_reference_step():
@@ -532,3 +533,15 @@ def test_flow_table_inverse_slice_matches_per_column_ev():
         got = table._inv_spline(ti)
         for a, b in zip(got.tck, expect.tck):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("t_index", [-1, 14, [-3, 2], [0, 11]])
+def test_solve_rejects_out_of_range_indices(t_index):
+    grid, bp = _grid_and_path(steps=10, seed=24)
+    flow = BrownianFlow(_const_g(0.2), bp, grid)
+    x, y = np.zeros((2, 1)), np.array([0.3, -0.4])
+    with pytest.raises(ValueError, match=r"\[0, 10\]"):
+        flow.solve(t_index, x, y)
+    # both ends of the range stay valid
+    assert np.array_equal(flow.solve(10, x, y), y)
+    assert np.array_equal(flow.solve([0, 10], x, y)[1], y[1])

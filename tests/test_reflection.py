@@ -193,3 +193,93 @@ def test_exp_moment_stable_in_scenarios():
         estimates.append(np.exp(refl.k[:, -1]).mean())
     assert np.isfinite(estimates).all()
     assert estimates[1] == pytest.approx(estimates[0], rel=0.1)
+
+
+def _reference_simulate_reflected(coeffs, domain, start_time, x0, bundle,
+                                  max_excluded_fraction=1e-3):
+    """The scenario-major Euler-projection loop, kept as the bit-for-bit reference."""
+    from gbdsde.reflection import ReflectedPath, SimulationBlowup
+
+    grid = bundle.grid
+    start_idx = grid.index_of(start_time)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    n_scen = bundle.scenario_count
+    n_pts = len(grid)
+    dt = grid.dt
+    X = np.empty((n_scen, n_pts, domain.dim))
+    k = np.zeros((n_scen, n_pts))
+    flags = np.zeros((n_scen, n_pts), dtype=bool)
+    X[:, : start_idx + 1, :] = x0
+    excluded = np.zeros(n_scen, dtype=bool)
+
+    dW = bundle.dW
+    current = np.broadcast_to(x0, (n_scen, domain.dim)).copy()
+    for i in range(start_idx, grid.step_count):
+        drift = coeffs.b(current) if coeffs.b is not None else 0.0
+        if coeffs.sigma is not None:
+            noise = np.einsum("sij,sj->si", coeffs.sigma(current), dW[:, i, :])
+        else:
+            noise = 0.0
+        proposal = current + drift * dt + noise
+        bad = ~np.all(np.isfinite(proposal), axis=-1)
+        if np.any(bad):
+            excluded |= bad
+            proposal = np.where(bad[:, None], current, proposal)
+        projected, moved = domain.project(proposal)
+        moved = np.where(excluded, 0.0, moved)
+        projected = np.where(excluded[:, None], current, projected)
+        X[:, i + 1, :] = projected
+        k[:, i + 1] = k[:, i] + moved
+        flags[:, i + 1] = moved > 0
+        current = projected
+
+    if np.mean(excluded) > max_excluded_fraction:
+        raise SimulationBlowup("too many excluded scenarios")
+    return ReflectedPath(grid=grid, X=X, k=k, boundary_flags=flags, excluded=excluded)
+
+
+def _mixing_coeffs_2d():
+    """Drift and a full 2x2 state-dependent volatility on a 2-D state."""
+    from dataclasses import replace
+
+    def b_fn(x):
+        return np.stack([0.3 - x[..., 1], 0.5 * np.sin(x[..., 0])], axis=-1)
+
+    def sigma_fn(x):
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0 + 0.3 * np.sin(x[..., 1])
+        out[..., 0, 1] = 0.4
+        out[..., 1, 0] = 0.2 * np.cos(x[..., 0])
+        out[..., 1, 1] = 0.9
+        return out
+
+    return replace(_bm_coeffs(x_dim=2, d=2), b=b_fn, sigma=sigma_fn)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", ["interval", "ball_2d", "late_start", "excluded"])
+def test_simulate_reflected_matches_scenario_major_reference(case):
+    from gbdsde import ball_domain
+
+    grid = TimeGrid(0.0, 1.0, 60)
+    coeffs, dom, x0, t0 = _bm_coeffs(), interval_domain(0.0, 0.4), np.array([0.1]), 0.0
+    kwargs = {}
+    if case == "ball_2d":
+        coeffs, dom, x0 = _mixing_coeffs_2d(), ball_domain([0.0, 0.0], 0.5), np.array([0.2, -0.1])
+    bundle = sample_paths(grid, d=coeffs.d, seed=41, count=300)
+    if case == "late_start":
+        t0 = 0.25
+    elif case == "excluded":
+        w = bundle.W.copy()
+        w[7, 20:, 0] = np.inf  # an infinite increment at step 19, NaN after
+        bundle = PathBundle(grid=grid, W=w, B=bundle.B, seed=41, scenario_count=300)
+        kwargs["max_excluded_fraction"] = 0.01
+    got = simulate_reflected(coeffs, dom, t0, x0, bundle, **kwargs)
+    ref = _reference_simulate_reflected(coeffs, dom, t0, x0, bundle, **kwargs)
+    if case == "excluded":
+        assert np.flatnonzero(got.excluded).tolist() == [7]
+    assert np.any(got.boundary_flags)
+    for name in ("X", "k", "boundary_flags", "excluded"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape and a.flags.c_contiguous, name
+        assert np.array_equal(a, b), name

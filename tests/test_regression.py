@@ -127,3 +127,49 @@ def test_fit_function_evaluates_new_points():
     fn = fit_function(y, x, PolynomialBasis(1))
     probe = np.array([[0.0], [0.5]])
     assert np.allclose(fn(probe), [2.0, 3.5], atol=1e-9)
+
+
+def _reference_projector(feature_points, basis):
+    """The two-pass build (numpy mean/std, column_stack, copied u): (u, rank)."""
+    from gbdsde.regression import RCOND
+
+    design = basis.features(feature_points)
+    s, p = design.shape
+    mean = design.mean(axis=0)
+    std = design.std(axis=0)
+    keep = std > 1e-12 * (1.0 + np.abs(mean))
+    reduced = (design[:, keep] - mean[keep]) / std[keep]
+    a = np.column_stack([np.ones(s), reduced])
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    retain = sv > RCOND * sv[0]
+    return np.ascontiguousarray(u[:, retain]), int(np.count_nonzero(retain))
+
+
+@pytest.mark.parametrize("case", ["poly3_1d", "poly2_2d", "poly0", "bins",
+                                  "rank_deficient", "constant_column"])
+def test_projector_build_matches_two_pass_reference(case):
+    rng = np.random.default_rng(9)
+    points = rng.normal(size=(600, 1))
+    basis = PolynomialBasis(3)
+    if case == "poly2_2d":
+        points, basis = rng.normal(size=(600, 2)), PolynomialBasis(2)
+    elif case == "poly0":
+        basis = PolynomialBasis(0)  # p = 1: the intercept alone
+    elif case == "bins":
+        basis = PiecewiseBinBasis(8)  # indicators sum to the intercept
+    elif case == "rank_deficient":
+        points = np.column_stack([points[:, 0], 2.0 * points[:, 0]])
+        basis = PolynomialBasis(1)
+    elif case == "constant_column":
+        points = np.column_stack([points[:, 0], np.full(600, 0.3)])
+    u_ref, rank_ref = _reference_projector(points, basis)
+    proj = DesignProjector(points, basis)
+    assert proj.rank == rank_ref
+    # one dependent column survives standardization: the truncated-u branch
+    expected_rank = {"bins": 8, "rank_deficient": 2}
+    if case in expected_rank:
+        assert proj.rank == expected_rank[case]
+    assert proj._u.flags.c_contiguous
+    assert np.array_equal(proj._u, u_ref)
+    targets = rng.normal(size=(600, 3))
+    assert np.array_equal(proj.fit(targets), u_ref @ (u_ref.T @ targets))

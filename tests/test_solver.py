@@ -17,6 +17,7 @@ from gbdsde import (
     interval_domain,
     picard_solve,
     sample_paths,
+    simulate_reflected,
     skorokhod_bridge_exact,
     solve_bdsde_markov,
     solve_simple,
@@ -313,3 +314,173 @@ def test_vector_valued_simple_solver():
     for comp in (0, 1):
         rms = np.sqrt(np.mean((sol.Y[:, i, comp] - bundle.W[:, i, comp]) ** 2))
         assert rms <= 0.15
+
+
+def _reference_markov(coeffs, domain, start_time, x0, bundle, basis,
+                      inner_sweeps=2, g_is_zero=False):
+    """The scenario-major Markovian induction, kept as the bit-for-bit reference."""
+    from gbdsde.regression import DesignProjector
+    from gbdsde.solver import solution_norms
+
+    grid = bundle.grid
+    start_idx = grid.index_of(start_time)
+    reflected = simulate_reflected(coeffs, domain, start_time, x0, bundle)
+    X, k = reflected.X, reflected.k
+    S, n_pts, d = bundle.scenario_count, len(grid), bundle.d
+    dt = grid.dt
+    dk = np.diff(k, axis=1)
+    dB, dW = bundle.dB, bundle.dW
+    times = grid.points
+    use_backward_tail = not bundle.shared_b and not g_is_zero
+
+    def feature_fn(i):
+        cols = [X[:, i, :]]
+        if use_backward_tail:
+            cols.append(bundle.B[:, -1, :] - bundle.B[:, i, :])
+        return np.concatenate(cols, axis=1)
+
+    Y = np.empty((S, n_pts, 1))
+    Z = np.zeros((S, n_pts, 1, d))
+    Y[:, -1, 0] = coeffs.l(X[:, -1, :])
+    increments = np.zeros(S)
+    for i in range(grid.step_count - 1, start_idx - 1, -1):
+        proj = DesignProjector(feature_fn(i), basis)
+        if g_is_zero:
+            g_term = np.zeros((S, 1))
+        else:
+            g_right = coeffs.g(times[i + 1], X[:, i + 1, :], Y[:, i + 1, :], Z[:, i + 1, :, :])
+            g_term = np.einsum("snd,sd->sn", g_right, dB[:, i, :])
+        base = Y[:, i + 1, :] + g_term
+        y_guess = proj.fit(base)
+        z_target = (base - y_guess)[:, :, None] * dW[:, i, None, :] / dt
+        Z[:, i, :, :] = proj.fit(z_target.reshape(S, -1)).reshape(S, 1, d)
+        f_i = h_term = None
+        for _ in range(max(1, inner_sweeps)):
+            f_i = coeffs.f(times[i], X[:, i, :], y_guess, Z[:, i, :, :])
+            h_term = coeffs.h(times[i], X[:, i, :], y_guess) * dk[:, i, None]
+            target = base + f_i * dt + h_term
+            y_guess = proj.fit(target)
+        Y[:, i, :] = y_guess
+        increments += (f_i * dt + h_term + g_term)[:, 0]
+    Y[:, :start_idx, :] = Y[:, start_idx, :][:, None, :]
+    totals = coeffs.l(X[:, -1, :]) + increments
+    return Y, Z, totals[:, None], solution_norms(Y, Z, k, grid)
+
+
+def _markov_case(name):
+    """(coeffs, domain, start_time, x0, bundle, basis, g_is_zero) for one case."""
+    from dataclasses import replace
+
+    from gbdsde import ball_domain
+
+    grid = TimeGrid(0.0, 1.0, 40)
+    dom = interval_domain(0.0, 1.0)
+    coeffs = replace(_transform_instance(), g=lambda t, x, y, z: 0.3 * np.sin(y)[..., None])
+    if name == "ball_2d":
+        base = _bm_coeffs(x_dim=2, d=2)
+        coeffs = replace(
+            base, f=lambda t, x, y, z: -0.5 * y + 0.1 * z[..., 1],
+            g=lambda t, x, y, z: np.stack([0.2 * y, 0.1 * np.cos(y)], axis=-1),
+            h=lambda t, x, y: 0.3 - 0.2 * y,
+            l=lambda x: np.cos(2.0 * x[..., 0]) + x[..., 1])
+        bundle = sample_paths(grid, d=2, seed=51, count=400)
+        return coeffs, ball_domain([0.0, 0.0], 0.6), 0.0, np.array([0.1, 0.2]), \
+            bundle, PolynomialBasis(2), False
+    shared = name in ("shared_g0", "late_start", "poly0")
+    bundle = sample_paths(grid, d=1, seed=52, count=400, shared_b=shared)
+    t0 = 0.25 if name == "late_start" else 0.0
+    basis = PolynomialBasis(0) if name == "poly0" else BASIS
+    return coeffs, dom, t0, np.array([0.5]), bundle, basis, name == "shared_g0"
+
+
+@pytest.mark.parametrize("case", ["shared_g0", "ball_2d", "backward_tail", "late_start",
+                                  "poly0"])
+def test_markov_solver_matches_scenario_major_reference(case):
+    coeffs, dom, t0, x0, bundle, basis, g0 = _markov_case(case)
+    sol, _ = solve_bdsde_markov(coeffs, dom, t0, x0, bundle, basis, g_is_zero=g0)
+    Y, Z, totals, norms = _reference_markov(coeffs, dom, t0, x0, bundle, basis,
+                                            g_is_zero=g0)
+    assert sol.Y.flags.c_contiguous and sol.Z.flags.c_contiguous
+    assert np.array_equal(sol.Y, Y) and np.array_equal(sol.Z, Z)
+    assert np.array_equal(sol.pathwise_totals, totals)
+    assert sol.diagnostics == norms
+    assert np.any(Z != 0.0)
+
+
+def _reference_picard(coeffs, xi, k_path, bundle, basis, tol, max_iter, x_path=None):
+    """The scenario-major Picard coefficient loop, kept as the bit-for-bit reference."""
+    from gbdsde.regression import DesignProjector
+    from gbdsde.solver import _as_k, default_feature_fn, weighted_difference_norm
+
+    grid = bundle.grid
+    S, n_pts = bundle.scenario_count, len(grid)
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim == 1:
+        xi = xi[:, None]
+    n = xi.shape[1]
+    k = _as_k(k_path, S, n_pts)
+    times = grid.points
+    Y = np.zeros((S, n_pts, n))
+    Z = np.zeros((S, n_pts, n, coeffs.d))
+    feature_fn = default_feature_fn(bundle, not bundle.shared_b)
+    projectors = [DesignProjector(feature_fn(i), basis) for i in range(grid.step_count)]
+    trace = []
+    solution = None
+    for _ in range(max_iter):
+        f_path = np.empty((S, n_pts, n))
+        h_path = np.empty((S, n_pts, n))
+        g_path = np.empty((S, n_pts, n, coeffs.d))
+        for i in range(n_pts):
+            x_i = None if x_path is None else x_path[:, i, :]
+            f_path[:, i] = coeffs.f(times[i], x_i, Y[:, i], Z[:, i])
+            h_path[:, i] = coeffs.h(times[i], x_i, Y[:, i])
+            g_path[:, i] = coeffs.g(times[i], x_i, Y[:, i], Z[:, i])
+        solution = solve_simple(xi, f_path, g_path, h_path, k, bundle, basis,
+                                feature_fn, projectors)
+        norm = weighted_difference_norm(solution.Y - Y, solution.Z - Z, k, grid)
+        trace.append(norm)
+        Y, Z = solution.Y, solution.Z
+        if norm <= tol:
+            break
+    return solution, trace
+
+
+@pytest.mark.parametrize("with_x", [False, True])
+def test_picard_matches_scenario_major_reference(with_x):
+    grid = TimeGrid(0.0, 1.0, 30)
+    bundle = sample_paths(grid, d=2, seed=53, count=500)
+    coeffs = _zeros_coeffs(
+        d=2, alpha=0.3,
+        f=lambda t, x, y, z: -0.5 * y + 0.2 * z[..., 0] + (0.0 if x is None else np.sin(x)),
+        g=lambda t, x, y, z: 0.3 * z + (0.0 if x is None else 0.1 * x[..., None]),
+        h=lambda t, x, y: 0.2 * y + 0.1)
+    k_path = 0.4 * grid.points
+    x_path = bundle.W[:, :, :1] if with_x else None
+    xi = np.cos(bundle.W[:, -1, 0])
+    sol = picard_solve(coeffs, xi, k_path, bundle, BASIS, tol=1e-12, max_iter=4,
+                       x_path=x_path)
+    ref, trace = _reference_picard(coeffs, xi, k_path, bundle, BASIS, 1e-12, 4, x_path)
+    assert np.array_equal(sol.Y, ref.Y) and np.array_equal(sol.Z, ref.Z)
+    assert sol.picard_trace == trace and len(trace) == 4
+    assert sol.diagnostics == ref.diagnostics
+    assert np.array_equal(sol.pathwise_totals, ref.pathwise_totals)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_solvers_raise_on_non_finite_solution():
+    from dataclasses import replace
+
+    grid = TimeGrid(0.0, 1.0, 10)
+    bundle = sample_paths(grid, d=1, seed=54, count=200, shared_b=True)
+    dom = interval_domain(0.0, 1.0)
+    coeffs = replace(_transform_instance(), f=lambda t, x, y, z: y * np.nan)
+    with pytest.raises(FloatingPointError, match="solve_bdsde_markov"):
+        solve_bdsde_markov(coeffs, dom, 0.0, np.array([0.5]), bundle, BASIS)
+    with pytest.raises(FloatingPointError, match="difference norm"):
+        picard_solve(_zeros_coeffs(f=lambda t, x, y, z: y * np.nan), np.ones(200), None,
+                     bundle, BASIS, max_iter=3)
+    refl = simulate_reflected(coeffs, dom, 0.0, np.array([0.5]), bundle)
+    flow0 = BrownianFlow(lambda t, x, y: np.zeros(np.shape(y) + (1,)), bundle.B[0], grid)
+    table = FlowTable(flow0, np.linspace(0, 1, 11), np.linspace(-4, 4, 41))
+    with pytest.raises(FloatingPointError, match="solve_transformed_gbsde"):
+        solve_transformed_gbsde(coeffs, dom, table, refl, bundle, BASIS)
