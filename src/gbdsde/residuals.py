@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .paths import PathBundle
+from .solver import _as_k
 
 
 @dataclass
@@ -41,15 +42,6 @@ class ResidualReport:
     @property
     def per_time_rms(self) -> np.ndarray:
         return np.sqrt(np.mean(self.residuals**2, axis=0))
-
-
-def _as_k(k_path: np.ndarray | None, n_scen: int, n_pts: int) -> np.ndarray:
-    if k_path is None:
-        return np.zeros((n_scen, n_pts))
-    k = np.asarray(k_path, dtype=float)
-    if k.ndim == 1:
-        k = np.broadcast_to(k, (n_scen, n_pts))
-    return k
 
 
 def ito_formula_residual(

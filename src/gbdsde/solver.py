@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flows import transformed_boundary, transformed_generator
+from .flows import _boundary_from_derivs, _generator_from_derivs
 from .geometry import SmoothDomain
 from .grids import TimeGrid
 from .paths import PathBundle, swap_scenario_time, time_major_increments
@@ -537,8 +537,9 @@ def solve_transformed_gbsde(
     scenario, the flow's).  The driver and boundary coefficient are the
     transformed ones; there is no backward integral.  The boundary
     coefficient is only evaluated on scenarios whose state is on the
-    boundary (positive k increment).  Raises FloatingPointError when the
-    solution is not finite.
+    boundary (positive k increment); it reuses the boundary rows of the
+    flow derivatives looked up for the generator, one lookup per inner
+    sweep.  Raises FloatingPointError when the solution is not finite.
     """
     grid = bundle.grid
     X, k = reflected.X, reflected.k
@@ -554,7 +555,8 @@ def solve_transformed_gbsde(
     start_idx = 0
     increments = np.zeros(S)
     for i in range(grid.step_count - 1, start_idx - 1, -1):
-        proj = DesignProjector(X[:, i, :], basis)
+        x_i = X[:, i, :]
+        proj = DesignProjector(x_i, basis)
         base = U[:, i + 1, :]
         u_guess = proj.fit(base)
         z_target = (base - u_guess)[:, :, None] * dW[:, i, None, :] / dt
@@ -563,15 +565,16 @@ def solve_transformed_gbsde(
         h_vals = np.zeros(S)
         on_boundary = dk[:, i] > 0
         for _ in range(max(1, inner_sweeps)):
-            f_i = transformed_generator(
-                coeffs, flow_like, i, times[i], X[:, i, :], u_guess[:, 0], V[:, i, 0, :]
-            )
+            # one derivative lookup per sweep serves the generator and, sliced,
+            # the boundary coefficient on the same points
+            dv = flow_like.derivs(i, x_i, u_guess[:, 0])
+            f_i = _generator_from_derivs(coeffs, dv, times[i], x_i, u_guess[:, 0],
+                                         V[:, i, 0, :])
             if np.any(on_boundary):
                 h_vals = np.zeros(S)
-                h_vals[on_boundary] = transformed_boundary(
-                    coeffs, domain, flow_like, i, times[i],
-                    X[:, i, :][on_boundary], u_guess[on_boundary, 0],
-                    check_boundary=False,
+                h_vals[on_boundary] = _boundary_from_derivs(
+                    coeffs, domain, {key: v[on_boundary] for key, v in dv.items()},
+                    times[i], x_i[on_boundary], u_guess[on_boundary, 0],
                 )
             target = base + f_i[:, None] * dt + (h_vals * dk[:, i])[:, None]
             u_guess = proj.fit(target)

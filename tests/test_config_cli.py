@@ -198,3 +198,30 @@ def test_cli_non_finite_solution_is_exit_3(tmp_path, capsys, suite, markov):
     assert code == 3
     assert "numerical failure" in captured.err and "non-finite" in captured.err
     assert "OVERALL: PASS" not in captured.out
+
+
+def test_cli_non_finite_flow_table_is_exit_3(tmp_path, capsys, monkeypatch):
+    # the transform criterion at toy size, with a flow noise that turns NaN
+    # for large |y|: the table build fails loudly instead of feeding NaN on
+    import numpy as np
+
+    import gbdsde.acceptance as acc
+
+    real_flow, real_grid, real_paths = acc.BrownianFlow, acc.TimeGrid, acc.sample_paths
+
+    def nan_noise(t, x, y):
+        return np.where(np.abs(y) > 2.0, np.nan, 0.3 * np.sin(y))[..., None]
+
+    monkeypatch.setattr(acc, "BrownianFlow",
+                        lambda g, b_path, grid, **kw: real_flow(nan_noise, b_path, grid, **kw))
+    monkeypatch.setattr(acc, "TimeGrid", lambda a, b, steps: real_grid(a, b, 20))
+    monkeypatch.setattr(acc, "sample_paths",
+                        lambda grid, d, seed, count, **kw: real_paths(grid, d, seed, 200, **kw))
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["acceptance"] = {"criteria": ["transform_equivalence"]}
+    path = write_config(tmp_path, cfg)
+    code = main(["acceptance", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical failure" in captured.err and "non-finite tabulated" in captured.err
+    assert "OVERALL: PASS" not in captured.out

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RectBivariateSpline
 
 from gbdsde import (
@@ -19,7 +21,7 @@ from gbdsde import (
     transformed_generator,
 )
 from gbdsde.acceptance import SinNoise
-from gbdsde.flows import FlowBlowup, quadratic_test_field
+from gbdsde.flows import FlowBlowup, InversionError, quadratic_test_field
 
 
 def _grid_and_path(steps=1000, seed=5):
@@ -545,3 +547,273 @@ def test_solve_rejects_out_of_range_indices(t_index):
     # both ends of the range stay valid
     assert np.array_equal(flow.solve(10, x, y), y)
     assert np.array_equal(flow.solve([0, 10], x, y)[1], y[1])
+
+
+# ---------------------------------------------------------------------------
+# FlowTable.derivs (Taylor form) against FITPACK's per-partial evaluation
+# ---------------------------------------------------------------------------
+
+PARTIALS = {"value": (0, 0), "dx": (1, 0), "dy": (0, 1),
+            "dxx": (2, 0), "dxy": (1, 1), "dyy": (0, 2)}
+
+
+def _table(x_count, y_count, steps=30):
+    grid, bp = _grid_and_path(steps=steps, seed=41)
+    noise = SinNoise(amp=0.5, x_mod=0.2, freq_x=3.0)
+    flow = BrownianFlow(noise, bp, grid, lipschitz_hint=noise.lipschitz)
+    return FlowTable(flow, np.linspace(0.0, 1.0, x_count), np.linspace(-2.0, 3.0, y_count))
+
+
+def _reference_table_derivs(table, t_index, x, y):
+    """The six per-partial FITPACK `ev` calls the Taylor form replaced."""
+    x_flat = np.asarray(x, dtype=float)[..., 0]
+    shape = np.asarray(y).shape
+    out = {
+        "value": table.value(t_index, x_flat, y),
+        "dy": table.value(t_index, x_flat, y, dy=1),
+        "dyy": table.value(t_index, x_flat, y, dy=2),
+    }
+    out["dx"] = table.value(t_index, x_flat, y, dx=1).reshape(shape + (1,))
+    out["dxy"] = table.value(t_index, x_flat, y, dx=1, dy=1).reshape(shape + (1,))
+    out["dxx"] = table.value(t_index, x_flat, y, dx=2).reshape(shape + (1, 1))
+    return out
+
+
+def _edge_points(table, rng, count=200):
+    """Random points plus grid nodes, both ends and points clipped from outside."""
+    xg, yg = table.x_grid, table.y_grid
+    x = rng.uniform(xg[0], xg[-1], count)
+    y = rng.uniform(yg[0], yg[-1], count)
+    x_edge = np.concatenate([xg, [xg[0] - 0.3, xg[-1] + 0.3, xg[0], xg[-1]]])
+    y_edge = np.concatenate([np.resize(yg, xg.size), [yg[-1] + 1.0, yg[0] - 1.0,
+                                                      yg[-1], yg[0]]])
+    y_nodes = np.concatenate([yg, [yg[0] - 2.0, yg[-1] + 2.0]])
+    x_nodes = np.resize(np.concatenate([xg, [xg[-1] + 1.0]]), y_nodes.size)
+    return (np.concatenate([x, x_edge, x_nodes])[:, None],
+            np.concatenate([y, y_edge, y_nodes]))
+
+
+def _assert_close(got, ref, keys):
+    for key in keys:
+        assert got[key].shape == ref[key].shape, key
+        gap = np.abs(got[key] - ref[key]) / (1.0 + np.abs(ref[key]))
+        assert np.all(gap <= 1e-10), (key, float(gap.max()))
+
+
+@pytest.mark.parametrize("x_count, y_count", [(41, 96), (4, 30), (5, 4)])
+def test_flow_table_derivs_match_per_partial_ev(x_count, y_count):
+    table = _table(x_count, y_count)
+    assert (table._kx, table._ky) == (min(5, x_count - 1), min(5, y_count - 1))
+    rng = np.random.default_rng(42)
+    x, y = _edge_points(table, rng)
+    for ti in (0, 11, 30):
+        _assert_close(table.derivs(ti, x, y), _reference_table_derivs(table, ti, x, y),
+                      PARTIALS)
+        # 0-d and 2-d batches keep the batch shape of y
+        _assert_close(table.derivs(ti, x[3], y[3]),
+                      _reference_table_derivs(table, ti, x[3], y[3]), PARTIALS)
+        x2, y2 = x[:60].reshape(5, 12, 1), y[:60].reshape(5, 12)
+        _assert_close(table.derivs(ti, x2, y2), _reference_table_derivs(table, ti, x2, y2),
+                      PARTIALS)
+    # the Taylor matrices are built from one slice's knots: all slices share them
+    tx, ty = table._spline(0).tck[:2]
+    for ti in (11, 30):
+        assert np.array_equal(table._spline(ti).tck[0], tx)
+        assert np.array_equal(table._spline(ti).tck[1], ty)
+    empty = table.derivs(5, np.zeros((0, 1)), np.zeros(0))
+    assert empty["dxx"].shape == (0, 1, 1) and empty["value"].shape == (0,)
+
+
+@pytest.mark.parametrize("x_count", [2, 3])
+def test_flow_table_derivs_below_cubic_in_x(x_count):
+    # FITPACK refuses x-derivatives of order >= kx; the Taylor form returns
+    # them, checked by central differences of the next lower FITPACK partial
+    table = _table(x_count, 30)
+    kx = table._kx
+    rng = np.random.default_rng(43)
+    x = rng.uniform(0.1, 0.9, (50, 1))
+    y = rng.uniform(-1.5, 2.5, 50)
+    ti = 7
+    got = table.derivs(ti, x, y)
+    allowed = [key for key, (px, _) in PARTIALS.items() if px < kx]
+    ref = {key: table.value(ti, x[:, 0], y, dx=PARTIALS[key][0], dy=PARTIALS[key][1])
+           for key in allowed}
+    _assert_close({key: got[key].reshape(y.shape) for key in allowed}, ref, allowed)
+    h = 1e-3
+    if kx == 1:
+        assert np.all(got["dxx"] == 0.0)
+        fd_xy = (table.value(ti, x[:, 0] + h, y, dy=1)
+                 - table.value(ti, x[:, 0] - h, y, dy=1)) / (2 * h)
+        assert np.allclose(got["dxy"][:, 0], fd_xy, rtol=1e-6, atol=1e-8)
+    else:
+        fd_xx = (table.value(ti, x[:, 0] + h, y, dx=1)
+                 - table.value(ti, x[:, 0] - h, y, dx=1)) / (2 * h)
+        assert np.allclose(got["dxx"][:, 0, 0], fd_xx, rtol=1e-6, atol=1e-8)
+
+
+def test_flow_table_rejects_non_finite_values():
+    grid, bp = _grid_and_path(steps=20, seed=44)
+
+    def turns_nan(t, x, y):
+        return np.where(np.abs(y) > 2.5, np.nan, 0.3 * np.sin(y))[..., None]
+
+    flow = BrownianFlow(turns_nan, bp, grid)
+    with pytest.raises(FlowBlowup, match="non-finite tabulated"):
+        FlowTable(flow, np.linspace(0.0, 1.0, 11), np.linspace(-3.0, 3.0, 24))
+
+
+class _StubDerivs:
+    """A flow stand-in whose derivatives carry a chosen y-slope."""
+
+    def __init__(self, dy):
+        self.dy = np.asarray(dy, dtype=float)
+
+    def derivs(self, t_index, x, y):
+        shape = np.shape(y)
+        return {"value": np.asarray(y, dtype=float), "dx": np.zeros(shape + (1,)),
+                "dy": np.broadcast_to(self.dy, shape), "dxx": np.zeros(shape + (1, 1)),
+                "dxy": np.zeros(shape + (1,)), "dyy": np.zeros(shape)}
+
+
+def test_transformed_coefficients_reject_nan_slope():
+    coeffs = _spatial_coeffs()
+    dom = interval_domain(0.0, 1.0)
+    xb = np.array([[0.0], [1.0]])
+    z = np.zeros((2, 1))
+    y = np.array([0.2, -0.1])
+    nan_slope = _StubDerivs([1.0, np.nan])
+    with pytest.raises(FlowBlowup, match="monotonicity lost"):
+        transformed_generator(coeffs, nan_slope, 0, 0.0, xb, y, z)
+    with pytest.raises(FlowBlowup, match="monotonicity lost"):
+        transformed_boundary(coeffs, dom, nan_slope, 0, 0.0, xb, y)
+    # a NaN query point is the caller's own value, left to its finite checks
+    y_nan = np.array([0.2, np.nan])
+    assert np.isnan(transformed_generator(coeffs, nan_slope, 0, 0.0, xb, y_nan, z)[1])
+    assert np.isnan(transformed_boundary(coeffs, dom, nan_slope, 0, 0.0, xb, y_nan)[1])
+
+
+# ---------------------------------------------------------------------------
+# BrownianFlow.invert against a verbatim copy of the two-sweep bracket
+# ---------------------------------------------------------------------------
+
+
+def _reference_invert(flow, t_index, x, target, guess=None, bracket_pad=1.0,
+                      max_expand=60, max_iter=80):
+    """The bracket with one sweep per end, kept as the bit-for-bit reference."""
+    target = np.asarray(target, dtype=float)
+    center = target.copy() if guess is None else np.asarray(guess, dtype=float).copy()
+    lo = center - bracket_pad
+    hi = center + bracket_pad
+    f_lo = flow.solve(t_index, x, lo) - target
+    f_hi = flow.solve(t_index, x, hi) - target
+    width = np.full(target.shape, float(bracket_pad))
+    for _ in range(max_expand):
+        need_lo = f_lo > 0
+        need_hi = f_hi < 0
+        if not (np.any(need_lo) or np.any(need_hi)):
+            break
+        width = np.where(need_lo | need_hi, width * 2.0, width)
+        lo = np.where(need_lo, center - width, lo)
+        hi = np.where(need_hi, center + width, hi)
+        if np.any(need_lo):
+            f_lo = np.where(need_lo, flow.solve(t_index, x, lo) - target, f_lo)
+        if np.any(need_hi):
+            f_hi = np.where(need_hi, flow.solve(t_index, x, hi) - target, f_hi)
+    if np.any(f_lo > 0) or np.any(f_hi < 0):
+        raise InversionError("no monotone bracket found within the expansion budget")
+
+    tol = 1e-10 * (1.0 + np.abs(target))
+    side = np.zeros(target.shape, dtype=int)
+    root = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        denom = f_hi - f_lo
+        safe = np.abs(denom) > 1e-300
+        cand = np.where(
+            safe, (lo * f_hi - hi * f_lo) / np.where(safe, denom, 1.0), 0.5 * (lo + hi)
+        )
+        eps = 1e-14 * (1.0 + np.abs(cand))
+        cand = np.clip(cand, lo + eps, hi - eps)
+        f_cand = flow.solve(t_index, x, cand) - target
+        root = cand
+        if np.all(np.abs(f_cand) <= tol):
+            return root
+        neg = f_cand < 0
+        lo = np.where(neg, cand, lo)
+        f_lo = np.where(neg, f_cand, f_lo)
+        hi = np.where(neg, hi, cand)
+        f_hi = np.where(neg, f_hi, f_cand)
+        stale_hi = neg & (side == 1)
+        stale_lo = (~neg) & (side == -1)
+        f_hi = np.where(stale_hi, 0.5 * f_hi, f_hi)
+        f_lo = np.where(stale_lo, 0.5 * f_lo, f_lo)
+        side = np.where(neg, 1, -1)
+    raise InversionError("inverse iteration did not reach tolerance")
+
+
+def _count_sweeps(flow, monkeypatch):
+    calls = []
+    real = flow.solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["scalar", "per_element", "x_none", "expand", "d2"])
+@pytest.mark.parametrize("size", [25, 225])
+def test_invert_bit_identical_to_two_sweep_bracket(case, size, monkeypatch):
+    name = {"x_none": "x_none", "d2": "d2"}.get(case, "plain")
+    flow, _, x, y = _sweep_case(name)
+    rng = np.random.default_rng(size)
+    y = rng.uniform(-2.0, 2.0, size)
+    if x is not None:
+        x = rng.uniform(0.0, 1.0, (size, 1))
+    t_index = 57 if case in ("scalar", "x_none") else rng.integers(0, 200, size)
+    target = flow.solve(t_index, x, y)
+    kwargs = {}
+    if case == "expand":
+        # a tiny bracket off to both sides forces expansion rounds on each
+        kwargs = {"guess": y + np.where(np.arange(size) % 2, 0.4, -0.4),
+                  "bracket_pad": 1e-3}
+    calls = _count_sweeps(flow, monkeypatch)
+    expect = _reference_invert(flow, t_index, x, target, **kwargs)
+    reference_sweeps = len(calls)
+    calls.clear()
+    got = flow.invert(t_index, x, target, **kwargs)
+    assert np.array_equal(got, expect)
+    # at least the first bracket round shares one sweep
+    assert len(calls) <= reference_sweeps - 1
+
+
+def test_invert_bracket_failure_matches_reference():
+    flow, _, x, y = _sweep_case("plain")
+    target = flow.solve(40, x, y)
+    kwargs = {"guess": y + 3.0, "bracket_pad": 1e-3, "max_expand": 2}
+    with pytest.raises(InversionError) as expected:
+        _reference_invert(flow, 40, x, target, **kwargs)
+    with pytest.raises(InversionError) as got:
+        flow.invert(40, x, target, **kwargs)
+    assert str(got.value) == str(expected.value)
+
+
+_CONTRACT_GRID, _CONTRACT_PATH = _grid_and_path(steps=200, seed=45)
+_CONTRACT_NOISE = SinNoise(amp=1.0, x_mod=0.25)
+_CONTRACT_FLOW = BrownianFlow(_CONTRACT_NOISE, _CONTRACT_PATH, _CONTRACT_GRID,
+                              lipschitz_hint=_CONTRACT_NOISE.lipschitz)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=200),
+       st.floats(min_value=-2.0, max_value=2.0),
+       st.floats(min_value=-3.0, max_value=3.0),
+       st.floats(min_value=-2.0, max_value=2.0))
+def test_inversion_contract_property(t_index, x, target, offset):
+    flow = _CONTRACT_FLOW
+    xs = np.array([[x]])
+    targets = np.array([target])
+    y_hat = flow.invert(t_index, xs, targets, guess=targets + offset)
+    resid = np.abs(flow.solve(t_index, xs, y_hat) - targets)
+    assert np.all(resid <= 1e-10 * (1.0 + np.abs(targets)))

@@ -484,3 +484,79 @@ def test_solvers_raise_on_non_finite_solution():
     table = FlowTable(flow0, np.linspace(0, 1, 11), np.linspace(-4, 4, 41))
     with pytest.raises(FloatingPointError, match="solve_transformed_gbsde"):
         solve_transformed_gbsde(coeffs, dom, table, refl, bundle, BASIS)
+
+
+def _reference_transformed(coeffs, domain, flow_like, reflected, bundle, basis,
+                           inner_sweeps=2):
+    """The induction with a separate derivative lookup for the boundary term."""
+    from gbdsde.flows import transformed_boundary, transformed_generator
+    from gbdsde.regression import DesignProjector
+
+    grid = bundle.grid
+    X, k = reflected.X, reflected.k
+    S, n_pts, d = bundle.scenario_count, len(grid), bundle.d
+    dt = grid.dt
+    dk = np.diff(k, axis=1)
+    dW = bundle.dW
+    times = grid.points
+    U = np.empty((S, n_pts, 1))
+    V = np.zeros((S, n_pts, 1, d))
+    U[:, -1, 0] = coeffs.l(X[:, -1, :])
+    increments = np.zeros(S)
+    for i in range(grid.step_count - 1, -1, -1):
+        proj = DesignProjector(X[:, i, :], basis)
+        base = U[:, i + 1, :]
+        u_guess = proj.fit(base)
+        z_target = (base - u_guess)[:, :, None] * dW[:, i, None, :] / dt
+        V[:, i, :, :] = proj.fit(z_target.reshape(S, -1)).reshape(S, 1, d)
+        h_vals = np.zeros(S)
+        on_boundary = dk[:, i] > 0
+        for _ in range(max(1, inner_sweeps)):
+            f_i = transformed_generator(
+                coeffs, flow_like, i, times[i], X[:, i, :], u_guess[:, 0], V[:, i, 0, :])
+            if np.any(on_boundary):
+                h_vals = np.zeros(S)
+                h_vals[on_boundary] = transformed_boundary(
+                    coeffs, domain, flow_like, i, times[i],
+                    X[:, i, :][on_boundary], u_guess[on_boundary, 0],
+                    check_boundary=False)
+            target = base + f_i[:, None] * dt + (h_vals * dk[:, i])[:, None]
+            u_guess = proj.fit(target)
+        U[:, i, :] = u_guess
+        increments += f_i * dt + h_vals * dk[:, i]
+    return U, V, coeffs.l(X[:, -1, :]) + increments
+
+
+@pytest.mark.parametrize("flow_kind", ["table", "direct"])
+def test_transformed_solver_shared_derivs_match_recompute(flow_kind):
+    coeffs = _transform_instance()
+    dom = interval_domain(0.0, 1.0)
+    steps, count = (40, 600) if flow_kind == "table" else (8, 120)
+    grid = TimeGrid(0.0, 1.0, steps)
+    bundle = sample_paths(grid, d=1, seed=55, count=count, shared_b=True)
+    refl = simulate_reflected(coeffs, dom, 0.0, np.array([0.5]), bundle)
+    assert np.any(np.diff(refl.k, axis=1) > 0)  # the boundary term is exercised
+    noise = SinNoise(amp=0.3, x_mod=0.25, freq_x=math.pi)
+    flow = BrownianFlow(noise, bundle.B[0], grid, lipschitz_hint=noise.lipschitz)
+    flow_like = (FlowTable(flow, np.linspace(0, 1, 41), np.linspace(-2, 4, 96))
+                 if flow_kind == "table" else flow)
+    sol = solve_transformed_gbsde(coeffs, dom, flow_like, refl, bundle, BASIS)
+    U, V, totals = _reference_transformed(coeffs, dom, flow_like, refl, bundle, BASIS)
+    assert np.array_equal(sol.Y, U)
+    assert np.array_equal(sol.Z, V)
+    assert np.array_equal(sol.pathwise_totals[:, 0], totals)
+
+
+def test_residuals_share_the_solver_k_helper():
+    from gbdsde import residuals, solver
+
+    assert residuals._as_k is solver._as_k
+    # a (1, T+1) path broadcasts over the scenarios like a 1-D one
+    bundle = sample_paths(TimeGrid(0.0, 1.0, 30), d=1, seed=56, count=8)
+    k = np.linspace(0.0, 1.0, 31) ** 2
+    theta = np.ones((8, 31, 1))
+    reps = [residuals.ito_formula_residual(np.full(1, 0.3), None, theta, None, None, kp,
+                                           bundle)
+            for kp in (k, k[None, :], np.broadcast_to(k, (8, 31)))]
+    assert np.array_equal(reps[0].residuals, reps[1].residuals)
+    assert np.array_equal(reps[0].residuals, reps[2].residuals)
