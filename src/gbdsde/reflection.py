@@ -67,6 +67,30 @@ def simulate_reflected(
     excluded (path frozen); the run fails if more than
     ``max_excluded_fraction`` of scenarios are lost.
     """
+    X, k, flags, excluded, dW = _euler_projection(
+        coeffs, domain, start_time, x0, bundle, max_excluded_fraction)
+    # one buffer at a time, so at most one time-major array outlives its copy
+    del dW
+    X = swap_scenario_time(X)
+    k = swap_scenario_time(k)
+    flags = swap_scenario_time(flags)
+    return ReflectedPath(grid=bundle.grid, X=X, k=k, boundary_flags=flags,
+                         excluded=excluded)
+
+
+def _euler_projection(
+    coeffs: CoefficientSet,
+    domain: SmoothDomain,
+    start_time: float,
+    x0: np.ndarray,
+    bundle: PathBundle,
+    max_excluded_fraction: float = 1e-3,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The loop of `simulate_reflected` on time-major buffers.
+
+    Returns X (T+1, S, dim), k (T+1, S), the boundary flags (T+1, S), the
+    excluded-scenario mask and the dW increments (T, S, d) it stepped with.
+    """
     grid = bundle.grid
     start_idx = grid.index_of(start_time)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -113,12 +137,7 @@ def simulate_reflected(
         raise SimulationBlowup(
             f"{int(excluded.sum())} of {n_scen} scenarios produced non-finite proposals"
         )
-    # one buffer at a time, so at most one time-major array outlives its copy
-    del dW
-    X = swap_scenario_time(X)
-    k = swap_scenario_time(k)
-    flags = swap_scenario_time(flags)
-    return ReflectedPath(grid=grid, X=X, k=k, boundary_flags=flags, excluded=excluded)
+    return X, k, flags, excluded, dW
 
 
 def skorokhod_oracle_1d(x0: float, w_path: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

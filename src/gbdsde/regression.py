@@ -17,6 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 RCOND = 1e-8
+# `projector_walk` fetches the feature points of this many steps at a time;
+# `DesignProjector.stack` builds them in pieces whose design takes at most
+# BLOCK_BYTES, so its working arrays stay small (8 steps at 1000 scenarios
+# and 4 functions; one step at a time from 10^4 scenarios) and peak memory
+# does not grow
+BLOCK_STEPS = 16
+BLOCK_BYTES = 1 << 18
 
 
 class RegressionRankError(RuntimeError):
@@ -112,6 +119,17 @@ class DesignProjector:
     while centring the design once.  ``fit`` takes and returns arrays with
     scenarios on the leading axis; the orthonormal basis is held as a
     C-contiguous (scenarios, rank) array.
+
+    ``stack`` builds the projectors of a block of steps in one pass, each
+    bit-identical to its own ``DesignProjector(points[c], basis)``: the
+    monomials are the same products, the column sums run over the
+    scenarios in row order as in the per-step (S, p) reduction, and one
+    stacked SVD runs the same LAPACK routine on each step's design.  It
+    leaves a step to the per-step build (a ``None`` entry) where the bits
+    or the semantics would differ: a single feature column (numpy sums a
+    lone column pairwise), a basis other than `PolynomialBasis` (bin edges
+    depend on each step's own points), and any step whose build would
+    raise, so the error comes from the per-step build at that step.
     """
 
     def __init__(self, feature_points: np.ndarray, basis,
@@ -136,16 +154,88 @@ class DesignProjector:
         a[:, 0] = 1.0
         np.divide(centered[:, keep], std[keep], out=a[:, 1:])
         u, sv, _ = np.linalg.svd(a, full_matrices=False)
+        self._truncate(basis.name, u, sv)
+
+    def _truncate(self, basis_name: str, u: np.ndarray, sv: np.ndarray) -> None:
+        """Keep the left singular vectors above the relative cutoff."""
         retain = sv > RCOND * sv[0]
         rank = int(np.count_nonzero(retain))
         if rank == 0:
             raise RegressionRankError(
-                f"design matrix of basis {basis.name} has rank 0")
-        self.basis_name = basis.name
-        self.scenario_count = s
+                f"design matrix of basis {basis_name} has rank 0")
+        self.basis_name = basis_name
+        self.scenario_count = u.shape[0]
         self.rank = rank
-        # the thin SVD's u is C-contiguous already
+        # the thin SVD's u is C-contiguous already (per step, also in a stack)
         self._u = u if rank == sv.size else np.ascontiguousarray(u[:, retain])
+
+    @classmethod
+    def stack(cls, points: np.ndarray, basis,
+              min_scenario_ratio: int = 10) -> list[DesignProjector | None]:
+        """Projectors of C steps from their (C, S, m) feature points.
+
+        Entry c equals ``DesignProjector(points[c], basis)`` bit for bit, or
+        is None where that per-step build has to run instead (see the class
+        docstring).  Steps sharing a set of kept columns share one SVD call;
+        a block whose design would exceed ``BLOCK_BYTES`` is built in pieces.
+        """
+        points = np.asarray(points, dtype=float)
+        c_steps, s, m = points.shape
+        p = basis.feature_count(m)
+        if not isinstance(basis, PolynomialBasis) or p == 1 or s < min_scenario_ratio * p:
+            return [None] * c_steps
+        per = max(1, BLOCK_BYTES // (8 * s * p))
+        if per < c_steps:
+            return [proj for lo in range(0, c_steps, per)
+                    for proj in cls.stack(points[lo:lo + per], basis, min_scenario_ratio)]
+        # scenario-major block design (S, C, p): each step's column sums then
+        # run over the rows in order, as in its own (S, p) reduction
+        pts = np.swapaxes(points, 0, 1)
+        design = np.empty((s, c_steps, p))
+        design[..., 0] = 1.0
+        col = 1
+        prev: list[tuple[np.ndarray, int]] = [(design[..., 0], -1)]
+        for _ in range(basis.degree):
+            nxt: list[tuple[np.ndarray, int]] = []
+            for mono, last in prev:
+                for j in range(max(last, 0), m):
+                    nxt.append((np.multiply(mono, pts[..., j], out=design[..., col]), j))
+                    col += 1
+            prev = nxt
+        # a non-finite design makes its column sums non-finite: such steps
+        # (and any whose finite sums overflow) go to the per-step build,
+        # which rejects a non-finite design before any of this arithmetic,
+        # so the block build warns of nothing here
+        with np.errstate(invalid="ignore", over="ignore"):
+            mean = np.add.reduce(design, axis=0) / s
+            centered = np.subtract(design, mean, out=design)
+            std = np.sqrt(np.add.reduce(centered * centered, axis=0) / s)
+            keep = std > 1e-12 * (1.0 + np.abs(mean))
+
+        out: list[DesignProjector | None] = [None] * c_steps
+        pending = np.isfinite(mean).all(axis=1)
+        while pending.any():
+            mask = keep[np.argmax(pending)]
+            steps = np.flatnonzero(pending & (keep == mask).all(axis=1))
+            pending[steps] = False
+            kept = np.flatnonzero(mask)
+            a = np.empty((s, steps.size, 1 + kept.size))
+            a[..., 0] = 1.0
+            rows = slice(None) if steps.size == c_steps else steps
+            for q, j in enumerate(kept, 1):
+                np.divide(centered[:, rows, j], std[rows, j], out=a[..., q])
+            try:
+                u, sv, _ = np.linalg.svd(np.swapaxes(a, 0, 1), full_matrices=False)
+            except np.linalg.LinAlgError:
+                continue
+            for k, c in enumerate(steps):
+                proj = cls.__new__(cls)
+                try:
+                    proj._truncate(basis.name, u[k], sv[k])
+                except RegressionRankError:
+                    continue
+                out[c] = proj
+        return out
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
         targets = np.asarray(targets, dtype=float)
@@ -155,6 +245,25 @@ class DesignProjector:
         flat = targets.reshape(self.scenario_count, -1)
         fitted = self._u @ (self._u.T @ flat)
         return fitted.reshape(targets.shape)
+
+
+def projector_walk(points_of, basis, steps: range):
+    """Yield (i, projector) for every step i of ``steps``, in its order.
+
+    ``points_of(lo, hi)`` returns the (hi - lo, S, m) feature points of steps
+    lo, ..., hi - 1.  Runs of ``BLOCK_STEPS`` consecutive steps are built by
+    `DesignProjector.stack` as the walk reaches them, so only one block is
+    alive at a time; a step the block leaves out is built on its own when
+    reached, raising any error of its build there.
+    """
+    for first in range(0, len(steps), BLOCK_STEPS):
+        run = steps[first:first + BLOCK_STEPS]
+        lo = min(run[0], run[-1])
+        points = points_of(lo, max(run[0], run[-1]) + 1)
+        block = DesignProjector.stack(points, basis)
+        for i in run:
+            proj = block[i - lo]
+            yield i, proj if proj is not None else DesignProjector(points[i - lo], basis)
 
 
 def conditional_expectation(

@@ -37,8 +37,8 @@ from .geometry import SmoothDomain
 from .grids import TimeGrid
 from .paths import PathBundle, swap_scenario_time, time_major_increments
 from .problems import CoefficientSet
-from .reflection import ReflectedPath, simulate_reflected
-from .regression import DesignProjector
+from .reflection import ReflectedPath, _euler_projection
+from .regression import projector_walk
 
 
 class PicardDivergence(RuntimeError):
@@ -113,6 +113,11 @@ def default_feature_fn(bundle: PathBundle, with_backward_tail: bool):
     return features
 
 
+def _stacked_points(feature_fn):
+    """``points_of`` for `projector_walk` from a per-step feature function."""
+    return lambda lo, hi: np.stack([feature_fn(i) for i in range(lo, hi)])
+
+
 def solve_simple(
     xi: np.ndarray,
     f_path: np.ndarray | None,
@@ -164,9 +169,12 @@ def solve_simple(
     Y = np.empty((S, n_pts, n))
     Z = np.zeros((S, n_pts, n, d))
     Y[:, -1, :] = xi
-    for i in range(grid.step_count - 1, -1, -1):
-        proj = projectors[i] if projectors is not None else DesignProjector(
-            feature_fn(i), basis)
+    backward = range(grid.step_count - 1, -1, -1)
+    if projectors is None:
+        walk = projector_walk(_stacked_points(feature_fn), basis, backward)
+    else:
+        walk = ((i, projectors[i]) for i in backward)
+    for i, proj in walk:
         one_step = Y[:, i + 1, :] + f_steps[:, i, :] + h_steps[:, i, :] + g_steps[:, i, :]
         z_target = one_step[:, :, None] * dW[:, i, None, :] / dt
         stacked = proj.fit(
@@ -182,12 +190,20 @@ def solve_simple(
 
 
 def solution_norms(Y: np.ndarray, Z: np.ndarray, k: np.ndarray, grid: TimeGrid) -> dict:
-    """Empirical sup/flow/boundary norms of a solution pair."""
+    """Empirical sup/flow/boundary norms of a solution pair.
+
+    For n = d = 1 the squared norms index the size-1 trailing axes instead
+    of summing over them (a one-term sum is that term, so the floats agree).
+    """
     dt = grid.dt
     dk = np.diff(k, axis=1)
-    sup_sq = np.max(np.sum(Y**2, axis=-1), axis=1)
-    m2 = np.sum(np.sum(Z[:, :-1] ** 2, axis=(-2, -1)) * dt, axis=1)
-    k2 = np.sum(np.sum(Y[:, :-1] ** 2, axis=-1) * dk, axis=1)
+    scalar = Z.shape[-2:] == (1, 1)
+    y_sq = Y[..., 0] ** 2 if scalar else np.sum(Y**2, axis=-1)
+    sup_sq = np.max(y_sq, axis=1)
+    k2 = np.sum(y_sq[:, :-1] * dk, axis=1)
+    del y_sq
+    z_sq = Z[:, :-1, 0, 0] ** 2 if scalar else np.sum(Z[:, :-1] ** 2, axis=(-2, -1))
+    m2 = np.sum(z_sq * dt, axis=1)
     return {
         "s2_norm": float(np.mean(sup_sq)),
         "m2_norm": float(np.mean(m2)),
@@ -257,8 +273,8 @@ def picard_solve(
     Z = np.zeros((S, n_pts, n, coeffs.d))
     if feature_fn is None:
         feature_fn = default_feature_fn(bundle, not bundle.shared_b)
-    projectors = [DesignProjector(feature_fn(i), basis)
-                  for i in range(grid.step_count)]
+    projectors = [proj for _, proj in projector_walk(_stacked_points(feature_fn), basis,
+                                                     range(grid.step_count))]
     # coefficients are evaluated per time into time-major buffers; solve_simple
     # reads them through scenario-major views, so its per-step slices of the
     # coefficient paths are contiguous
@@ -432,6 +448,10 @@ def solve_bdsde_markov(
     ``inner_sweeps`` fixed-point sweeps.  The backward-noise term is read at
     the right endpoint.  Scalar-valued problems only (n = 1).  Raises
     FloatingPointError when Y or Z is not finite.
+
+    A path simulated here stays in the Euler loop's time-major buffers, with
+    its dW, for the induction; it is transposed into the returned
+    `ReflectedPath` afterwards.
     """
     if coeffs.n != 1:
         raise ValueError("the Markovian solver handles scalar-valued problems (n = 1)")
@@ -440,11 +460,25 @@ def solve_bdsde_markov(
     grid = bundle.grid
     start_idx = grid.index_of(start_time)
     if reflected is None:
-        reflected = simulate_reflected(coeffs, domain, start_time, x0, bundle)
-    terminal = coeffs.l(reflected.X[:, -1, :])
+        X, k, flags, excluded, dW = _euler_projection(coeffs, domain, start_time, x0, bundle)
+        dk = np.diff(k, axis=0)
+    else:
+        X = swap_scenario_time(reflected.X)
+        dk = time_major_increments(reflected.k)
+        dW = time_major_increments(bundle.W)
+    terminal = coeffs.l(X[-1])
     Y, Z, increments = _markov_induction(
-        coeffs, reflected, bundle, basis, start_idx, terminal, inner_sweeps, g_is_zero)
-    # rebinding frees each time-major buffer before the next copy is made
+        coeffs, X, dk, dW, bundle, basis, start_idx, terminal, inner_sweeps, g_is_zero)
+    del dk, dW
+    if reflected is None:
+        # rebinding frees each time-major buffer before the next copy is made
+        X = swap_scenario_time(X)
+        k = swap_scenario_time(k)
+        flags = swap_scenario_time(flags)
+        reflected = ReflectedPath(grid=grid, X=X, k=k, boundary_flags=flags,
+                                  excluded=excluded)
+    # drops the time-major copy of a supplied path before Y and Z are copied
+    del X
     Y = swap_scenario_time(Y)
     Z = swap_scenario_time(Z)
     _require_finite("solve_bdsde_markov", Y, Z)
@@ -462,7 +496,9 @@ def solve_bdsde_markov(
 
 def _markov_induction(
     coeffs: CoefficientSet,
-    reflected: ReflectedPath,
+    X: np.ndarray,
+    dk: np.ndarray,
+    dW: np.ndarray,
     bundle: PathBundle,
     basis,
     start_idx: int,
@@ -472,32 +508,34 @@ def _markov_induction(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The backward loop of `solve_bdsde_markov` on time-major arrays.
 
-    Works on private time-major copies of X, dk, dW (and of dB and B only
-    when the backward noise enters), so every per-step slice is contiguous;
-    they are freed on return, before the caller builds the scenario-major
-    results.  Returns time-major Y (T+1, S, 1), Z (T+1, S, 1, d) and the
-    per-scenario sum of the driver, boundary and backward-noise terms.
+    Takes time-major X (T+1, S, m), dk (T, S) and dW (T, S, d) and makes a
+    time-major copy of dB only when the backward noise enters, so every
+    per-step slice is contiguous.  The backward tail B_T - B_t of the
+    features is formed per block of projector steps.  Returns time-major
+    Y (T+1, S, 1), Z (T+1, S, 1, d) and the per-scenario sum of the driver,
+    boundary and backward-noise terms.
     """
     grid = bundle.grid
     S, n_pts, d = bundle.scenario_count, len(grid), bundle.d
     dt = grid.dt
     times = grid.points
     use_backward_tail = not bundle.shared_b and not g_is_zero
-    X = swap_scenario_time(reflected.X)
-    dk = time_major_increments(reflected.k)
-    dW = time_major_increments(bundle.W)
     dB = None if g_is_zero else time_major_increments(bundle.B)
-    B = swap_scenario_time(bundle.B) if use_backward_tail else None
     g_zero = np.zeros((S, 1))
+
+    def points_of(lo: int, hi: int) -> np.ndarray:
+        if not use_backward_tail:
+            return X[lo:hi]
+        tail = np.swapaxes(bundle.B[:, -1:, :] - bundle.B[:, lo:hi, :], 0, 1)
+        return np.concatenate([X[lo:hi], tail], axis=2)
 
     Y = np.empty((n_pts, S, 1))
     Z = np.zeros((n_pts, S, 1, d))
     Y[-1, :, 0] = terminal
     increments = np.zeros(S)
-    for i in range(grid.step_count - 1, start_idx - 1, -1):
+    backward = range(grid.step_count - 1, start_idx - 1, -1)
+    for i, proj in projector_walk(points_of, basis, backward):
         x_i = X[i]
-        features = np.concatenate([x_i, B[-1] - B[i]], axis=1) if use_backward_tail else x_i
-        proj = DesignProjector(features, basis)
         if g_is_zero:
             g_term = g_zero
         else:
@@ -552,11 +590,10 @@ def solve_transformed_gbsde(
     U = np.empty((S, n_pts, 1))
     V = np.zeros((S, n_pts, 1, d))
     U[:, -1, 0] = coeffs.l(X[:, -1, :])
-    start_idx = 0
     increments = np.zeros(S)
-    for i in range(grid.step_count - 1, start_idx - 1, -1):
+    for i, proj in projector_walk(lambda lo, hi: np.swapaxes(X[:, lo:hi], 0, 1), basis,
+                                  range(grid.step_count - 1, -1, -1)):
         x_i = X[:, i, :]
-        proj = DesignProjector(x_i, basis)
         base = U[:, i + 1, :]
         u_guess = proj.fit(base)
         z_target = (base - u_guess)[:, :, None] * dW[:, i, None, :] / dt

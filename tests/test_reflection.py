@@ -283,3 +283,29 @@ def test_simulate_reflected_matches_scenario_major_reference(case):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.shape == b.shape and a.flags.c_contiguous, name
         assert np.array_equal(a, b), name
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       radius=st.floats(min_value=0.1, max_value=2.0),
+       frac=st.floats(min_value=0.0, max_value=1.0),
+       angle=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+       vol=st.floats(min_value=0.1, max_value=3.0),
+       start=st.integers(min_value=0, max_value=20))
+def test_ball_skorokhod_push_nondecreasing(seed, radius, frac, angle, vol, start):
+    from dataclasses import replace
+
+    from gbdsde import ball_domain
+
+    grid = TimeGrid(0.0, 1.0, 40)
+    bundle = sample_paths(grid, d=2, seed=seed, count=64)
+    center = np.array([0.3, -0.2])
+    x0 = center + frac * radius * np.array([math.cos(angle), math.sin(angle)])
+    dom = ball_domain(center, radius)
+    # a start on the sphere may round to just outside it: pull it in by a hair
+    x0 = center + (x0 - center) * min(1.0, radius / (np.linalg.norm(x0 - center) + 1e-15))
+    coeffs = replace(_bm_coeffs(x_dim=2, d=2),
+                     sigma=lambda x: vol * np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)))
+    refl = simulate_reflected(coeffs, dom, grid.points[start], x0, bundle)
+    assert np.all(refl.k[:, : start + 1] == 0.0)
+    assert np.all(np.diff(refl.k, axis=1) >= 0.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbdsde import PiecewiseBinBasis, PolynomialBasis, conditional_expectation
 from gbdsde.regression import DesignProjector, RegressionRankError, fit_function
@@ -173,3 +175,150 @@ def test_projector_build_matches_two_pass_reference(case):
     assert np.array_equal(proj._u, u_ref)
     targets = rng.normal(size=(600, 3))
     assert np.array_equal(proj.fit(targets), u_ref @ (u_ref.T @ targets))
+
+
+def _same_projector(proj, ref):
+    return (proj.rank == ref.rank and proj.basis_name == ref.basis_name
+            and proj.scenario_count == ref.scenario_count and proj._u.flags.c_contiguous
+            and np.array_equal(proj._u, ref._u))
+
+
+def _walk_points(steps=37, count=400, dim=1, seed=10):
+    """Time-major (steps, S, dim) points of a random walk started at one constant point."""
+    rng = np.random.default_rng(seed)
+    points = 0.3 + np.cumsum(0.1 * rng.normal(size=(steps, count, dim)), axis=0)
+    points[0] = 0.3  # the constant start step
+    return points
+
+
+@pytest.mark.parametrize("case", ["poly3_1d", "poly2_2d", "poly3_2d", "rank_deficient",
+                                  "constant_column", "poly0", "bins", "over_budget"])
+def test_stack_matches_per_step_build(case, monkeypatch):
+    from gbdsde import regression
+
+    points, basis = _walk_points(steps=12), PolynomialBasis(3)
+    if case in ("poly2_2d", "poly3_2d"):
+        points = _walk_points(steps=12, dim=2)
+        basis = PolynomialBasis(2 if case == "poly2_2d" else 3)
+    elif case == "rank_deficient":
+        # one step whose second coordinate repeats the first: a truncated u
+        points = _walk_points(steps=12, dim=2)
+        points[5, :, 1] = 2.0 * points[5, :, 0]
+        basis = PolynomialBasis(2)
+    elif case == "constant_column":
+        points = np.concatenate([points, np.full(points.shape, 0.7)], axis=2)
+    elif case == "poly0":
+        basis = PolynomialBasis(0)
+    elif case == "bins":
+        basis = PiecewiseBinBasis(6)
+    elif case == "over_budget":
+        # a block larger than one stacked design may hold is split, not cut
+        monkeypatch.setattr(regression, "BLOCK_BYTES", 3 * 8 * 400 * 4)
+    block = DesignProjector.stack(points, basis)
+    assert len(block) == points.shape[0]
+    if case in ("poly0", "bins"):
+        assert block == [None] * points.shape[0]  # left to the per-step build
+        return
+    # only the constant start step keeps a different set of columns; it is
+    # still stacked (on its own) and still bit-identical
+    assert all(proj is not None for proj in block)
+    for c, proj in enumerate(block):
+        ref = DesignProjector(points[c], basis)
+        assert _same_projector(proj, ref), c
+        u_ref, rank_ref = _reference_projector(points[c], basis)
+        assert proj.rank == rank_ref and np.array_equal(proj._u, u_ref)
+    assert block[0].rank == 1
+    if case == "rank_deficient":
+        assert block[5].rank < block[4].rank == basis.feature_count(2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_projector_walk_matches_per_step_builds(dim, order, monkeypatch):
+    from gbdsde import regression
+    from gbdsde.regression import projector_walk
+
+    points = _walk_points(dim=dim)
+    basis = PolynomialBasis(3)
+    steps = points.shape[0]
+    calls = []
+
+    def points_of(lo, hi):
+        calls.append((lo, hi))
+        return points[lo:hi]
+
+    # runs of 5 steps: 37 steps cut the last run mid-way, and so does a
+    # start index of 3 in the backward walk
+    monkeypatch.setattr(regression, "BLOCK_STEPS", 5)
+    walk = range(steps - 1, 2, -1) if order == "backward" else range(steps)
+    got = list(projector_walk(points_of, basis, walk))
+    assert [i for i, _ in got] == list(walk)
+    assert all(hi - lo <= 5 for lo, hi in calls)
+    assert sorted(i for lo, hi in calls for i in range(lo, hi)) == sorted(walk)
+    for i, proj in got:
+        assert _same_projector(proj, DesignProjector(points[i], basis)), i
+
+
+@pytest.mark.parametrize("basis", [PolynomialBasis(0), PiecewiseBinBasis(5)])
+def test_projector_walk_per_step_fallbacks(basis):
+    from gbdsde.regression import projector_walk
+
+    points = _walk_points(steps=20)
+    points[0] += np.linspace(0.0, 1.0, points.shape[1])[:, None]  # bins need spread
+    got = list(projector_walk(lambda lo, hi: points[lo:hi], basis, range(19, -1, -1)))
+    assert [i for i, _ in got] == list(range(19, -1, -1))
+    for i, proj in got:
+        assert _same_projector(proj, DesignProjector(points[i], basis)), i
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["nan", "inf", "empty_bin", "too_few_scenarios"])
+def test_projector_walk_raises_at_the_per_step_step(case):
+    from gbdsde.regression import projector_walk
+
+    points, basis, bad = _walk_points(steps=30), PolynomialBasis(2), 13
+    if case in ("nan", "inf"):
+        points[bad, 7, 0] = np.nan if case == "nan" else np.inf
+        points[bad, 9, 0] = -np.inf  # inf - inf: no warning from the block build
+    elif case == "empty_bin":
+        basis = PiecewiseBinBasis(4)
+        points[bad, :, 0] = np.repeat([0.0, 1.0], points.shape[1] // 2)
+    else:
+        points, bad = points[:, :20], 29  # 20 scenarios for 6 functions
+    walk = range(29, -1, -1)
+    reached = []
+    with pytest.raises((ValueError, RegressionRankError)) as got:
+        for i, _ in projector_walk(lambda lo, hi: points[lo:hi], basis, walk):
+            reached.append(i)
+    assert reached == list(range(29, bad, -1))
+    with pytest.raises(type(got.value)) as ref:
+        DesignProjector(points[bad], basis)
+    assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       degree=st.integers(min_value=0, max_value=3),
+       dim=st.sampled_from([1, 2]),
+       loc=st.floats(min_value=-3.0, max_value=3.0),
+       scale=st.floats(min_value=0.1, max_value=3.0),
+       stacked=st.booleans())
+def test_projection_idempotent_and_mean_preserving(seed, degree, dim, loc, scale, stacked):
+    from gbdsde.regression import projector_walk
+
+    rng = np.random.default_rng(seed)
+    steps, count = 6, 300
+    points = loc + scale * np.cumsum(rng.normal(size=(steps, count, dim)), axis=0)
+    basis = PolynomialBasis(degree)
+    if stacked:
+        projs = [p for _, p in projector_walk(lambda lo, hi: points[lo:hi], basis,
+                                              range(steps))]
+    else:
+        projs = [DesignProjector(points[c], basis) for c in range(steps)]
+    for c, proj in enumerate(projs):
+        y = np.stack([np.sin(points[c, :, 0]), points[c, :, -1] ** 2], axis=1)
+        y += rng.normal(size=y.shape)
+        once = proj.fit(y)
+        tol = 1e-10 * (np.max(np.abs(y)) + 1.0)
+        assert np.max(np.abs(proj.fit(once) - once)) <= tol
+        assert np.max(np.abs(once.mean(axis=0) - y.mean(axis=0))) <= tol

@@ -560,3 +560,53 @@ def test_residuals_share_the_solver_k_helper():
             for kp in (k, k[None, :], np.broadcast_to(k, (8, 31)))]
     assert np.array_equal(reps[0].residuals, reps[1].residuals)
     assert np.array_equal(reps[0].residuals, reps[2].residuals)
+
+
+def _reference_solution_norms(Y, Z, k, grid):
+    """The norms summing over every trailing axis, kept as the reference."""
+    dt = grid.dt
+    dk = np.diff(k, axis=1)
+    sup_sq = np.max(np.sum(Y**2, axis=-1), axis=1)
+    m2 = np.sum(np.sum(Z[:, :-1] ** 2, axis=(-2, -1)) * dt, axis=1)
+    k2 = np.sum(np.sum(Y[:, :-1] ** 2, axis=-1) * dk, axis=1)
+    return {"s2_norm": float(np.mean(sup_sq)), "m2_norm": float(np.mean(m2)),
+            "k2_norm": float(np.mean(k2))}
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (1, 2), (2, 3)])
+def test_solution_norms_match_summed_reference(n, d):
+    from gbdsde.solver import solution_norms
+
+    grid = TimeGrid(0.0, 1.0, 50)
+    rng = np.random.default_rng(57)
+    Y = rng.normal(size=(300, 51, n))
+    Z = rng.normal(size=(300, 51, n, d))
+    Z[:, -1] = 0.0
+    k = np.cumsum(np.abs(rng.normal(size=(300, 51))), axis=1)
+    got = solution_norms(Y, Z, k, grid)
+    assert got == _reference_solution_norms(Y, Z, k, grid)
+    assert all(v > 0 for v in got.values())
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.25])
+def test_markov_simulated_path_matches_simulate_reflected(t0):
+    coeffs, dom, _, x0, bundle, basis, g0 = _markov_case("backward_tail")
+    sol, refl = solve_bdsde_markov(coeffs, dom, t0, x0, bundle, basis, g_is_zero=g0)
+    ref = simulate_reflected(coeffs, dom, t0, x0, bundle)
+    for name in ("X", "k", "boundary_flags", "excluded"):
+        a, b = getattr(refl, name), getattr(ref, name)
+        assert a.flags.c_contiguous and np.array_equal(a, b), name
+    given, _ = solve_bdsde_markov(coeffs, dom, t0, x0, bundle, basis, reflected=ref,
+                                  g_is_zero=g0)
+    assert np.array_equal(sol.Y, given.Y) and np.array_equal(sol.Z, given.Z)
+    assert np.array_equal(sol.pathwise_totals, given.pathwise_totals)
+    assert sol.diagnostics == given.diagnostics
+
+
+def test_picard_matches_reference_with_every_step_stacked(monkeypatch):
+    # the default design budget stacks one step at a time at this size (35
+    # functions of four coordinates); a larger one stacks whole runs of steps
+    from gbdsde import regression
+
+    monkeypatch.setattr(regression, "BLOCK_BYTES", 1 << 24)
+    test_picard_matches_scenario_major_reference(with_x=True)
