@@ -10,7 +10,7 @@ stated ones; nothing is deferred to later calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -277,14 +277,7 @@ def criterion_closed_forms(seed: int = 2024) -> list[CriterionResult]:
 
 
 def _heat_coeffs() -> CoefficientSet:
-    base = _bm_coeffs()
-    return CoefficientSet(
-        n=1, d=1,
-        f=base.f, g=base.g, h=base.h,
-        K=base.K, c=base.c, alpha=base.alpha, beta1=base.beta1,
-        b=base.b, sigma=base.sigma, x_dim=1,
-        l=lambda x: np.cos(math.pi * x[..., 0]),
-    )
+    return replace(_bm_coeffs(), l=lambda x: np.cos(math.pi * x[..., 0]))
 
 
 def criterion_heat_benchmark(seed: int = 2024) -> list[CriterionResult]:

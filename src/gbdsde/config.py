@@ -17,7 +17,7 @@ from .catalog import build_coefficient_set
 from .geometry import SmoothDomain, make_domain
 from .grids import TimeGrid
 from .problems import CoefficientSet
-from .regression import make_basis
+from .regression import MIN_SCENARIO_RATIO, make_basis
 
 SUITES = (
     "simulate-reflected",
@@ -130,10 +130,10 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
         feat_dim = int(data.get("problem", {}).get("x_dim") or 1)
         if not shared_b:
             feat_dim += int(data.get("problem", {}).get("d", 1))
-        need = 10 * basis.feature_count(feat_dim)
+        need = MIN_SCENARIO_RATIO * basis.feature_count(feat_dim)
         if scenarios < need:
             raise ConfigError(
-                f"monte_carlo.scenarios: {scenarios} < 10x basis size ({need}) "
+                f"monte_carlo.scenarios: {scenarios} < {MIN_SCENARIO_RATIO}x basis size ({need}) "
                 f"for {basis.name}")
 
     out_dir = Path(overrides.get("out_dir") or data.get("output", {}).get("dir", "out"))

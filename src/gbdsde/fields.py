@@ -18,10 +18,9 @@ from scipy.linalg import solve_banded
 
 from .flows import BrownianFlow
 from .geometry import SmoothDomain
-from .grids import TimeGrid
 from .paths import PathBundle
 from .problems import CoefficientSet
-from .regression import fit_function
+from .regression import DesignProjector
 from .solver import solve_bdsde_markov
 
 
@@ -46,9 +45,6 @@ class FieldEstimate:
     def values(self) -> np.ndarray:
         return np.array([n.u for n in self.nodes])
 
-    def standard_errors(self) -> np.ndarray:
-        return np.array([n.se_u for n in self.nodes])
-
 
 def evaluate_u(
     coeffs: CoefficientSet,
@@ -69,48 +65,38 @@ def evaluate_u(
     v is the flow inverse of u at the node; with no flow supplied (vanishing
     backward noise) v = u.
     """
+    if mode not in ("pointwise", "global"):
+        raise ValueError(f"unknown field mode {mode!r}")
     grid = bundle.grid
-    nodes: list[FieldNode] = []
-    if mode == "pointwise":
-        for t_node, x_node in field_grid:
-            x_node = np.atleast_1d(np.asarray(x_node, dtype=float))
-            sol, _ = solve_bdsde_markov(
-                coeffs, domain, t_node, x_node, bundle, basis, g_is_zero=g_is_zero)
-            idx = grid.index_of(t_node)
-            u_val = float(sol.Y[:, idx, 0].mean())
-            se = float(sol.initial_se()[0])
-            v_val = _invert_node(flow, grid, t_node, x_node, u_val)
-            nodes.append(FieldNode(t_node, x_node, u_val, se, v_val, bundle.scenario_count))
-    elif mode == "global":
+    if mode == "global":
         t0 = min(t for t, _ in field_grid)
         x0 = next(np.atleast_1d(np.asarray(x, dtype=float)) for t, x in field_grid if t == t0)
         sol, refl = solve_bdsde_markov(
             coeffs, domain, t0, x0, bundle, basis, g_is_zero=g_is_zero)
-        for t_node, x_node in field_grid:
-            x_node = np.atleast_1d(np.asarray(x_node, dtype=float))
-            idx = grid.index_of(t_node)
+    nodes: list[FieldNode] = []
+    for t_node, x_node in field_grid:
+        x_node = np.atleast_1d(np.asarray(x_node, dtype=float))
+        idx = grid.index_of(t_node)
+        if mode == "pointwise":
+            sol, _ = solve_bdsde_markov(
+                coeffs, domain, t_node, x_node, bundle, basis, g_is_zero=g_is_zero)
+            u_val = float(sol.Y[:, idx, 0].mean())
+            se = float(sol.initial_se()[0])
+        else:
             y_vals = sol.Y[:, idx, 0]
-            feats = refl.X[:, idx, :]
-            if np.std(feats[:, 0]) < 1e-12:
-                u_val = float(y_vals.mean())
-                se = float(y_vals.std(ddof=1) / np.sqrt(len(y_vals)))
-            else:
-                fn = fit_function(y_vals, feats, basis)
-                u_val = float(fn(x_node[None, :])[0])
-                resid = y_vals - fn(feats)
-                se = float(resid.std(ddof=1) / np.sqrt(len(y_vals)))
-            v_val = _invert_node(flow, grid, t_node, x_node, u_val)
-            nodes.append(FieldNode(t_node, x_node, u_val, se, v_val, bundle.scenario_count))
-    else:
-        raise ValueError(f"unknown field mode {mode!r}")
+            proj = DesignProjector(refl.X[:, idx, :], basis)
+            u_val = float(proj.evaluate(x_node[None, :], y_vals)[0])
+            resid = y_vals - proj.fit(y_vals)
+            se = float(resid.std(ddof=1) / np.sqrt(len(y_vals)))
+        v_val = _invert_node(flow, idx, x_node, u_val)
+        nodes.append(FieldNode(t_node, x_node, u_val, se, v_val, bundle.scenario_count))
     return FieldEstimate(nodes=nodes, b_scenario=bundle.seed, mode=mode)
 
 
-def _invert_node(flow, grid: TimeGrid, t: float, x: np.ndarray, u_val: float) -> float:
+def _invert_node(flow, t_index: int, x: np.ndarray, u_val: float) -> float:
     if flow is None:
         return u_val
-    idx = grid.index_of(t)
-    return float(flow.invert(idx, x[None, :], np.array([u_val]))[0])
+    return float(flow.invert(t_index, x[None, :], np.array([u_val]))[0])
 
 
 # ---------------------------------------------------------------------------

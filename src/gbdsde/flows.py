@@ -696,6 +696,14 @@ def _require_increasing(dy: np.ndarray, y: np.ndarray) -> None:
         raise FlowBlowup("flow derivative D_y <= 0 or not finite: monotonicity lost")
 
 
+def _diffusion_operator(sig: np.ndarray, b: np.ndarray, grad: np.ndarray,
+                        hess: np.ndarray) -> np.ndarray:
+    """1/2 sigma sigma^T : D^2 + b . D applied to a field with these derivatives."""
+    a_mat = np.einsum("...md,...nd->...mn", sig, sig)
+    return 0.5 * np.einsum("...mn,...mn->...", a_mat, hess) + np.einsum(
+        "...m,...m->...", b, grad)
+
+
 def _generator_from_derivs(coeffs: CoefficientSet, dv: dict, t, x: np.ndarray,
                            y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """`transformed_generator` given the flow derivatives dv at (t, x, y)."""
@@ -708,9 +716,7 @@ def _generator_from_derivs(coeffs: CoefficientSet, dv: dict, t, x: np.ndarray,
     big_z = sig_t_dx + dy[..., None] * z        # (..., d)
     f_val = coeffs.f(t, x, eta[..., None], big_z[..., None, :])[..., 0]
     gdg = _g_and_dyg(coeffs, t, x, eta)
-    a_mat = np.einsum("...md,...nd->...mn", sig, sig)
-    l_x_eta = 0.5 * np.einsum("...mn,...mn->...", a_mat, dv["dxx"]) + np.einsum(
-        "...m,...m->...", b, dv["dx"])
+    l_x_eta = _diffusion_operator(sig, b, dv["dx"], dv["dxx"])
     sig_t_dxy = np.einsum("...md,...m->...d", sig, dv["dxy"])
     cross = np.einsum("...d,...d->...", sig_t_dxy, z)
     quad = 0.5 * dv["dyy"] * np.einsum("...d,...d->...", z, z)
@@ -818,10 +824,7 @@ def spde_operator(coeffs: CoefficientSet, field: AnalyticField, t,
     dx = field.grad(t, x)
     dxx = field.hess(t, x)
     sig = coeffs.sigma(x)
-    b = coeffs.b(x)
-    a_mat = np.einsum("...md,...nd->...mn", sig, sig)
-    l_psi = 0.5 * np.einsum("...mn,...mn->...", a_mat, dxx) + np.einsum(
-        "...m,...m->...", b, dx)
+    l_psi = _diffusion_operator(sig, coeffs.b(x), dx, dxx)
     sig_t_dx = np.einsum("...md,...m->...d", sig, dx)
     f_val = coeffs.f(t, x, psi[..., None], sig_t_dx[..., None, :])[..., 0]
     gdg = _g_and_dyg(coeffs, t, x, psi)
@@ -860,9 +863,7 @@ def operator_identity_violations(
     )
     sig = coeffs.sigma(x)
     b = coeffs.b(x)
-    a_mat = np.einsum("...md,...nd->...mn", sig, sig)
-    l_psi = 0.5 * np.einsum("...mn,...mn->...", a_mat, hpsi) + np.einsum(
-        "...m,...m->...", b, dpsi)
+    l_psi = _diffusion_operator(sig, b, dpsi, hpsi)
     sig_t_dpsi = np.einsum("...md,...m->...d", sig, dpsi)
     f_val = coeffs.f(t, x, psi[..., None], sig_t_dpsi[..., None, :])[..., 0]
     gdg = _g_and_dyg(coeffs, t, x, psi)
@@ -878,8 +879,7 @@ def operator_identity_violations(
     # transformed side: -L phi - f_tilde(t, x, phi, sigma* Dx phi)
     sig_t_dphi = np.einsum("...md,...m->...d", sig, dphi)
     f_tilde = transformed_generator(coeffs, flow, t_idx, t, x, phi, sig_t_dphi)
-    l_phi = 0.5 * np.einsum("...mn,...mn->...", a_mat, hphi) + np.einsum(
-        "...m,...m->...", b, dphi)
+    l_phi = _diffusion_operator(sig, b, dphi, hphi)
     rhs = -l_phi - f_tilde
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return np.abs(lhs - rhs) / scale

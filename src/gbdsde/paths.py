@@ -108,8 +108,8 @@ def sample_paths(
     """Sample a bundle of W/B scenarios on the grid.
 
     Increments are N(0, dt) per coordinate; identical arguments give a
-    bit-identical bundle.  With ``shared_b`` one B scenario is drawn and
-    broadcast to every row.
+    bit-identical bundle.  With ``shared_b`` one B scenario is drawn and B is
+    a read-only broadcast view of it across the rows.
     """
     if count < 1:
         raise ValueError("scenario count must be >= 1")
@@ -128,7 +128,7 @@ def sample_paths(
 
     w = build(_STREAM_W, count)
     if shared_b:
-        b = np.broadcast_to(build(_STREAM_B, 1), w.shape).copy()
+        b = np.broadcast_to(build(_STREAM_B, 1), w.shape)  # read-only, one row in memory
     else:
         b = build(_STREAM_B, count)
     return PathBundle(grid=grid, W=w, B=b, seed=seed, scenario_count=count, shared_b=shared_b)

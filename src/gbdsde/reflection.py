@@ -43,10 +43,6 @@ class ReflectedPath:
     excluded: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     @property
-    def scenario_count(self) -> int:
-        return self.X.shape[0]
-
-    @property
     def dk(self) -> np.ndarray:
         return np.diff(self.k, axis=1)
 

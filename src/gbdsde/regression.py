@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 RCOND = 1e-8
+# every fit needs at least this many scenarios per basis function
+MIN_SCENARIO_RATIO = 10
 # `projector_walk` fetches the feature points of this many steps at a time;
 # `DesignProjector.stack` builds them in pieces whose design takes at most
 # BLOCK_BYTES, so its working arrays stay small (8 steps at 1000 scenarios
@@ -83,13 +85,26 @@ class PiecewiseBinBasis:
     def feature_count(self, point_dim: int) -> int:
         return self.count
 
-    def features(self, points: np.ndarray) -> np.ndarray:
+    def edges(self, points: np.ndarray) -> np.ndarray:
+        """Quantile bin edges of the first coordinate of ``points``."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))[:, 0]
-        edges = np.quantile(pts, np.linspace(0.0, 1.0, self.count + 1))
+        return np.quantile(pts, np.linspace(0.0, 1.0, self.count + 1))
+
+    def features(self, points: np.ndarray, edges: np.ndarray | None = None) -> np.ndarray:
+        """Bin indicators of the first coordinate against ``edges``.
+
+        With the points' own quantile edges (the default) every bin must
+        hold mass, unless the coordinate is constant: its one full bin is a
+        constant column, which the projector drops to the intercept.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))[:, 0]
+        own = edges is None
+        if own:
+            edges = self.edges(points)
         idx = np.clip(np.searchsorted(edges, pts, side="right") - 1, 0, self.count - 1)
         design = np.zeros((pts.shape[0], self.count))
         design[np.arange(pts.shape[0]), idx] = 1.0
-        if np.any(design.sum(axis=0) == 0):
+        if own and np.ptp(pts) != 0 and np.any(design.sum(axis=0) == 0):
             raise RegressionRankError(f"empty bin in basis {self.name}")
         return design
 
@@ -120,6 +135,11 @@ class DesignProjector:
     scenarios on the leading axis; the orthonormal basis is held as a
     C-contiguous (scenarios, rank) array.
 
+    ``evaluate`` reads the fitted function off at new points: the projector
+    keeps its training standardization (column means, standard deviations,
+    kept columns and a bin basis's quantile edges) and the retained SVD
+    factors, so new points are never standardized or binned by themselves.
+
     ``stack`` builds the projectors of a block of steps in one pass, each
     bit-identical to its own ``DesignProjector(points[c], basis)``: the
     monomials are the same products, the column sums run over the
@@ -132,13 +152,12 @@ class DesignProjector:
     raise, so the error comes from the per-step build at that step.
     """
 
-    def __init__(self, feature_points: np.ndarray, basis,
-                 min_scenario_ratio: int = 10) -> None:
+    def __init__(self, feature_points: np.ndarray, basis) -> None:
         design = basis.features(feature_points)
         s, p = design.shape
-        if s < min_scenario_ratio * p:
+        if s < MIN_SCENARIO_RATIO * p:
             raise ValueError(
-                f"need >= {min_scenario_ratio}x more scenarios than basis functions "
+                f"need >= {MIN_SCENARIO_RATIO}x more scenarios than basis functions "
                 f"({s} scenarios, {p} functions of {basis.name})"
             )
         if not np.all(np.isfinite(design)):
@@ -150,28 +169,28 @@ class DesignProjector:
         centered = design - mean
         std = np.sqrt(np.add.reduce(centered * centered, axis=0) / s)
         keep = std > 1e-12 * (1.0 + np.abs(mean))
-        a = np.empty((s, 1 + np.count_nonzero(keep)))
-        a[:, 0] = 1.0
-        np.divide(centered[:, keep], std[keep], out=a[:, 1:])
-        u, sv, _ = np.linalg.svd(a, full_matrices=False)
-        self._truncate(basis.name, u, sv)
+        u, sv, vt = np.linalg.svd(_standardized(centered, std, keep), full_matrices=False)
+        edges = basis.edges(feature_points) if isinstance(basis, PiecewiseBinBasis) else None
+        self._freeze(basis, edges, mean, std, keep, u, sv, vt)
 
-    def _truncate(self, basis_name: str, u: np.ndarray, sv: np.ndarray) -> None:
-        """Keep the left singular vectors above the relative cutoff."""
+    def _freeze(self, basis, edges, mean, std, keep, u, sv, vt) -> None:
+        """Keep the training standardization and the SVD factors above the cutoff."""
         retain = sv > RCOND * sv[0]
         rank = int(np.count_nonzero(retain))
         if rank == 0:
             raise RegressionRankError(
-                f"design matrix of basis {basis_name} has rank 0")
-        self.basis_name = basis_name
+                f"design matrix of basis {basis.name} has rank 0")
+        self.basis_name = basis.name
         self.scenario_count = u.shape[0]
         self.rank = rank
+        self._basis, self._edges = basis, edges
+        self._mean, self._std, self._keep = mean, std, keep
         # the thin SVD's u is C-contiguous already (per step, also in a stack)
         self._u = u if rank == sv.size else np.ascontiguousarray(u[:, retain])
+        self._sv, self._vt = (sv, vt) if rank == sv.size else (sv[retain], vt[retain])
 
     @classmethod
-    def stack(cls, points: np.ndarray, basis,
-              min_scenario_ratio: int = 10) -> list[DesignProjector | None]:
+    def stack(cls, points: np.ndarray, basis) -> list[DesignProjector | None]:
         """Projectors of C steps from their (C, S, m) feature points.
 
         Entry c equals ``DesignProjector(points[c], basis)`` bit for bit, or
@@ -182,12 +201,12 @@ class DesignProjector:
         points = np.asarray(points, dtype=float)
         c_steps, s, m = points.shape
         p = basis.feature_count(m)
-        if not isinstance(basis, PolynomialBasis) or p == 1 or s < min_scenario_ratio * p:
+        if not isinstance(basis, PolynomialBasis) or p == 1 or s < MIN_SCENARIO_RATIO * p:
             return [None] * c_steps
         per = max(1, BLOCK_BYTES // (8 * s * p))
         if per < c_steps:
             return [proj for lo in range(0, c_steps, per)
-                    for proj in cls.stack(points[lo:lo + per], basis, min_scenario_ratio)]
+                    for proj in cls.stack(points[lo:lo + per], basis)]
         # scenario-major block design (S, C, p): each step's column sums then
         # run over the rows in order, as in its own (S, p) reduction
         pts = np.swapaxes(points, 0, 1)
@@ -225,13 +244,13 @@ class DesignProjector:
             for q, j in enumerate(kept, 1):
                 np.divide(centered[:, rows, j], std[rows, j], out=a[..., q])
             try:
-                u, sv, _ = np.linalg.svd(np.swapaxes(a, 0, 1), full_matrices=False)
+                u, sv, vt = np.linalg.svd(np.swapaxes(a, 0, 1), full_matrices=False)
             except np.linalg.LinAlgError:
                 continue
             for k, c in enumerate(steps):
                 proj = cls.__new__(cls)
                 try:
-                    proj._truncate(basis.name, u[k], sv[k])
+                    proj._freeze(basis, None, mean[c], std[c], keep[c], u[k], sv[k], vt[k])
                 except RegressionRankError:
                     continue
                 out[c] = proj
@@ -245,6 +264,25 @@ class DesignProjector:
         flat = targets.reshape(self.scenario_count, -1)
         fitted = self._u @ (self._u.T @ flat)
         return fitted.reshape(targets.shape)
+
+    def evaluate(self, points: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """The function fitted to ``targets`` at new points, one row each."""
+        targets = np.asarray(targets, dtype=float)
+        design = (self._basis.features(points) if self._edges is None
+                  else self._basis.features(points, self._edges))
+        a = _standardized(design - self._mean, self._std, self._keep)
+        # least-squares coefficients of the standardized design: V S^-1 U^T y
+        flat = targets.reshape(self.scenario_count, -1)
+        coef = self._vt.T @ ((self._u.T @ flat) / self._sv[:, None])
+        return (a @ coef).reshape(a.shape[:1] + targets.shape[1:])
+
+
+def _standardized(centered: np.ndarray, std: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The intercept column and the kept columns of a centred design over their std."""
+    a = np.empty((centered.shape[0], 1 + np.count_nonzero(keep)))
+    a[:, 0] = 1.0
+    np.divide(centered[:, keep], std[keep], out=a[:, 1:])
+    return a
 
 
 def projector_walk(points_of, basis, steps: range):
@@ -270,41 +308,10 @@ def conditional_expectation(
     targets: np.ndarray,
     feature_points: np.ndarray,
     basis,
-    min_scenario_ratio: int = 10,
 ) -> np.ndarray:
     """Project per-scenario targets onto basis functions of the feature points.
 
     targets may be (S,) or (S, k); the fit is column-wise for the latter.
-    Requires at least ``min_scenario_ratio`` scenarios per basis function.
+    Requires at least ``MIN_SCENARIO_RATIO`` scenarios per basis function.
     """
-    return DesignProjector(feature_points, basis, min_scenario_ratio).fit(targets)
-
-
-def fit_function(
-    targets: np.ndarray,
-    feature_points: np.ndarray,
-    basis,
-    min_scenario_ratio: int = 10,
-):
-    """Fit as in conditional_expectation but return an evaluator for new points."""
-    targets = np.asarray(targets, dtype=float)
-    design = basis.features(feature_points)
-    s, _ = design.shape
-    if s < min_scenario_ratio * design.shape[1]:
-        raise ValueError("too few scenarios for the basis size")
-    mean = design.mean(axis=0)
-    std = design.std(axis=0)
-    keep = std > 1e-12 * (1.0 + np.abs(mean))
-    a = np.column_stack([np.ones(s), (design[:, keep] - mean[keep]) / std[keep]])
-    coef, _, rank, _ = np.linalg.lstsq(a, targets, rcond=RCOND)
-    if rank == 0:
-        raise RegressionRankError(f"design matrix of basis {basis.name} has rank 0")
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        new = basis.features(points)
-        a_new = np.column_stack([
-            np.ones(new.shape[0]), (new[:, keep] - mean[keep]) / std[keep]
-        ])
-        return a_new @ coef
-
-    return evaluate
+    return DesignProjector(feature_points, basis).fit(targets)

@@ -39,10 +39,6 @@ class ResidualReport:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.residuals)))
 
-    @property
-    def per_time_rms(self) -> np.ndarray:
-        return np.sqrt(np.mean(self.residuals**2, axis=0))
-
 
 def ito_formula_residual(
     alpha0: np.ndarray,

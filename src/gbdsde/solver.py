@@ -1,7 +1,5 @@
 """Regression-based backward solvers for the generalized equations.
 
-Four solvers share one backward-induction skeleton:
-
 * ``solve_simple``     - coefficients given as sampled paths independent of
                          the solution; the value process is the projected
                          future sum, the control comes from the increment
@@ -12,14 +10,16 @@ Four solvers share one backward-induction skeleton:
                          repeat; successive differences are tracked in an
                          exponentially weighted norm whose ratio exposes the
                          contraction factor (1 + alpha) / 2.
-* ``solve_bdsde_markov``    - the Markovian equation driven by a reflected
-                         diffusion, with the boundary term paid against the
-                         boundary process increments and an inner sweep for
-                         the implicit driver.
-* ``solve_transformed_gbsde`` - the backward-noise-free equation obtained by
-                         the pathwise flow transform; same skeleton with the
-                         transformed driver and boundary coefficient and no
-                         backward integral.
+* ``solve_bdsde_markov`` and ``solve_transformed_gbsde`` - the Markovian
+                         equation on a reflected diffusion, directly and
+                         after the pathwise flow transform.
+
+The last two run one backward-induction kernel, `_backward_induction`: per
+step it regresses the control on the centred one-step target times dW / dt
+and the value on base + f dt + h dk, the bracket of driver and boundary
+terms evaluated at the current value for ``INNER_SWEEPS`` sweeps.  The
+direct solver adds the backward-noise term g dB to the base; the
+transformed one has none and brackets the transformed coefficients.
 
 Measurability note: values at time t are regressed only on functionals
 available at t -- the forward state (W or X) and, when the backward driver
@@ -40,6 +40,9 @@ from .problems import CoefficientSet
 from .reflection import ReflectedPath, _euler_projection
 from .regression import projector_walk
 
+# fixed-point sweeps of the implicit driver and boundary terms per step
+INNER_SWEEPS = 2
+
 
 class PicardDivergence(RuntimeError):
     """Raised when the successive-difference norm grows three times in a row."""
@@ -58,8 +61,8 @@ class BdsdeSolution:
     (the control is left-continuous).  ``pathwise_totals`` carries the
     per-scenario unsmoothed estimator of the initial value, whose mean equals
     Y at the start time by construction (every projection preserves means).
-    Y and Z are C-contiguous and scenario-major; the Markovian induction and
-    the Picard coefficient loop step on private time-major copies and
+    Y and Z are C-contiguous and scenario-major; the backward-induction
+    kernel and the Picard coefficient loop step on time-major rows and
     transpose once at the end.
     """
 
@@ -70,13 +73,6 @@ class BdsdeSolution:
     diagnostics: dict = field(default_factory=dict)
     pathwise_totals: np.ndarray | None = None
 
-    @property
-    def scenario_count(self) -> int:
-        return self.Y.shape[0]
-
-    def initial_value(self) -> np.ndarray:
-        return self.Y[:, 0, :].mean(axis=0)
-
     def initial_se(self) -> np.ndarray:
         if self.pathwise_totals is None:
             raise ValueError("solution carries no pathwise totals")
@@ -84,38 +80,47 @@ class BdsdeSolution:
         return self.pathwise_totals.std(axis=0, ddof=1) / np.sqrt(s)
 
 
-def _require_finite(solver: str, *arrays: np.ndarray) -> None:
-    """Raise FloatingPointError when a returned solution array is not finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
+def _finite_solution(solver: str, grid: TimeGrid, Y: np.ndarray, Z: np.ndarray,
+                     k: np.ndarray, totals: np.ndarray) -> BdsdeSolution:
+    """The solution of a Markovian induction; FloatingPointError unless finite."""
+    if not (np.isfinite(Y).all() and np.isfinite(Z).all()):
         raise FloatingPointError(f"{solver} produced non-finite solution values")
+    return BdsdeSolution(grid=grid, Y=Y, Z=Z, diagnostics=solution_norms(Y, Z, k, grid),
+                         pathwise_totals=totals[:, None])
 
 
 def _as_k(k_path: np.ndarray | None, n_scen: int, n_pts: int) -> np.ndarray:
     if k_path is None:
         return np.zeros((n_scen, n_pts))
     k = np.asarray(k_path, dtype=float)
-    if k.ndim == 1:
-        k = np.broadcast_to(k[None, :], (n_scen, n_pts))
-    if k.shape[0] == 1 and n_scen > 1:
-        k = np.broadcast_to(k, (n_scen, n_pts))
-    return k
+    # one path, 1-D or (1, T+1), serves every scenario
+    return np.broadcast_to(k, (n_scen, n_pts)) if k.ndim == 1 or k.shape[0] == 1 else k
+
+
+def _as_columns(values: np.ndarray) -> np.ndarray:
+    """Per-scenario values as an (S, n) float array; 1-D input is one column."""
+    values = np.asarray(values, dtype=float)
+    return values[:, None] if values.ndim == 1 else values
+
+
+def _points_of(bundle: PathBundle, with_backward_tail: bool, state: np.ndarray | None = None):
+    """``points_of`` for `projector_walk`: the time-major (T+1, S, m) state,
+    W by default, plus B_T - B_t when ``with_backward_tail``."""
+    state = np.swapaxes(bundle.W, 0, 1) if state is None else state
+
+    def points_of(lo: int, hi: int) -> np.ndarray:
+        if not with_backward_tail:
+            return state[lo:hi]
+        tail = np.swapaxes(bundle.B[:, -1:, :] - bundle.B[:, lo:hi, :], 0, 1)
+        return np.concatenate([state[lo:hi], tail], axis=2)
+
+    return points_of
 
 
 def default_feature_fn(bundle: PathBundle, with_backward_tail: bool):
     """Feature points at index i: W_t coordinates plus, optionally, B_T - B_t."""
-
-    def features(i: int) -> np.ndarray:
-        cols = [bundle.W[:, i, :]]
-        if with_backward_tail:
-            cols.append(bundle.B[:, -1, :] - bundle.B[:, i, :])
-        return np.concatenate(cols, axis=1)
-
-    return features
-
-
-def _stacked_points(feature_fn):
-    """``points_of`` for `projector_walk` from a per-step feature function."""
-    return lambda lo, hi: np.stack([feature_fn(i) for i in range(lo, hi)])
+    points_of = _points_of(bundle, with_backward_tail)
+    return lambda i: points_of(i, i + 1)[0]
 
 
 def solve_simple(
@@ -139,16 +144,12 @@ def solve_simple(
     """
     grid = bundle.grid
     S, n_pts, d = bundle.scenario_count, len(grid), bundle.d
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
+    xi = _as_columns(xi)
     n = xi.shape[1]
     dt = grid.dt
     k = _as_k(k_path, S, n_pts)
     dk = np.diff(k, axis=1)
     dB, dW = bundle.dB, bundle.dW
-    if feature_fn is None:
-        feature_fn = default_feature_fn(bundle, not bundle.shared_b and g_path is not None)
 
     f_steps = np.zeros((S, grid.step_count, n))
     if f_path is not None:
@@ -171,7 +172,11 @@ def solve_simple(
     Y[:, -1, :] = xi
     backward = range(grid.step_count - 1, -1, -1)
     if projectors is None:
-        walk = projector_walk(_stacked_points(feature_fn), basis, backward)
+        if feature_fn is None:
+            points_of = _points_of(bundle, not bundle.shared_b and g_path is not None)
+        else:
+            points_of = lambda lo, hi: np.stack([feature_fn(i) for i in range(lo, hi)])
+        walk = projector_walk(points_of, basis, backward)
     else:
         walk = ((i, projectors[i]) for i in backward)
     for i, proj in walk:
@@ -249,7 +254,6 @@ def picard_solve(
     max_iter: int = 12,
     mu: float = 1.0,
     lam: float = 1.0,
-    feature_fn=None,
     x_path: np.ndarray | None = None,
 ) -> BdsdeSolution:
     """Outer fixed-point iteration for the full nonlinear equation.
@@ -262,19 +266,15 @@ def picard_solve(
     """
     grid = bundle.grid
     S, n_pts = bundle.scenario_count, len(grid)
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
+    xi = _as_columns(xi)
     n = xi.shape[1]
     k = _as_k(k_path, S, n_pts)
     times = grid.points
 
     Y = np.zeros((S, n_pts, n))
     Z = np.zeros((S, n_pts, n, coeffs.d))
-    if feature_fn is None:
-        feature_fn = default_feature_fn(bundle, not bundle.shared_b)
-    projectors = [proj for _, proj in projector_walk(_stacked_points(feature_fn), basis,
-                                                     range(grid.step_count))]
+    projectors = [proj for _, proj in projector_walk(_points_of(bundle, not bundle.shared_b),
+                                                     basis, range(grid.step_count))]
     # coefficients are evaluated per time into time-major buffers; solve_simple
     # reads them through scenario-major views, so its per-step slices of the
     # coefficient paths are contiguous
@@ -295,7 +295,7 @@ def picard_solve(
         del y_rows, z_rows
         solution = solve_simple(xi, np.swapaxes(f_rows, 0, 1), np.swapaxes(g_rows, 0, 1),
                                 np.swapaxes(h_rows, 0, 1), k, bundle, basis,
-                                feature_fn, projectors)
+                                projectors=projectors)
         norm = weighted_difference_norm(solution.Y - Y, solution.Z - Z, k, grid, mu, lam)
         if not np.isfinite(norm):
             raise FloatingPointError(
@@ -331,9 +331,7 @@ def apriori_ratio(
     """
     grid = solution.grid
     S, n_pts = solution.Y.shape[0], len(grid)
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
+    xi = _as_columns(xi)
     k = _as_k(k_path, S, n_pts)
     dt = grid.dt
     dk = np.diff(k, axis=1)
@@ -396,12 +394,7 @@ def stability_gap(
     ))
 
     co, cp = data["coeffs"], data_prime["coeffs"]
-    xi = np.asarray(data["xi"], dtype=float)
-    xip = np.asarray(data_prime["xi"], dtype=float)
-    if xi.ndim == 1:
-        xi = xi[:, None]
-    if xip.ndim == 1:
-        xip = xip[:, None]
+    xi, xip = _as_columns(data["xi"]), _as_columns(data_prime["xi"])
     times = grid.points
     Y, Z = solution.Y, solution.Z
     f_gap_sq = np.empty((S, n_pts))
@@ -436,18 +429,15 @@ def solve_bdsde_markov(
     bundle: PathBundle,
     basis,
     reflected: ReflectedPath | None = None,
-    inner_sweeps: int = 2,
     g_is_zero: bool = False,
 ) -> tuple[BdsdeSolution, ReflectedPath]:
     """Backward induction for the Markovian equation on a reflected diffusion.
 
-    Simulates (X, k) from (start_time, x0) unless paths are supplied, sets the
-    terminal value from the terminal map, and walks backward: the control
-    regresses the one-step target against dW/dt, the value regresses the full
-    bracket with the driver evaluated implicitly at the current value via
-    ``inner_sweeps`` fixed-point sweeps.  The backward-noise term is read at
-    the right endpoint.  Scalar-valued problems only (n = 1).  Raises
-    FloatingPointError when Y or Z is not finite.
+    Simulates (X, k) from (start_time, x0) unless paths are supplied and runs
+    `_backward_induction` from the terminal map, with the backward-noise
+    term read at the right endpoint (zero when ``g_is_zero``).  Scalar-valued
+    problems only (n = 1).  Raises FloatingPointError when Y or Z is not
+    finite.
 
     A path simulated here stays in the Euler loop's time-major buffers, with
     its dW, for the induction; it is transposed into the returned
@@ -458,6 +448,7 @@ def solve_bdsde_markov(
     if coeffs.l is None:
         raise ValueError("Markovian problems need a terminal map l")
     grid = bundle.grid
+    times, dt = grid.points, grid.dt
     start_idx = grid.index_of(start_time)
     if reflected is None:
         X, k, flags, excluded, dW = _euler_projection(coeffs, domain, start_time, x0, bundle)
@@ -467,9 +458,26 @@ def solve_bdsde_markov(
         dk = time_major_increments(reflected.k)
         dW = time_major_increments(bundle.W)
     terminal = coeffs.l(X[-1])
-    Y, Z, increments = _markov_induction(
-        coeffs, X, dk, dW, bundle, basis, start_idx, terminal, inner_sweeps, g_is_zero)
-    del dk, dW
+
+    dB = None if g_is_zero else time_major_increments(bundle.B)
+    g_zero = np.zeros((len(terminal), 1))
+
+    def noise(i, y_next, z_next):
+        # g = 0 still adds a zero term: the base stays a fresh array, and the
+        # kernel keeps its rows contiguous (see `_backward_induction`)
+        if dB is None:
+            return g_zero
+        g_right = coeffs.g(times[i + 1], X[i + 1], y_next, z_next)
+        return np.einsum("snd,sd->sn", g_right, dB[i])
+
+    def bracket(i, x_i, dk_i, y, z):
+        return coeffs.f(times[i], x_i, y, z) * dt, coeffs.h(times[i], x_i, y) * dk_i[:, None]
+
+    Y, Z, increments = _backward_induction(
+        X, dk, dW, bundle, basis, range(grid.step_count - 1, start_idx - 1, -1),
+        not bundle.shared_b and not g_is_zero, terminal, noise, bracket)
+    del dk, dW, dB
+    Y[:start_idx] = Y[start_idx]
     if reflected is None:
         # rebinding frees each time-major buffer before the next copy is made
         X = swap_scenario_time(X)
@@ -481,83 +489,8 @@ def solve_bdsde_markov(
     del X
     Y = swap_scenario_time(Y)
     Z = swap_scenario_time(Z)
-    _require_finite("solve_bdsde_markov", Y, Z)
-
-    totals = terminal + increments
-    return (
-        BdsdeSolution(
-            grid=grid, Y=Y, Z=Z,
-            diagnostics=solution_norms(Y, Z, reflected.k, grid),
-            pathwise_totals=totals[:, None],
-        ),
-        reflected,
-    )
-
-
-def _markov_induction(
-    coeffs: CoefficientSet,
-    X: np.ndarray,
-    dk: np.ndarray,
-    dW: np.ndarray,
-    bundle: PathBundle,
-    basis,
-    start_idx: int,
-    terminal: np.ndarray,
-    inner_sweeps: int,
-    g_is_zero: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The backward loop of `solve_bdsde_markov` on time-major arrays.
-
-    Takes time-major X (T+1, S, m), dk (T, S) and dW (T, S, d) and makes a
-    time-major copy of dB only when the backward noise enters, so every
-    per-step slice is contiguous.  The backward tail B_T - B_t of the
-    features is formed per block of projector steps.  Returns time-major
-    Y (T+1, S, 1), Z (T+1, S, 1, d) and the per-scenario sum of the driver,
-    boundary and backward-noise terms.
-    """
-    grid = bundle.grid
-    S, n_pts, d = bundle.scenario_count, len(grid), bundle.d
-    dt = grid.dt
-    times = grid.points
-    use_backward_tail = not bundle.shared_b and not g_is_zero
-    dB = None if g_is_zero else time_major_increments(bundle.B)
-    g_zero = np.zeros((S, 1))
-
-    def points_of(lo: int, hi: int) -> np.ndarray:
-        if not use_backward_tail:
-            return X[lo:hi]
-        tail = np.swapaxes(bundle.B[:, -1:, :] - bundle.B[:, lo:hi, :], 0, 1)
-        return np.concatenate([X[lo:hi], tail], axis=2)
-
-    Y = np.empty((n_pts, S, 1))
-    Z = np.zeros((n_pts, S, 1, d))
-    Y[-1, :, 0] = terminal
-    increments = np.zeros(S)
-    backward = range(grid.step_count - 1, start_idx - 1, -1)
-    for i, proj in projector_walk(points_of, basis, backward):
-        x_i = X[i]
-        if g_is_zero:
-            g_term = g_zero
-        else:
-            g_right = coeffs.g(times[i + 1], X[i + 1], Y[i + 1], Z[i + 1])
-            g_term = np.einsum("snd,sd->sn", g_right, dB[i])
-        base = Y[i + 1] + g_term
-        y_guess = proj.fit(base)
-        # centred increment regression: subtracting the fitted conditional
-        # mean leaves the estimator unbiased and kills the level noise, so a
-        # constant value process yields an exactly zero control
-        z_target = (base - y_guess)[:, :, None] * dW[i, :, None, :] / dt
-        Z[i] = proj.fit(z_target.reshape(S, -1)).reshape(S, 1, d)
-        f_i = h_term = None
-        for _ in range(max(1, inner_sweeps)):
-            f_i = coeffs.f(times[i], x_i, y_guess, Z[i])
-            h_term = coeffs.h(times[i], x_i, y_guess) * dk[i, :, None]
-            target = base + f_i * dt + h_term
-            y_guess = proj.fit(target)
-        Y[i] = y_guess
-        increments += (f_i * dt + h_term + g_term)[:, 0]
-    Y[:start_idx] = Y[start_idx]
-    return Y, Z, increments
+    return _finite_solution("solve_bdsde_markov", grid, Y, Z, reflected.k,
+                            terminal + increments), reflected
 
 
 def solve_transformed_gbsde(
@@ -567,61 +500,100 @@ def solve_transformed_gbsde(
     reflected: ReflectedPath,
     bundle: PathBundle,
     basis,
-    inner_sweeps: int = 2,
 ) -> BdsdeSolution:
     """Backward induction for the flow-transformed, backward-noise-free equation.
 
-    Shares the reflected paths of the direct solver (one fixed backward
-    scenario, the flow's).  The driver and boundary coefficient are the
-    transformed ones; there is no backward integral.  The boundary
-    coefficient is only evaluated on scenarios whose state is on the
-    boundary (positive k increment); it reuses the boundary rows of the
-    flow derivatives looked up for the generator, one lookup per inner
-    sweep.  Raises FloatingPointError when the solution is not finite.
+    Runs `_backward_induction` without a backward-noise term on the reflected
+    paths of the direct solver (one fixed backward scenario, the flow's).
+    The bracket holds the transformed driver and boundary coefficient; the
+    latter is evaluated only on boundary scenarios (positive k increment),
+    on the boundary rows of the one flow-derivative lookup per inner sweep
+    that serves the generator.  Raises FloatingPointError when the solution
+    is not finite.
     """
     grid = bundle.grid
-    X, k = reflected.X, reflected.k
-    S, n_pts, d = bundle.scenario_count, len(grid), bundle.d
-    dt = grid.dt
-    dk = np.diff(k, axis=1)
-    dW = bundle.dW
-    times = grid.points
+    times, dt = grid.points, grid.dt
+    # a view: X is only read, and a copy would take 80 MB at 10^4 x 1001
+    X = np.swapaxes(reflected.X, 0, 1)
+    dk = time_major_increments(reflected.k)
+    dW = time_major_increments(bundle.W)
+    terminal = coeffs.l(X[-1])
 
-    U = np.empty((S, n_pts, 1))
-    V = np.zeros((S, n_pts, 1, d))
-    U[:, -1, 0] = coeffs.l(X[:, -1, :])
+    def bracket(i, x_i, dk_i, y, z):
+        # one derivative lookup per sweep serves the generator and, sliced,
+        # the boundary coefficient on the same points
+        dv = flow_like.derivs(i, x_i, y[:, 0])
+        f_val = _generator_from_derivs(coeffs, dv, times[i], x_i, y[:, 0], z[:, 0, :])
+        h_val = np.zeros(len(y))
+        on_boundary = dk_i > 0
+        if np.any(on_boundary):
+            h_val[on_boundary] = _boundary_from_derivs(
+                coeffs, domain, {key: v[on_boundary] for key, v in dv.items()},
+                times[i], x_i[on_boundary], y[on_boundary, 0],
+            )
+        return f_val[:, None] * dt, (h_val * dk_i)[:, None]
+
+    Y, Z, increments = _backward_induction(
+        X, dk, dW, bundle, basis, range(grid.step_count - 1, -1, -1), False, terminal,
+        None, bracket)
+    # views of scenario-major buffers: no copies
+    return _finite_solution("solve_transformed_gbsde", grid, swap_scenario_time(Y),
+                            swap_scenario_time(Z), reflected.k, terminal + increments)
+
+
+def _backward_induction(
+    X: np.ndarray,
+    dk: np.ndarray,
+    dW: np.ndarray,
+    bundle: PathBundle,
+    basis,
+    steps: range,
+    with_backward_tail: bool,
+    terminal: np.ndarray,
+    noise,
+    bracket,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The backward induction of the Markovian and the transformed solvers.
+
+    Walks `projector_walk` over the descending ``steps`` on time-major X
+    (T+1, S, m), dk (T, S) and dW (T, S, d), with the state (plus B_T - B_t
+    when ``with_backward_tail``) as features.  The base at step i is Y_{i+1}
+    plus ``noise(i, Y_{i+1}, Z_{i+1})`` (Y_{i+1} itself when ``noise`` is
+    None); ``bracket(i, X_i, dk_i, y, Z_i)`` returns (f dt, h dk) at the
+    value y.  Returns time-major Y (T+1, S, 1) and Z (T+1, S, 1, d), set
+    from the first of ``steps`` on, and the per-scenario sum of the driver,
+    boundary and backward-noise terms.
+    """
+    grid = bundle.grid
+    S, d = dW.shape[1:]
+    if noise is None:
+        # the base is the stored Y_{i+1}, which the transformed solver has
+        # always fitted from scenario-major storage: a rank-1 fit of a strided
+        # row rounds unlike one of a contiguous row.  Fresh bases allow the
+        # faster contiguous rows.
+        y_rows = np.swapaxes(np.empty((S, len(grid), 1)), 0, 1)
+        z_rows = np.swapaxes(np.zeros((S, len(grid), 1, d)), 0, 1)
+    else:
+        y_rows, z_rows = np.empty((len(grid), S, 1)), np.zeros((len(grid), S, 1, d))
+    y_rows[-1, :, 0] = terminal
     increments = np.zeros(S)
-    for i, proj in projector_walk(lambda lo, hi: np.swapaxes(X[:, lo:hi], 0, 1), basis,
-                                  range(grid.step_count - 1, -1, -1)):
-        x_i = X[:, i, :]
-        base = U[:, i + 1, :]
-        u_guess = proj.fit(base)
-        z_target = (base - u_guess)[:, :, None] * dW[:, i, None, :] / dt
-        V[:, i, :, :] = proj.fit(z_target.reshape(S, -1)).reshape(S, 1, d)
-        f_i = None
-        h_vals = np.zeros(S)
-        on_boundary = dk[:, i] > 0
-        for _ in range(max(1, inner_sweeps)):
-            # one derivative lookup per sweep serves the generator and, sliced,
-            # the boundary coefficient on the same points
-            dv = flow_like.derivs(i, x_i, u_guess[:, 0])
-            f_i = _generator_from_derivs(coeffs, dv, times[i], x_i, u_guess[:, 0],
-                                         V[:, i, 0, :])
-            if np.any(on_boundary):
-                h_vals = np.zeros(S)
-                h_vals[on_boundary] = _boundary_from_derivs(
-                    coeffs, domain, {key: v[on_boundary] for key, v in dv.items()},
-                    times[i], x_i[on_boundary], u_guess[on_boundary, 0],
-                )
-            target = base + f_i[:, None] * dt + (h_vals * dk[:, i])[:, None]
-            u_guess = proj.fit(target)
-        U[:, i, :] = u_guess
-        increments += f_i * dt + h_vals * dk[:, i]
-    _require_finite("solve_transformed_gbsde", U, V)
-
-    totals = coeffs.l(X[:, -1, :]) + increments
-    return BdsdeSolution(
-        grid=grid, Y=U, Z=V,
-        diagnostics=solution_norms(U, V, k, grid),
-        pathwise_totals=totals[:, None],
-    )
+    g_term = np.zeros((S, 1))
+    points_of = _points_of(bundle, with_backward_tail, X)
+    for i, proj in projector_walk(points_of, basis, steps):
+        if noise is None:
+            base = y_rows[i + 1]
+        else:
+            g_term = noise(i, y_rows[i + 1], z_rows[i + 1])
+            base = y_rows[i + 1] + g_term
+        y_guess = proj.fit(base)
+        # centred increment regression: subtracting the fitted conditional
+        # mean leaves the estimator unbiased and kills the level noise, so a
+        # constant value process yields an exactly zero control
+        z_target = (base - y_guess)[:, :, None] * dW[i, :, None, :] / grid.dt
+        z_rows[i] = proj.fit(z_target.reshape(S, -1)).reshape(S, 1, d)
+        for _ in range(INNER_SWEEPS):
+            f_dt, h_dk = bracket(i, X[i], dk[i], y_guess, z_rows[i])
+            y_guess = proj.fit(base + f_dt + h_dk)
+        y_rows[i] = y_guess
+        increments += (f_dt + h_dk + g_term)[:, 0]
+    return y_rows, z_rows, increments

@@ -72,7 +72,7 @@ def run_simulate_reflected(config: ExperimentConfig) -> list[acc.CriterionResult
     bundle = sample_paths(config.grid, coeffs.d, config.seed, config.scenarios,
                           config.shared_b)
     opts = config.options.get("reflected", {})
-    x0 = np.atleast_1d(np.asarray(opts.get("x0", _domain_center(domain)), dtype=float))
+    x0 = _start_point(opts, domain)
     refl = simulate_reflected(coeffs, domain, config.grid.t_start, x0, bundle)
 
     keep = min(int(opts.get("csv_scenarios", 10)), config.scenarios)
@@ -94,9 +94,10 @@ def run_simulate_reflected(config: ExperimentConfig) -> list[acc.CriterionResult
     ]
 
 
-def _domain_center(domain) -> np.ndarray:
+def _start_point(opts: dict, domain) -> np.ndarray:
+    """``x0`` from the suite options; by default the projection of the origin."""
     center, _ = domain.project(np.zeros(domain.dim))
-    return center
+    return np.atleast_1d(np.asarray(opts.get("x0", center), dtype=float))
 
 
 def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
@@ -108,10 +109,8 @@ def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
 
     if config.domain_spec is not None and coeffs.l is not None:
         domain = config.domain()
-        x0 = np.atleast_1d(np.asarray(opts.get("x0", _domain_center(domain)),
-                                      dtype=float))
         solution, reflected = solve_bdsde_markov(coeffs, domain, config.grid.t_start,
-                                                 x0, bundle, basis)
+                                                 _start_point(opts, domain), bundle, basis)
         terminal = coeffs.l(reflected.X[:, -1, :])[:, None]
         trace = []
     else:

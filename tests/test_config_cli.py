@@ -184,6 +184,22 @@ def test_cli_field_nodes_honour_scenarios_and_dt(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("markov", [True, False])
+def test_cli_bin_basis_runs_solver_suite(tmp_path, capsys, markov):
+    # the start step's features are constant, one full bin: the intercept
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["basis"] = {"kind": "piecewise_bins", "count": 5}
+    if markov:
+        cfg["solver"] = {"x0": [0.5]}  # an interior start point
+    else:
+        del cfg["domain"]  # no domain: the suite runs the Picard solver
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["solve-bdsde", "--config", str(path), "--out-dir", str(out)]) == 0
+    assert (out / "bdsde_solution.csv").exists()
+    assert "OVERALL: PASS" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("suite, markov", [("solve-bdsde", True), ("solve-bdsde", False),
                                            ("field", True)])
 def test_cli_non_finite_solution_is_exit_3(tmp_path, capsys, suite, markov):

@@ -115,6 +115,21 @@ def test_field_global_mode_agrees_with_pointwise():
         assert abs(p.u - g.u) <= 0.05
 
 
+def test_field_global_mode_runs_with_a_bin_basis():
+    from gbdsde import PiecewiseBinBasis
+
+    coeffs = _heat_coeffs()
+    dom = interval_domain(0.0, 1.0)
+    grid = TimeGrid(0.0, 1.0, 100)
+    bundle = sample_paths(grid, d=1, seed=33, count=4000, shared_b=True)
+    nodes = [(0.0, np.array([0.5])), (0.5, np.array([0.3])), (0.5, np.array([0.7]))]
+    glob = evaluate_u(coeffs, dom, nodes, bundle, PiecewiseBinBasis(8), mode="global",
+                      g_is_zero=True)
+    for node, (t, x) in zip(glob.nodes, nodes):
+        truth = math.exp(-math.pi**2 * (1.0 - t) / 2.0) * math.cos(math.pi * x[0])
+        assert abs(node.u - truth) <= 0.02  # the t = 0.5 amplitude is 0.05
+
+
 def test_field_roundtrip_through_flow():
     # u = flow(t, x, v) within inversion tolerance when a flow is supplied
     coeffs = _heat_coeffs()

@@ -79,6 +79,16 @@ def test_shared_b_broadcasts_one_scenario():
     assert not np.all(bundle.W == bundle.W[:1])
 
 
+def test_shared_b_is_a_read_only_view_of_one_row():
+    grid = TimeGrid(0.0, 1.0, 20)
+    bundle = sample_paths(grid, d=2, seed=4, count=16, shared_b=True)
+    one_row = sample_paths(grid, d=2, seed=4, count=1).B  # the same B stream
+    assert np.array_equal(bundle.B, np.broadcast_to(one_row, bundle.B.shape).copy())
+    assert bundle.B.strides[0] == 0  # one row in memory
+    with pytest.raises(ValueError, match="read-only"):
+        bundle.B[0, 1, 0] = 1.0
+
+
 def test_coarsen_preserves_values():
     grid = TimeGrid(0.0, 1.0, 100)
     bundle = sample_paths(grid, d=1, seed=4, count=8)
