@@ -18,10 +18,11 @@ from scipy.linalg import solve_banded
 
 from .flows import BrownianFlow
 from .geometry import SmoothDomain
+from .grids import TimeGrid
 from .paths import PathBundle
 from .problems import CoefficientSet
 from .regression import DesignProjector
-from .solver import solve_bdsde_markov
+from .solver import _markov_start_values, _standard_error, solve_bdsde_markov
 
 
 @dataclass
@@ -46,6 +47,30 @@ class FieldEstimate:
         return np.array([n.u for n in self.nodes])
 
 
+# A block of pointwise field nodes holds, per node, its time-major X rows and
+# its k rows (turned into the k increments in place): (T+1) x S x (dim + 1)
+# floats.  FIELD_BLOCK_BYTES caps that at 32 MiB, 4 nodes on an interval at
+# 1000 scenarios and 500 steps and one node at a time from 10^4 scenarios, so
+# a block's memory stays bounded whatever the node count
+FIELD_BLOCK_BYTES = 32 << 20
+
+
+def field_blocks(times: list[float], grid: TimeGrid, scenario_count: int,
+                 dim: int) -> list[list[int]]:
+    """Indices of the field nodes at ``times``, in the blocks `evaluate_u`
+    solves together.
+
+    Nodes that share a start step are cut, in their given order, into blocks
+    of as many nodes as fit in ``FIELD_BLOCK_BYTES`` (at least one).
+    """
+    size = max(1, FIELD_BLOCK_BYTES // (8 * len(grid) * scenario_count * (dim + 1)))
+    by_start: dict[int, list[int]] = {}
+    for j, t in enumerate(times):
+        by_start.setdefault(grid.index_of(t), []).append(j)
+    return [members[lo:lo + size] for members in by_start.values()
+            for lo in range(0, len(members), size)]
+
+
 def evaluate_u(
     coeffs: CoefficientSet,
     domain: SmoothDomain,
@@ -58,37 +83,44 @@ def evaluate_u(
 ) -> FieldEstimate:
     """Estimate u on the requested (t, x) nodes.
 
-    ``pointwise`` runs a fresh backward solve per node (isolates errors and
-    carries an unsmoothed standard error); ``global`` runs one solve from the
-    earliest node and reads every node off the fitted per-time regression
-    functions (cheaper, SE from regression residuals).  The companion value
-    v is the flow inverse of u at the node; with no flow supplied (vanishing
-    backward noise) v = u.
+    ``pointwise`` runs a backward solve from each node (isolates errors and
+    carries an unsmoothed standard error).  The nodes of one `field_blocks`
+    block share a start time and are solved together on the one bundle: one
+    Euler projection and one backward induction over their node-major rows,
+    each node bit-identical to its own `solve_bdsde_markov`.  ``global`` runs
+    one solve from the earliest node and reads every node off the fitted
+    per-time regression functions (cheaper, SE from regression residuals).
+    The companion value v is the flow inverse of u at the node; with no flow
+    supplied (vanishing backward noise) v = u.
     """
     if mode not in ("pointwise", "global"):
         raise ValueError(f"unknown field mode {mode!r}")
     grid = bundle.grid
-    if mode == "global":
+    points = [np.atleast_1d(np.asarray(x, dtype=float)) for _, x in field_grid]
+    estimates: list[tuple[float, float]] = [(0.0, 0.0)] * len(field_grid)
+    if mode == "pointwise":
+        times = [t for t, _ in field_grid]
+        for block in field_blocks(times, grid, bundle.scenario_count, domain.dim):
+            y_start, totals = _markov_start_values(
+                coeffs, domain, times[block[0]], np.stack([points[j] for j in block]),
+                bundle, basis, g_is_zero=g_is_zero)
+            for j, y, total in zip(block, y_start, totals):
+                estimates[j] = float(y.mean()), float(_standard_error(total[:, None])[0])
+    else:
         t0 = min(t for t, _ in field_grid)
-        x0 = next(np.atleast_1d(np.asarray(x, dtype=float)) for t, x in field_grid if t == t0)
+        x0 = next(x for (t, _), x in zip(field_grid, points) if t == t0)
         sol, refl = solve_bdsde_markov(
             coeffs, domain, t0, x0, bundle, basis, g_is_zero=g_is_zero)
-    nodes: list[FieldNode] = []
-    for t_node, x_node in field_grid:
-        x_node = np.atleast_1d(np.asarray(x_node, dtype=float))
-        idx = grid.index_of(t_node)
-        if mode == "pointwise":
-            sol, _ = solve_bdsde_markov(
-                coeffs, domain, t_node, x_node, bundle, basis, g_is_zero=g_is_zero)
-            u_val = float(sol.Y[:, idx, 0].mean())
-            se = float(sol.initial_se()[0])
-        else:
+        for j, ((t_node, _), x_node) in enumerate(zip(field_grid, points)):
+            idx = grid.index_of(t_node)
             y_vals = sol.Y[:, idx, 0]
             proj = DesignProjector(refl.X[:, idx, :], basis)
-            u_val = float(proj.evaluate(x_node[None, :], y_vals)[0])
             resid = y_vals - proj.fit(y_vals)
-            se = float(resid.std(ddof=1) / np.sqrt(len(y_vals)))
-        v_val = _invert_node(flow, idx, x_node, u_val)
+            estimates[j] = (float(proj.evaluate(x_node[None, :], y_vals)[0]),
+                            float(resid.std(ddof=1) / np.sqrt(len(y_vals))))
+    nodes: list[FieldNode] = []
+    for (t_node, _), x_node, (u_val, se) in zip(field_grid, points, estimates):
+        v_val = _invert_node(flow, grid.index_of(t_node), x_node, u_val)
         nodes.append(FieldNode(t_node, x_node, u_val, se, v_val, bundle.scenario_count))
     return FieldEstimate(nodes=nodes, b_scenario=bundle.seed, mode=mode)
 
@@ -244,19 +276,29 @@ def pde_oracle_g0(
     Crank-Nicolson in time, nonlinear Neumann closure by ghost nodes with a
     per-step Newton iteration; refines (doubling both grids) until two
     successive solutions differ by less than ``refine_tol`` on shared nodes.
+    Raises FloatingPointError when a pass yields a non-finite value.
     """
     if domain.dim != 1:
         raise ValueError("the deterministic oracle is one-dimensional")
     # interval endpoints from the projection map
     a = float(domain.project(np.array([-1e12]))[0][0])
     b = float(domain.project(np.array([1e12]))[0][0])
-    xs, ts, u = _oracle_pass(coeffs, a, b, space_points, time_points, t_start, t_end)
+
+    def finite_pass(space_points: int, time_points: int):
+        xs, ts, u = _oracle_pass(coeffs, a, b, space_points, time_points, t_start, t_end)
+        if not np.isfinite(u).all():
+            raise FloatingPointError(
+                f"pde_oracle_g0 produced non-finite values on the {space_points} x "
+                f"{time_points} grid")
+        return xs, ts, u
+
+    xs, ts, u = finite_pass(space_points, time_points)
     gap = np.inf
     refinements = 0
     for r in range(1, max_refinements + 1):
         space_points *= 2
         time_points *= 2
-        xs2, ts2, u2 = _oracle_pass(coeffs, a, b, space_points, time_points, t_start, t_end)
+        xs2, ts2, u2 = finite_pass(space_points, time_points)
         gap = float(np.max(np.abs(u2[::2, ::2] - u)))
         xs, ts, u = xs2, ts2, u2
         refinements = r

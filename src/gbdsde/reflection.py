@@ -84,34 +84,39 @@ def _euler_projection(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The loop of `simulate_reflected` on time-major buffers.
 
-    Returns X (T+1, S, dim), k (T+1, S), the boundary flags (T+1, S), the
-    excluded-scenario mask and the dW increments (T, S, d) it stepped with.
+    ``x0`` is one start point (dim,) or one per node (N, dim); the rows are
+    then node-major, N blocks of the bundle's S scenarios, every block
+    driven by the same dW.  Returns X (T+1, N S, dim), k (T+1, N S), the
+    boundary flags (T+1, N S), the excluded-scenario mask and the dW
+    increments (T, S, d) it stepped with.  The excluded fraction is judged
+    per node, so a block cannot dilute one node's losses.
     """
     grid = bundle.grid
     start_idx = grid.index_of(start_time)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     if x0.shape[-1] != domain.dim:
         raise ValueError(f"start point dimension {x0.shape[-1]} != domain dim {domain.dim}")
     if not np.all(domain.contains(x0)):
         raise ValueError("start point must lie in the closed domain")
 
-    n_scen = bundle.scenario_count
+    nodes, n_scen = x0.shape[0], bundle.scenario_count
     n_pts = len(grid)
     dt = grid.dt
+    current = np.repeat(x0, n_scen, axis=0)
     # time-major working buffers: each step reads and writes whole rows
-    X = np.empty((n_pts, n_scen, domain.dim))
-    k = np.zeros((n_pts, n_scen))
-    flags = np.zeros((n_pts, n_scen), dtype=bool)
-    X[: start_idx + 1] = x0
-    excluded = np.zeros(n_scen, dtype=bool)
+    X = np.empty((n_pts, len(current), domain.dim))
+    k = np.zeros((n_pts, len(current)))
+    flags = np.zeros((n_pts, len(current)), dtype=bool)
+    X[: start_idx + 1] = current
+    excluded = np.zeros(len(current), dtype=bool)
     any_excluded = False
 
     dW = time_major_increments(bundle.W)
-    current = np.broadcast_to(x0, (n_scen, domain.dim)).copy()
     for i in range(start_idx, grid.step_count):
         drift = coeffs.b(current) if coeffs.b is not None else 0.0
         if coeffs.sigma is not None:
-            noise = np.einsum("sij,sj->si", coeffs.sigma(current), dW[i])
+            sigma = coeffs.sigma(current).reshape(nodes, n_scen, domain.dim, -1)
+            noise = np.einsum("nsij,sj->nsi", sigma, dW[i]).reshape(current.shape)
         else:
             noise = 0.0
         proposal = current + drift * dt + noise
@@ -129,9 +134,10 @@ def _euler_projection(
         np.greater(moved, 0, out=flags[i + 1])
         current = projected
 
-    if np.mean(excluded) > max_excluded_fraction:
+    lost = excluded.reshape(nodes, n_scen).sum(axis=1)
+    if np.any(lost / n_scen > max_excluded_fraction):
         raise SimulationBlowup(
-            f"{int(excluded.sum())} of {n_scen} scenarios produced non-finite proposals"
+            f"{int(lost.max())} of {n_scen} scenarios produced non-finite proposals"
         )
     return X, k, flags, excluded, dW
 

@@ -285,23 +285,47 @@ def _standardized(centered: np.ndarray, std: np.ndarray, keep: np.ndarray) -> np
     return a
 
 
-def projector_walk(points_of, basis, steps: range):
+def projector_walk(points_of, basis, steps: range, nodes: int = 1):
     """Yield (i, projector) for every step i of ``steps``, in its order.
 
-    ``points_of(lo, hi)`` returns the (hi - lo, S, m) feature points of steps
-    lo, ..., hi - 1.  Runs of ``BLOCK_STEPS`` consecutive steps are built by
-    `DesignProjector.stack` as the walk reaches them, so only one block is
+    ``points_of(lo, hi)`` returns the (hi - lo, N S, m) feature points of steps
+    lo, ..., hi - 1, their rows ``nodes`` = N node-major blocks of S.  Runs of
+    ``BLOCK_STEPS`` consecutive steps are built by `DesignProjector.stack`,
+    as (N C, S, m) points, when the walk reaches them, so only one block is
     alive at a time; a step the block leaves out is built on its own when
-    reached, raising any error of its build there.
+    reached, raising any error of its build there.  With several nodes the
+    projector is a `NodeProjectors` of the step's N projectors.
     """
     for first in range(0, len(steps), BLOCK_STEPS):
         run = steps[first:first + BLOCK_STEPS]
         lo = min(run[0], run[-1])
         points = points_of(lo, max(run[0], run[-1]) + 1)
+        c_steps, rows, m = points.shape
+        points = points.reshape(c_steps * nodes, rows // nodes, m)
         block = DesignProjector.stack(points, basis)
         for i in run:
-            proj = block[i - lo]
-            yield i, proj if proj is not None else DesignProjector(points[i - lo], basis)
+            at = (i - lo) * nodes
+            projs = [proj if proj is not None else DesignProjector(points[at + n], basis)
+                     for n, proj in enumerate(block[at:at + nodes])]
+            yield i, projs[0] if nodes == 1 else NodeProjectors(projs)
+
+
+class NodeProjectors:
+    """The projectors of N nodes at one step, for node-major rows.
+
+    ``fit`` takes N S rows, N blocks of S scenarios, and fits each block
+    with its own node's projector, on a contiguous (S, ...) slice.
+    """
+
+    def __init__(self, projectors: list[DesignProjector]) -> None:
+        self.projectors = projectors
+
+    def fit(self, targets: np.ndarray) -> np.ndarray:
+        s = self.projectors[0].scenario_count
+        fitted = np.empty(np.shape(targets))
+        for n, proj in enumerate(self.projectors):
+            fitted[n * s:(n + 1) * s] = proj.fit(targets[n * s:(n + 1) * s])
+        return fitted
 
 
 def conditional_expectation(

@@ -21,6 +21,20 @@ terms evaluated at the current value for ``INNER_SWEEPS`` sweeps.  The
 direct solver adds the backward-noise term g dB to the base; the
 transformed one has none and brackets the transformed coefficients.
 
+The kernel's rows carry a node axis: N blocks of the bundle's S scenarios,
+started from N points at one time and driven by the same increments.  The
+coefficients see all N S rows at once, while each node is regressed on its
+own rows with its own projectors, so a node's values do not depend on its
+block.  The two public Markovian solvers are the case N = 1; the pointwise
+field (`fields.evaluate_u`) solves its nodes N at a time through
+`_markov_start_values`, keeping only the rows of the current and the next
+step.
+
+``solve_simple`` and the Picard iteration work on time-major rows too: the
+targets of every step are built before the loop, each step fits one
+contiguous [target | control target] buffer, and the results are
+transposed once at the end.
+
 Measurability note: values at time t are regressed only on functionals
 available at t -- the forward state (W or X) and, when the backward driver
 varies across scenarios, the tail increment B_T - B_t.
@@ -76,15 +90,17 @@ class BdsdeSolution:
     def initial_se(self) -> np.ndarray:
         if self.pathwise_totals is None:
             raise ValueError("solution carries no pathwise totals")
-        s = self.pathwise_totals.shape[0]
-        return self.pathwise_totals.std(axis=0, ddof=1) / np.sqrt(s)
+        return _standard_error(self.pathwise_totals)
 
 
-def _finite_solution(solver: str, grid: TimeGrid, Y: np.ndarray, Z: np.ndarray,
-                     k: np.ndarray, totals: np.ndarray) -> BdsdeSolution:
-    """The solution of a Markovian induction; FloatingPointError unless finite."""
-    if not (np.isfinite(Y).all() and np.isfinite(Z).all()):
-        raise FloatingPointError(f"{solver} produced non-finite solution values")
+def _standard_error(totals: np.ndarray) -> np.ndarray:
+    """Standard error of the mean of per-scenario (S, n) totals, per column."""
+    return totals.std(axis=0, ddof=1) / np.sqrt(totals.shape[0])
+
+
+def _markov_solution(grid: TimeGrid, Y: np.ndarray, Z: np.ndarray, k: np.ndarray,
+                     totals: np.ndarray) -> BdsdeSolution:
+    """The solution of a Markovian induction, with its norms."""
     return BdsdeSolution(grid=grid, Y=Y, Z=Z, diagnostics=solution_norms(Y, Z, k, grid),
                          pathwise_totals=totals[:, None])
 
@@ -104,15 +120,17 @@ def _as_columns(values: np.ndarray) -> np.ndarray:
 
 
 def _points_of(bundle: PathBundle, with_backward_tail: bool, state: np.ndarray | None = None):
-    """``points_of`` for `projector_walk`: the time-major (T+1, S, m) state,
-    W by default, plus B_T - B_t when ``with_backward_tail``."""
+    """``points_of`` for `projector_walk`: the time-major (T+1, N S, m) state,
+    W by default, plus B_T - B_t (the same for each of the N node blocks)
+    when ``with_backward_tail``."""
     state = np.swapaxes(bundle.W, 0, 1) if state is None else state
+    nodes = state.shape[1] // bundle.scenario_count
 
     def points_of(lo: int, hi: int) -> np.ndarray:
         if not with_backward_tail:
             return state[lo:hi]
         tail = np.swapaxes(bundle.B[:, -1:, :] - bundle.B[:, lo:hi, :], 0, 1)
-        return np.concatenate([state[lo:hi], tail], axis=2)
+        return np.concatenate([state[lo:hi], np.tile(tail, (1, nodes, 1))], axis=2)
 
     return points_of
 
@@ -141,35 +159,12 @@ def solve_simple(
     features at t_i; the control at t_i regresses the one-step target times
     dW_i / dt.  Coefficient paths have shapes (S, T+1, n) for f, h and
     (S, T+1, n, d) for g; any of them may be None (treated as zero).
+    Raises FloatingPointError when Y or Z is not finite.
     """
     grid = bundle.grid
-    S, n_pts, d = bundle.scenario_count, len(grid), bundle.d
+    S, n_pts = bundle.scenario_count, len(grid)
     xi = _as_columns(xi)
-    n = xi.shape[1]
-    dt = grid.dt
     k = _as_k(k_path, S, n_pts)
-    dk = np.diff(k, axis=1)
-    dB, dW = bundle.dB, bundle.dW
-
-    f_steps = np.zeros((S, grid.step_count, n))
-    if f_path is not None:
-        f_steps = f_path[:, :-1, :] * dt
-    h_steps = np.zeros((S, grid.step_count, n))
-    if h_path is not None:
-        h_steps = h_path[:, :-1, :] * dk[:, :, None]
-    g_steps = np.zeros((S, grid.step_count, n))
-    if g_path is not None:
-        g_steps = np.einsum("stnd,std->stn", g_path[:, 1:, :, :], dB)
-
-    increments = f_steps + h_steps + g_steps
-    future = np.concatenate(
-        [np.cumsum(increments[:, ::-1, :], axis=1)[:, ::-1, :], np.zeros((S, 1, n))], axis=1
-    )
-    targets = xi[:, None, :] + future  # (S, T+1, n)
-
-    Y = np.empty((S, n_pts, n))
-    Z = np.zeros((S, n_pts, n, d))
-    Y[:, -1, :] = xi
     backward = range(grid.step_count - 1, -1, -1)
     if projectors is None:
         if feature_fn is None:
@@ -179,19 +174,63 @@ def solve_simple(
         walk = projector_walk(points_of, basis, backward)
     else:
         walk = ((i, projectors[i]) for i in backward)
-    for i, proj in walk:
-        one_step = Y[:, i + 1, :] + f_steps[:, i, :] + h_steps[:, i, :] + g_steps[:, i, :]
-        z_target = one_step[:, :, None] * dW[:, i, None, :] / dt
-        stacked = proj.fit(
-            np.concatenate([targets[:, i, :], z_target.reshape(S, -1)], axis=1))
-        Y[:, i, :] = stacked[:, :n]
-        Z[:, i, :, :] = stacked[:, n:].reshape(S, n, d)
 
-    return BdsdeSolution(
-        grid=grid, Y=Y, Z=Z,
-        diagnostics=solution_norms(Y, Z, k, grid),
-        pathwise_totals=targets[:, 0, :],
-    )
+    def rows(path):
+        return None if path is None else np.swapaxes(path, 0, 1)
+
+    Y, Z, totals = _simple_induction(xi, rows(f_path), rows(g_path), rows(h_path),
+                                     time_major_increments(k), bundle, walk)
+    if not (np.isfinite(Y).all() and np.isfinite(Z).all()):
+        raise FloatingPointError("solve_simple produced non-finite solution values")
+    Y, Z = swap_scenario_time(Y), swap_scenario_time(Z)
+    return BdsdeSolution(grid=grid, Y=Y, Z=Z, diagnostics=solution_norms(Y, Z, k, grid),
+                         pathwise_totals=totals)
+
+
+def _simple_induction(xi, f_rows, g_rows, h_rows, dk, bundle: PathBundle, walk):
+    """The projection pass of `solve_simple` on time-major rows.
+
+    Takes the (S, n) terminal values, coefficient rows (T+1, S, n) for f
+    and h and (T+1, S, n, d) for g (each may be None), the (T, S) boundary
+    increments and the backward walk of (i, projector).  The targets are
+    built for every step first; each step then fits one contiguous
+    [target | control target] buffer.  Returns time-major Y (T+1, S, n),
+    Z (T+1, S, n, d) and the (S, n) pathwise totals.
+    """
+    grid = bundle.grid
+    dt, steps = grid.dt, grid.step_count
+    S, n = xi.shape
+    d = bundle.d
+    f_steps = np.zeros((steps, S, n))
+    if f_rows is not None:
+        np.multiply(f_rows[:-1], dt, out=f_steps)
+    h_steps = np.zeros((steps, S, n))
+    if h_rows is not None:
+        np.multiply(h_rows[:-1], dk[:, :, None], out=h_steps)
+    g_steps = np.zeros((steps, S, n))
+    if g_rows is not None:
+        np.einsum("tsnd,tsd->tsn", g_rows[1:], time_major_increments(bundle.B), out=g_steps)
+
+    # targets[i] = xi + the sum of the increments of steps i, ..., T-1,
+    # accumulated from the last step back
+    targets = np.empty((steps + 1, S, n))
+    targets[-1] = 0.0
+    np.cumsum((f_steps + h_steps + g_steps)[::-1], axis=0, out=targets[-2::-1])
+    targets += xi
+
+    Y = np.empty((steps + 1, S, n))
+    Z = np.zeros((steps + 1, S, n, d))
+    Y[-1] = xi
+    dW = time_major_increments(bundle.W)
+    stacked = np.empty((S, n + n * d))
+    for i, proj in walk:
+        one_step = Y[i + 1] + f_steps[i] + h_steps[i] + g_steps[i]
+        stacked[:, :n] = targets[i]
+        stacked[:, n:] = (one_step[:, :, None] * dW[i, :, None, :] / dt).reshape(S, -1)
+        fitted = proj.fit(stacked)
+        Y[i] = fitted[:, :n]
+        Z[i] = fitted[:, n:].reshape(S, n, d)
+    return Y, Z, targets[0]
 
 
 def solution_norms(Y: np.ndarray, Z: np.ndarray, k: np.ndarray, grid: TimeGrid) -> dict:
@@ -231,9 +270,16 @@ def weighted_difference_norm(
     c_bar E int e^{mu t + lam k} |dY|^2 dt + c_k E int e^{...} |dY|^2 dk
     + E int e^{...} |dZ|^2 dt, discretized at the left endpoints.
     """
-    dt = grid.dt
-    dk = np.diff(k, axis=1)
-    weights = np.exp(mu * grid.points[None, :-1] + lam * k[:, :-1])
+    return _weighted_norm(dY, dZ, *_norm_weights(k, grid, mu, lam), grid.dt, c_bar, c_k)
+
+
+def _norm_weights(k: np.ndarray, grid: TimeGrid, mu: float, lam: float):
+    """The left-endpoint weights e^{mu t + lam k} and the k increments, (S, T)."""
+    return np.exp(mu * grid.points[None, :-1] + lam * k[:, :-1]), np.diff(k, axis=1)
+
+
+def _weighted_norm(dY, dZ, weights, dk, dt, c_bar=1.0, c_k=1.0) -> float:
+    """`weighted_difference_norm` with its weights and k increments given."""
     y_sq = np.sum(dY[:, :-1] ** 2, axis=-1)
     z_sq = np.sum(dZ[:, :-1] ** 2, axis=(-2, -1))
     total = (
@@ -263,45 +309,48 @@ def picard_solve(
     tol (or max_iter is hit).  Raises PicardDivergence if the trace grows for
     three consecutive iterations, and FloatingPointError when a difference
     norm is not finite (a non-finite iterate makes its norm non-finite).
+
+    The iterates stay time-major: the coefficients are evaluated per time
+    on their rows and `solve_simple`'s pass runs on them directly; the
+    difference norm is taken on scenario-major copies, and the solution is
+    transposed once at the end.
     """
     grid = bundle.grid
     S, n_pts = bundle.scenario_count, len(grid)
     xi = _as_columns(xi)
     n = xi.shape[1]
     k = _as_k(k_path, S, n_pts)
+    dk_rows = time_major_increments(k)
+    weights, dk = _norm_weights(k, grid, mu, lam)
     times = grid.points
+    backward = range(grid.step_count - 1, -1, -1)
 
-    Y = np.zeros((S, n_pts, n))
-    Z = np.zeros((S, n_pts, n, coeffs.d))
     projectors = [proj for _, proj in projector_walk(_points_of(bundle, not bundle.shared_b),
                                                      basis, range(grid.step_count))]
-    # coefficients are evaluated per time into time-major buffers; solve_simple
-    # reads them through scenario-major views, so its per-step slices of the
-    # coefficient paths are contiguous
     x_rows = None if x_path is None else swap_scenario_time(x_path)
+    y_rows = np.zeros((n_pts, S, n))
+    z_rows = np.zeros((n_pts, S, n, coeffs.d))
     f_rows = np.empty((n_pts, S, n))
     h_rows = np.empty((n_pts, S, n))
     g_rows = np.empty((n_pts, S, n, coeffs.d))
     trace: list[float] = []
-    solution = None
+    totals = None
     grew = 0
     for _ in range(max_iter):
-        y_rows, z_rows = swap_scenario_time(Y), swap_scenario_time(Z)
         for i in range(n_pts):
             x_i = None if x_rows is None else x_rows[i]
             f_rows[i] = coeffs.f(times[i], x_i, y_rows[i], z_rows[i])
             h_rows[i] = coeffs.h(times[i], x_i, y_rows[i])
             g_rows[i] = coeffs.g(times[i], x_i, y_rows[i], z_rows[i])
-        del y_rows, z_rows
-        solution = solve_simple(xi, np.swapaxes(f_rows, 0, 1), np.swapaxes(g_rows, 0, 1),
-                                np.swapaxes(h_rows, 0, 1), k, bundle, basis,
-                                projectors=projectors)
-        norm = weighted_difference_norm(solution.Y - Y, solution.Z - Z, k, grid, mu, lam)
+        Y, Z, totals = _simple_induction(xi, f_rows, g_rows, h_rows, dk_rows, bundle,
+                                         ((i, projectors[i]) for i in backward))
+        norm = _weighted_norm(swap_scenario_time(Y - y_rows), swap_scenario_time(Z - z_rows),
+                              weights, dk, grid.dt)
         if not np.isfinite(norm):
             raise FloatingPointError(
                 f"Picard iteration {len(trace) + 1} gave a non-finite difference norm")
         trace.append(norm)
-        Y, Z = solution.Y, solution.Z
+        y_rows, z_rows = Y, Z
         if len(trace) >= 2 and trace[-1] > trace[-2]:
             grew += 1
             if grew >= 3:
@@ -310,8 +359,9 @@ def picard_solve(
             grew = 0
         if norm <= tol:
             break
-    solution.picard_trace = trace
-    return solution
+    Y, Z = swap_scenario_time(y_rows), swap_scenario_time(z_rows)
+    return BdsdeSolution(grid=grid, Y=Y, Z=Z, picard_trace=trace,
+                         diagnostics=solution_norms(Y, Z, k, grid), pathwise_totals=totals)
 
 
 def apriori_ratio(
@@ -441,14 +491,11 @@ def solve_bdsde_markov(
 
     A path simulated here stays in the Euler loop's time-major buffers, with
     its dW, for the induction; it is transposed into the returned
-    `ReflectedPath` afterwards.
+    `ReflectedPath` afterwards.  This is the one-node case of
+    `_markov_start_values`.
     """
-    if coeffs.n != 1:
-        raise ValueError("the Markovian solver handles scalar-valued problems (n = 1)")
-    if coeffs.l is None:
-        raise ValueError("Markovian problems need a terminal map l")
+    _require_markov(coeffs)
     grid = bundle.grid
-    times, dt = grid.points, grid.dt
     start_idx = grid.index_of(start_time)
     if reflected is None:
         X, k, flags, excluded, dW = _euler_projection(coeffs, domain, start_time, x0, bundle)
@@ -457,26 +504,9 @@ def solve_bdsde_markov(
         X = swap_scenario_time(reflected.X)
         dk = time_major_increments(reflected.k)
         dW = time_major_increments(bundle.W)
-    terminal = coeffs.l(X[-1])
-
-    dB = None if g_is_zero else time_major_increments(bundle.B)
-    g_zero = np.zeros((len(terminal), 1))
-
-    def noise(i, y_next, z_next):
-        # g = 0 still adds a zero term: the base stays a fresh array, and the
-        # kernel keeps its rows contiguous (see `_backward_induction`)
-        if dB is None:
-            return g_zero
-        g_right = coeffs.g(times[i + 1], X[i + 1], y_next, z_next)
-        return np.einsum("snd,sd->sn", g_right, dB[i])
-
-    def bracket(i, x_i, dk_i, y, z):
-        return coeffs.f(times[i], x_i, y, z) * dt, coeffs.h(times[i], x_i, y) * dk_i[:, None]
-
-    Y, Z, increments = _backward_induction(
-        X, dk, dW, bundle, basis, range(grid.step_count - 1, start_idx - 1, -1),
-        not bundle.shared_b and not g_is_zero, terminal, noise, bracket)
-    del dk, dW, dB
+    terminal, (Y, Z, increments) = _markov_induction(
+        "solve_bdsde_markov", coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero)
+    del dk, dW
     Y[:start_idx] = Y[start_idx]
     if reflected is None:
         # rebinding frees each time-major buffer before the next copy is made
@@ -489,8 +519,83 @@ def solve_bdsde_markov(
     del X
     Y = swap_scenario_time(Y)
     Z = swap_scenario_time(Z)
-    return _finite_solution("solve_bdsde_markov", grid, Y, Z, reflected.k,
-                            terminal + increments), reflected
+    return _markov_solution(grid, Y, Z, reflected.k, terminal + increments), reflected
+
+
+def _markov_start_values(
+    coeffs: CoefficientSet,
+    domain: SmoothDomain,
+    start_time: float,
+    starts: np.ndarray,
+    bundle: PathBundle,
+    basis,
+    g_is_zero: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Markovian solutions from N start points at one time, solved together.
+
+    One Euler projection and one `_backward_induction` run on node-major
+    rows, N blocks of the bundle's S scenarios (``starts`` is (N, dim));
+    the coefficients are evaluated once per step on all N S rows, and each
+    node's fits run on its own rows.  Node n's values equal those of
+    `solve_bdsde_markov` from ``starts[n]`` bit for bit.  Keeps only the
+    rows of the current and the next step: returns the (N, S) values Y at
+    the start time and the (N, S) pathwise totals.  Raises FloatingPointError
+    when Y or Z is not finite, and `SimulationBlowup` when a node loses too
+    many scenarios.
+    """
+    _require_markov(coeffs)
+    start_idx = bundle.grid.index_of(start_time)
+    X, k, _, _, dW = _euler_projection(coeffs, domain, start_time, starts, bundle)
+    # np.diff's subtraction, row by row in k's own buffer: no second array
+    for i in range(len(k) - 1, start_idx, -1):
+        np.subtract(k[i], k[i - 1], out=k[i])
+    dk = k[1:]
+    terminal, (Y, _, increments) = _markov_induction(
+        "solve_bdsde_markov", coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero,
+        history=False)
+    S = bundle.scenario_count
+    return (Y[start_idx % len(Y), :, 0].reshape(-1, S),
+            (terminal + increments).reshape(-1, S))
+
+
+def _require_markov(coeffs: CoefficientSet) -> None:
+    if coeffs.n != 1:
+        raise ValueError("the Markovian solver handles scalar-valued problems (n = 1)")
+    if coeffs.l is None:
+        raise ValueError("Markovian problems need a terminal map l")
+
+
+def _markov_induction(solver, coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero,
+                      history=True):
+    """The Markovian induction from the terminal map down to ``start_idx``.
+
+    Binds the backward-noise term (g at the right endpoint against dB) and
+    the driver and boundary bracket to `_backward_induction` on node-major
+    rows X (T+1, N S, m), dk (T, N S); returns the terminal values and the
+    kernel's (Y, Z, increments).
+    """
+    grid = bundle.grid
+    times, dt = grid.points, grid.dt
+    S = bundle.scenario_count
+    terminal = coeffs.l(X[-1])
+    dB = None if g_is_zero else time_major_increments(bundle.B)
+    g_zero = np.zeros((len(terminal), 1))
+
+    def noise(i, y_next, z_next):
+        # g = 0 still adds a zero term: the base stays a fresh array, and the
+        # kernel keeps its rows contiguous (see `_backward_induction`)
+        if dB is None:
+            return g_zero
+        g_right = coeffs.g(times[i + 1], X[i + 1], y_next, z_next)
+        nodes_g = g_right.reshape(-1, S, *g_right.shape[1:])
+        return np.einsum("nskd,sd->nsk", nodes_g, dB[i]).reshape(len(y_next), -1)
+
+    def bracket(i, x_i, dk_i, y, z):
+        return coeffs.f(times[i], x_i, y, z) * dt, coeffs.h(times[i], x_i, y) * dk_i[:, None]
+
+    return terminal, _backward_induction(
+        solver, X, dk, dW, bundle, basis, range(grid.step_count - 1, start_idx - 1, -1),
+        not bundle.shared_b and not g_is_zero, terminal, noise, bracket, history)
 
 
 def solve_transformed_gbsde(
@@ -534,14 +639,15 @@ def solve_transformed_gbsde(
         return f_val[:, None] * dt, (h_val * dk_i)[:, None]
 
     Y, Z, increments = _backward_induction(
-        X, dk, dW, bundle, basis, range(grid.step_count - 1, -1, -1), False, terminal,
-        None, bracket)
+        "solve_transformed_gbsde", X, dk, dW, bundle, basis,
+        range(grid.step_count - 1, -1, -1), False, terminal, None, bracket)
     # views of scenario-major buffers: no copies
-    return _finite_solution("solve_transformed_gbsde", grid, swap_scenario_time(Y),
-                            swap_scenario_time(Z), reflected.k, terminal + increments)
+    return _markov_solution(grid, swap_scenario_time(Y), swap_scenario_time(Z),
+                            reflected.k, terminal + increments)
 
 
 def _backward_induction(
+    solver: str,
     X: np.ndarray,
     dk: np.ndarray,
     dW: np.ndarray,
@@ -552,48 +658,66 @@ def _backward_induction(
     terminal: np.ndarray,
     noise,
     bracket,
+    history: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The backward induction of the Markovian and the transformed solvers.
 
     Walks `projector_walk` over the descending ``steps`` on time-major X
-    (T+1, S, m), dk (T, S) and dW (T, S, d), with the state (plus B_T - B_t
-    when ``with_backward_tail``) as features.  The base at step i is Y_{i+1}
-    plus ``noise(i, Y_{i+1}, Z_{i+1})`` (Y_{i+1} itself when ``noise`` is
-    None); ``bracket(i, X_i, dk_i, y, Z_i)`` returns (f dt, h dk) at the
-    value y.  Returns time-major Y (T+1, S, 1) and Z (T+1, S, 1, d), set
-    from the first of ``steps`` on, and the per-scenario sum of the driver,
-    boundary and backward-noise terms.
+    (T+1, N S, m), dk (T, N S) and dW (T, S, d), with the state (plus
+    B_T - B_t when ``with_backward_tail``) as features.  The rows are
+    node-major, N blocks of the bundle's S scenarios that share dW; each
+    node has its own projectors, fitted on its own rows, while ``noise``
+    and ``bracket`` see all N S rows at once.  The base at step i is
+    Y_{i+1} plus ``noise(i, Y_{i+1}, Z_{i+1})`` (Y_{i+1} itself when
+    ``noise`` is None); ``bracket(i, X_i, dk_i, y, Z_i)`` returns
+    (f dt, h dk) at the value y.
+
+    Returns time-major Y (T+1, N S, 1) and Z (T+1, N S, 1, d), set from the
+    first of ``steps`` on, and the per-row sum of the driver, boundary and
+    backward-noise terms.  Without ``history`` only two time rows are kept,
+    step i at row i % 2.  Raises FloatingPointError, naming ``solver``, at
+    the first non-finite Y or Z row.
     """
     grid = bundle.grid
     S, d = dW.shape[1:]
+    rows = X.shape[1]
+    slots = len(grid) if history else 2
     if noise is None:
         # the base is the stored Y_{i+1}, which the transformed solver has
         # always fitted from scenario-major storage: a rank-1 fit of a strided
         # row rounds unlike one of a contiguous row.  Fresh bases allow the
         # faster contiguous rows.
-        y_rows = np.swapaxes(np.empty((S, len(grid), 1)), 0, 1)
-        z_rows = np.swapaxes(np.zeros((S, len(grid), 1, d)), 0, 1)
+        y_rows = np.swapaxes(np.empty((rows, slots, 1)), 0, 1)
+        z_rows = np.swapaxes(np.zeros((rows, slots, 1, d)), 0, 1)
     else:
-        y_rows, z_rows = np.empty((len(grid), S, 1)), np.zeros((len(grid), S, 1, d))
-    y_rows[-1, :, 0] = terminal
-    increments = np.zeros(S)
-    g_term = np.zeros((S, 1))
+        y_rows, z_rows = np.empty((slots, rows, 1)), np.zeros((slots, rows, 1, d))
+
+    def require_finite(*arrays):
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise FloatingPointError(f"{solver} produced non-finite solution values")
+
+    require_finite(terminal)
+    y_rows[(len(grid) - 1) % slots, :, 0] = terminal
+    increments = np.zeros(rows)
+    g_term = np.zeros((rows, 1))
     points_of = _points_of(bundle, with_backward_tail, X)
-    for i, proj in projector_walk(points_of, basis, steps):
+    for i, proj in projector_walk(points_of, basis, steps, rows // S):
+        here, after = i % slots, (i + 1) % slots
         if noise is None:
-            base = y_rows[i + 1]
+            base = y_rows[after]
         else:
-            g_term = noise(i, y_rows[i + 1], z_rows[i + 1])
-            base = y_rows[i + 1] + g_term
+            g_term = noise(i, y_rows[after], z_rows[after])
+            base = y_rows[after] + g_term
         y_guess = proj.fit(base)
         # centred increment regression: subtracting the fitted conditional
         # mean leaves the estimator unbiased and kills the level noise, so a
         # constant value process yields an exactly zero control
-        z_target = (base - y_guess)[:, :, None] * dW[i, :, None, :] / grid.dt
-        z_rows[i] = proj.fit(z_target.reshape(S, -1)).reshape(S, 1, d)
+        z_target = (base - y_guess).reshape(-1, S, 1, 1) * dW[i, :, None, :] / grid.dt
+        z_rows[here] = proj.fit(z_target.reshape(rows, -1)).reshape(rows, 1, d)
         for _ in range(INNER_SWEEPS):
-            f_dt, h_dk = bracket(i, X[i], dk[i], y_guess, z_rows[i])
+            f_dt, h_dk = bracket(i, X[i], dk[i], y_guess, z_rows[here])
             y_guess = proj.fit(base + f_dt + h_dk)
-        y_rows[i] = y_guess
+        y_rows[here] = y_guess
+        require_finite(y_guess, z_rows[here])
         increments += (f_dt + h_dk + g_term)[:, 0]
     return y_rows, z_rows, increments

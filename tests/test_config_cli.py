@@ -241,3 +241,53 @@ def test_cli_non_finite_flow_table_is_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "numerical failure" in captured.err and "non-finite tabulated" in captured.err
     assert "OVERALL: PASS" not in captured.out
+
+
+def test_cli_bin_basis_boundary_start_is_exit_2(tmp_path, capsys):
+    # the default start, the projection of the origin, is the boundary point
+    # 0 of [0, 1]: the reflected scenarios tie there and empty quantile bins
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["basis"] = {"kind": "piecewise_bins", "count": 5}
+    path = write_config(tmp_path, cfg)
+    code = main(["solve-bdsde", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: solver.x0: [0.0] lies on the domain boundary" in captured.err
+    assert "OVERALL" not in captured.out
+
+
+def test_cli_non_finite_oracle_is_exit_3(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    import gbdsde.fields as fields
+
+    real_pass = fields._oracle_pass
+
+    def inf_pass(*args, **kwargs):
+        xs, ts, u = real_pass(*args, **kwargs)
+        u[-1, 0] = np.inf
+        return xs, ts, u
+
+    monkeypatch.setattr(fields, "_oracle_pass", inf_pass)
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["problem"]["f"] = {"kind": "zero"}
+    cfg["problem"]["h"] = {"kind": "zero"}
+    path = write_config(tmp_path, cfg)
+    code = main(["field", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical failure: pde_oracle_g0 produced non-finite" in captured.err
+    assert "OVERALL: PASS" not in captured.out
+
+
+def test_cli_field_csv_is_pinned(tmp_path):
+    # the shipped heat config at a small size; the hash is that of the
+    # per-node solves the node blocks replaced
+    import hashlib
+
+    config = Path(__file__).resolve().parents[1] / "configs" / "neumann-heat.yaml"
+    out = tmp_path / "out"
+    assert main(["field", "--config", str(config), "--scenarios", "200", "--dt", "0.02",
+                 "--out-dir", str(out)]) == 0
+    digest = hashlib.sha256((out / "field.csv").read_bytes()).hexdigest()
+    assert digest == "21c6512f3442123447688ac84dbfdfc845123d5a15532d46dcb86db6659539a7"

@@ -217,3 +217,94 @@ def test_oracle_band_fill_matches_per_node_loop(nodes):
         _reference_band_fill(ref, sel, dcol)
     assert np.array_equal(got, ref)
     assert ref[0, 0] == 0.0 and ref[2, -1] == 0.0
+
+
+def _block_problem(case):
+    """(coeffs, domain, nodes, bundle, basis) of one node-block case."""
+    from dataclasses import replace
+
+    from gbdsde import ball_domain
+    from gbdsde.acceptance import _bm_coeffs, _transform_instance
+
+    grid = TimeGrid(0.0, 1.0, 30)
+    if case == "ball_2d":
+        coeffs = replace(
+            _bm_coeffs(x_dim=2, d=2), f=lambda t, x, y, z: -0.5 * y + 0.1 * z[..., 1],
+            g=lambda t, x, y, z: np.stack([0.2 * y, 0.1 * np.cos(y)], axis=-1),
+            h=lambda t, x, y: 0.3 - 0.2 * y,
+            l=lambda x: np.cos(2.0 * x[..., 0]) + x[..., 1])
+        nodes = [(0.0, np.array([0.1, 0.2])), (0.0, np.array([0.6, 0.0])),
+                 (0.5, np.array([-0.3, 0.1])), (0.0, np.array([0.0, -0.4]))]
+        bundle = sample_paths(grid, d=2, seed=38, count=400)
+        return coeffs, ball_domain([0.0, 0.0], 0.6), nodes, bundle, PolynomialBasis(2)
+    coeffs = replace(_transform_instance(), g=lambda t, x, y, z: 0.3 * np.sin(y)[..., None])
+    # t = 0 holds five nodes, two of them on the boundary; t = 1 is the terminal time
+    nodes = [(0.0, np.array([0.0])), (0.0, np.array([0.3])), (0.5, np.array([0.2])),
+             (0.0, np.array([0.55])), (0.0, np.array([1.0])), (0.5, np.array([0.9])),
+             (0.0, np.array([0.8])), (1.0, np.array([0.4]))]
+    bundle = sample_paths(grid, d=1, seed=39, count=300, shared_b=case.startswith("shared"))
+    return coeffs, interval_domain(0.0, 1.0), nodes, bundle, BASIS
+
+
+@pytest.mark.parametrize("g_is_zero", [True, False])
+@pytest.mark.parametrize("case", ["shared_b", "own_b", "ball_2d"])
+def test_field_blocks_match_per_node_solves(case, g_is_zero, monkeypatch):
+    # each node of a block is bit-identical to its own solve_bdsde_markov;
+    # own_b with g != 0 regresses on the backward tail B_T - B_t as well
+    from gbdsde import fields, solve_bdsde_markov
+
+    coeffs, dom, nodes, bundle, basis = _block_problem(case)
+    grid = bundle.grid
+    # blocks of three nodes, which do not divide the five t = 0 nodes
+    monkeypatch.setattr(fields, "FIELD_BLOCK_BYTES",
+                        3 * 8 * len(grid) * bundle.scenario_count * (dom.dim + 1))
+    blocks = fields.field_blocks([t for t, _ in nodes], grid, bundle.scenario_count,
+                                 dom.dim)
+    if case != "ball_2d":
+        assert blocks == [[0, 1, 3], [4, 6], [2, 5], [7]]
+    assert max(len(b) for b in blocks) == 3
+    est = evaluate_u(coeffs, dom, nodes, bundle, basis, g_is_zero=g_is_zero)
+    for node, (t, x) in zip(est.nodes, nodes):
+        sol, _ = solve_bdsde_markov(coeffs, dom, t, x, bundle, basis, g_is_zero=g_is_zero)
+        assert node.t == t and np.array_equal(node.x, x)
+        assert node.u == float(sol.Y[:, grid.index_of(t), 0].mean())
+        assert node.se_u == float(sol.initial_se()[0])
+    assert len({node.u for node in est.nodes}) == len(nodes)
+
+
+def test_field_block_judges_lost_scenarios_per_node():
+    # every scenario started at 0.75 blows up and none started at 0.25 does:
+    # half of the block is lost, under a 0.6 bound, but the bad node alone
+    # is over it, so the block must raise
+    from dataclasses import replace
+
+    from gbdsde.acceptance import _bm_coeffs
+    from gbdsde.reflection import SimulationBlowup, _euler_projection
+
+    coeffs = replace(_bm_coeffs(), b=lambda x: np.where(x == 0.75, np.nan, 0.0))
+    dom = interval_domain(0.0, 1.0)
+    bundle = sample_paths(TimeGrid(0.0, 1.0, 10), d=1, seed=40, count=200, shared_b=True)
+    good, bad = np.array([[0.25]]), np.array([[0.75]])
+    excluded = _euler_projection(coeffs, dom, 0.0, good, bundle, 0.6)[3]
+    assert not excluded.any()
+    for starts in (bad, np.concatenate([good, bad]), np.concatenate([bad, good, good])):
+        with pytest.raises(SimulationBlowup, match="200 of 200 scenarios"):
+            _euler_projection(coeffs, dom, 0.0, starts, bundle, 0.6)
+    with pytest.raises(SimulationBlowup):
+        evaluate_u(coeffs, dom, [(0.0, np.array([0.25])), (0.0, np.array([0.75]))],
+                   bundle, BASIS, g_is_zero=True)
+
+
+def test_oracle_raises_on_non_finite_values(monkeypatch):
+    from gbdsde import fields
+
+    real_pass = fields._oracle_pass
+
+    def nan_pass(*args, **kwargs):
+        xs, ts, u = real_pass(*args, **kwargs)
+        u[0, 3] = np.nan
+        return xs, ts, u
+
+    monkeypatch.setattr(fields, "_oracle_pass", nan_pass)
+    with pytest.raises(FloatingPointError, match="pde_oracle_g0 produced non-finite"):
+        pde_oracle_g0(_heat_coeffs(), interval_domain(0.0, 1.0), 20, 20)

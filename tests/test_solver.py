@@ -610,3 +610,81 @@ def test_picard_matches_reference_with_every_step_stacked(monkeypatch):
 
     monkeypatch.setattr(regression, "BLOCK_BYTES", 1 << 24)
     test_picard_matches_scenario_major_reference(with_x=True)
+
+
+def _reference_simple(xi, f_path, g_path, h_path, k_path, bundle, basis):
+    """The scenario-major loop of `solve_simple`, kept as the bit-for-bit reference."""
+    from gbdsde.regression import DesignProjector
+    from gbdsde.solver import _as_k, solution_norms
+
+    grid = bundle.grid
+    S, n_pts, d = bundle.scenario_count, len(grid), bundle.d
+    n = xi.shape[1]
+    dt = grid.dt
+    k = _as_k(k_path, S, n_pts)
+    dk = np.diff(k, axis=1)
+    dB, dW = bundle.dB, bundle.dW
+
+    f_steps = np.zeros((S, grid.step_count, n))
+    if f_path is not None:
+        f_steps = f_path[:, :-1, :] * dt
+    h_steps = np.zeros((S, grid.step_count, n))
+    if h_path is not None:
+        h_steps = h_path[:, :-1, :] * dk[:, :, None]
+    g_steps = np.zeros((S, grid.step_count, n))
+    if g_path is not None:
+        g_steps = np.einsum("stnd,std->stn", g_path[:, 1:, :, :], dB)
+    increments = f_steps + h_steps + g_steps
+    future = np.concatenate(
+        [np.cumsum(increments[:, ::-1, :], axis=1)[:, ::-1, :], np.zeros((S, 1, n))], axis=1
+    )
+    targets = xi[:, None, :] + future
+
+    Y = np.empty((S, n_pts, n))
+    Z = np.zeros((S, n_pts, n, d))
+    Y[:, -1, :] = xi
+    with_tail = not bundle.shared_b and g_path is not None
+    for i in range(grid.step_count - 1, -1, -1):
+        points = bundle.W[:, i, :]
+        if with_tail:
+            points = np.concatenate([points, bundle.B[:, -1, :] - bundle.B[:, i, :]], axis=1)
+        proj = DesignProjector(points, basis)
+        one_step = Y[:, i + 1, :] + f_steps[:, i, :] + h_steps[:, i, :] + g_steps[:, i, :]
+        z_target = one_step[:, :, None] * dW[:, i, None, :] / dt
+        stacked = proj.fit(
+            np.concatenate([targets[:, i, :], z_target.reshape(S, -1)], axis=1))
+        Y[:, i, :] = stacked[:, :n]
+        Z[:, i, :, :] = stacked[:, n:].reshape(S, n, d)
+    return Y, Z, targets[:, 0, :], solution_norms(Y, Z, k, grid)
+
+
+@pytest.mark.parametrize("n, d, shared_b, paths", [(2, 2, False, "fgh"), (3, 2, True, "fgh"),
+                                                   (2, 3, False, "gh"), (1, 1, False, "f")])
+def test_simple_solver_matches_scenario_major_reference(n, d, shared_b, paths):
+    grid = TimeGrid(0.0, 1.0, 24)
+    bundle = sample_paths(grid, d=d, seed=58, count=500, shared_b=shared_b)
+    rng = np.random.default_rng(59)
+    S, n_pts = bundle.scenario_count, len(grid)
+    xi = np.cos(bundle.W[:, -1, :1]) + rng.normal(size=(S, n))
+    f_path = rng.normal(size=(S, n_pts, n)) if "f" in paths else None
+    g_path = 0.3 * rng.normal(size=(S, n_pts, n, d)) if "g" in paths else None
+    h_path = rng.normal(size=(S, n_pts, n)) if "h" in paths else None
+    k_path = np.cumsum(np.abs(rng.normal(size=(S, n_pts))), axis=1) * 0.01
+    basis = PolynomialBasis(2)
+    sol = solve_simple(xi, f_path, g_path, h_path, k_path, bundle, basis)
+    Y, Z, totals, norms = _reference_simple(xi, f_path, g_path, h_path, k_path, bundle, basis)
+    assert sol.Y.flags.c_contiguous and sol.Z.flags.c_contiguous
+    assert np.array_equal(sol.Y, Y) and np.array_equal(sol.Z, Z)
+    assert np.array_equal(sol.pathwise_totals, totals)
+    assert sol.diagnostics == norms
+    assert np.any(Z != 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_simple_solver_raises_on_non_finite_solution():
+    grid = TimeGrid(0.0, 1.0, 10)
+    bundle = sample_paths(grid, d=1, seed=60, count=200)
+    f_path = np.zeros((200, 11, 1))
+    f_path[7, 4, 0] = np.inf
+    with pytest.raises(FloatingPointError, match="solve_simple produced non-finite"):
+        solve_simple(np.ones(200), f_path, None, None, None, bundle, BASIS)
