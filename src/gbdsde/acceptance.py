@@ -435,13 +435,9 @@ def _ito_cases(seed: int, steps: int) -> dict[str, dict]:
     return cases
 
 
-def _ventzell_cases(seed: int, steps: int) -> list[tuple[str, dict]]:
-    grid = TimeGrid(0.0, 1.0, steps)
-    bundle = sample_paths(grid, d=1, seed=seed + 7, count=256)
-    S, n_pts = 256, steps + 1
-    ones_m = np.ones((S, n_pts, 1, 1))
-
-    drift_field = DriftField(
+def quadratic_drift_field() -> DriftField:
+    """M(t, x) = (1 + t) x^2, the deterministic field of the Ventzell checks."""
+    return DriftField(
         time_coef=lambda t: 1.0 + t,
         time_coef_dt=lambda t: 1.0,
         space=lambda x: x[..., 0] ** 2,
@@ -449,6 +445,14 @@ def _ventzell_cases(seed: int, steps: int) -> list[tuple[str, dict]]:
         space_hess=lambda x: np.broadcast_to(
             2.0 * np.eye(1), x.shape[:-1] + (1, 1)).copy(),
     )
+
+
+def _ventzell_cases(seed: int, steps: int) -> list[tuple[str, dict]]:
+    grid = TimeGrid(0.0, 1.0, steps)
+    bundle = sample_paths(grid, d=1, seed=seed + 7, count=256)
+    S, n_pts = 256, steps + 1
+    ones_m = np.ones((S, n_pts, 1, 1))
+
     linear_coef = dict(
         coef=lambda x: x[..., :1],
         coef_grad=lambda x: np.ones(x.shape[:-1] + (1, 1)),
@@ -457,8 +461,8 @@ def _ventzell_cases(seed: int, steps: int) -> list[tuple[str, dict]]:
     backward_field = NoiseLinearField(channel="backward", **linear_coef)
     forward_field = NoiseLinearField(channel="forward", **linear_coef)
     return [
-        ("deterministic_field", dict(field=drift_field, alpha0=np.zeros(1), beta=None,
-                                     gamma=None, delta=ones_m, k_path=None,
+        ("deterministic_field", dict(field=quadratic_drift_field(), alpha0=np.zeros(1),
+                                     beta=None, gamma=None, delta=ones_m, k_path=None,
                                      bundle=bundle)),
         ("backward_field", dict(field=backward_field, alpha0=np.zeros(1), beta=None,
                                 gamma=ones_m, delta=None, k_path=None, bundle=bundle)),

@@ -29,6 +29,11 @@ SUITES = (
 )
 
 
+# the sections a config may hold, each a mapping: its own, then the suites' options
+SECTIONS = ("grid", "monte_carlo", "basis", "output", "problem", "domain")
+OPTION_SECTIONS = ("reflected", "solver", "flow", "calculus", "field", "acceptance")
+
+
 class ConfigError(ValueError):
     """Invalid configuration; the message names the section and field."""
 
@@ -101,6 +106,9 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
         raise ConfigError("config root must be a mapping")
     data = {k: v for k, v in mapping.items()}
     overrides = overrides or {}
+    for name in SECTIONS + OPTION_SECTIONS:
+        if name in data and not isinstance(data[name], dict):
+            raise ConfigError(f"{name}: must be a mapping, not {data[name]!r}")
 
     suite = overrides.get("suite") or data.get("suite")
     if suite not in SUITES:
@@ -142,26 +150,7 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
     if workers < 1:
         raise ConfigError("workers: must be >= 1")
 
-    problem = data.get("problem")
-    if problem is not None:
-        try:
-            build_coefficient_set(problem)
-        except ValueError as exc:
-            raise ConfigError(f"problem: {exc}") from exc
-    domain_spec = data.get("domain")
-    if domain_spec is not None:
-        try:
-            make_domain(domain_spec)
-        except ValueError as exc:
-            raise ConfigError(f"domain: {exc}") from exc
-
-    options = {
-        k: v
-        for k, v in data.items()
-        if k not in {"suite", "grid", "monte_carlo", "basis", "output",
-                     "problem", "domain", "workers"}
-    }
-    return ExperimentConfig(
+    config = ExperimentConfig(
         raw=data,
         suite=suite,
         grid=grid,
@@ -171,10 +160,16 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
         basis_spec=basis_spec,
         out_dir=out_dir,
         workers=workers,
-        problem=problem,
-        domain_spec=domain_spec,
-        options=options,
+        problem=data.get("problem"),
+        domain_spec=data.get("domain"),
+        options={k: v for k, v in data.items() if k not in SECTIONS + ("suite", "workers")},
     )
+    # building the problem and the domain validates their sections
+    if config.problem is not None:
+        config.coefficient_set()
+    if config.domain_spec is not None:
+        config.domain()
+    return config
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentConfig:

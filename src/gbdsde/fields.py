@@ -89,7 +89,9 @@ def evaluate_u(
     Euler projection and one backward induction over their node-major rows,
     each node bit-identical to its own `solve_bdsde_markov`.  ``global`` runs
     one solve from the earliest node and reads every node off the fitted
-    per-time regression functions (cheaper, SE from regression residuals).
+    per-time regression functions (cheaper, SE from regression residuals);
+    every path sits at that node's x at its time, so another node at the
+    earliest time raises ValueError.
     The companion value v is the flow inverse of u at the node; with no flow
     supplied (vanishing backward noise) v = u.
     """
@@ -109,6 +111,9 @@ def evaluate_u(
     else:
         t0 = min(t for t, _ in field_grid)
         x0 = next(x for (t, _), x in zip(field_grid, points) if t == t0)
+        if any(t == t0 and not np.array_equal(x, x0) for (t, _), x in zip(field_grid, points)):
+            raise ValueError(f"global field mode solves from ({t0:g}, {x0.tolist()}), where "
+                             f"every path starts; other nodes at t = {t0:g} need pointwise mode")
         sol, refl = solve_bdsde_markov(
             coeffs, domain, t0, x0, bundle, basis, g_is_zero=g_is_zero)
         for j, ((t_node, _), x_node) in enumerate(zip(field_grid, points)):

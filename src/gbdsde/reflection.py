@@ -63,15 +63,17 @@ def simulate_reflected(
     excluded (path frozen); the run fails if more than
     ``max_excluded_fraction`` of scenarios are lost.
     """
-    X, k, flags, excluded, dW = _euler_projection(
+    *buffers, excluded, dW = _euler_projection(
         coeffs, domain, start_time, x0, bundle, max_excluded_fraction)
-    # one buffer at a time, so at most one time-major array outlives its copy
     del dW
-    X = swap_scenario_time(X)
-    k = swap_scenario_time(k)
-    flags = swap_scenario_time(flags)
-    return ReflectedPath(grid=bundle.grid, X=X, k=k, boundary_flags=flags,
-                         excluded=excluded)
+    return _reflected_path(bundle.grid, buffers, excluded)
+
+
+def _reflected_path(grid: TimeGrid, buffers: list, excluded: np.ndarray) -> ReflectedPath:
+    """The `ReflectedPath` of `_euler_projection`'s time-major [X, k, flags],
+    popped off ``buffers`` one at a time: at most one outlives its copy."""
+    X, k, flags = [swap_scenario_time(buffers.pop(0)) for _ in range(3)]
+    return ReflectedPath(grid=grid, X=X, k=k, boundary_flags=flags, excluded=excluded)
 
 
 def _euler_projection(

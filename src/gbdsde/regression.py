@@ -52,20 +52,22 @@ class PolynomialBasis:
         return comb(point_dim + self.degree, self.degree)
 
     def features(self, points: np.ndarray) -> np.ndarray:
+        """The monomials of (..., m) points, by total degree, each a lower
+        one times a coordinate, written into one (..., p) design."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        s, p = pts.shape
-        cols = [np.ones(s)]
-        # build monomials by total degree through repeated multiplication
-        prev: list[tuple[np.ndarray, int]] = [(np.ones(s), -1)]
+        m = pts.shape[-1]
+        design = np.empty(pts.shape[:-1] + (self.feature_count(m),))
+        design[..., 0] = 1.0
+        col = 1
+        prev: list[tuple[np.ndarray, int]] = [(design[..., 0], -1)]
         for _ in range(self.degree):
             nxt: list[tuple[np.ndarray, int]] = []
             for mono, last in prev:
-                for j in range(max(last, 0), p):
-                    term = mono * pts[:, j]
-                    cols.append(term)
-                    nxt.append((term, j))
+                for j in range(max(last, 0), m):
+                    nxt.append((np.multiply(mono, pts[..., j], out=design[..., col]), j))
+                    col += 1
             prev = nxt
-        return np.column_stack(cols)
+        return design
 
 
 @dataclass(frozen=True)
@@ -109,10 +111,8 @@ class PiecewiseBinBasis:
         return design
 
 
-def make_basis(spec: dict | str):
+def make_basis(spec: dict):
     """Basis from a config fragment like {kind: polynomial, degree: 3}."""
-    if isinstance(spec, str):
-        spec = {"kind": spec}
     kind = spec.get("kind", "polynomial")
     if kind == "polynomial":
         return PolynomialBasis(int(spec.get("degree", 3)))
@@ -163,12 +163,7 @@ class DesignProjector:
         if not np.all(np.isfinite(design)):
             raise RegressionRankError(
                 f"non-finite feature values in basis {basis.name}")
-        # numpy's mean/std run exactly these reductions; centring once
-        # serves both the variance and the standardized design
-        mean = np.add.reduce(design, axis=0) / s
-        centered = design - mean
-        std = np.sqrt(np.add.reduce(centered * centered, axis=0) / s)
-        keep = std > 1e-12 * (1.0 + np.abs(mean))
+        mean, centered, std, keep = _centre(design)
         u, sv, vt = np.linalg.svd(_standardized(centered, std, keep), full_matrices=False)
         edges = basis.edges(feature_points) if isinstance(basis, PiecewiseBinBasis) else None
         self._freeze(basis, edges, mean, std, keep, u, sv, vt)
@@ -208,28 +203,14 @@ class DesignProjector:
             return [proj for lo in range(0, c_steps, per)
                     for proj in cls.stack(points[lo:lo + per], basis)]
         # scenario-major block design (S, C, p): each step's column sums then
-        # run over the rows in order, as in its own (S, p) reduction
-        pts = np.swapaxes(points, 0, 1)
-        design = np.empty((s, c_steps, p))
-        design[..., 0] = 1.0
-        col = 1
-        prev: list[tuple[np.ndarray, int]] = [(design[..., 0], -1)]
-        for _ in range(basis.degree):
-            nxt: list[tuple[np.ndarray, int]] = []
-            for mono, last in prev:
-                for j in range(max(last, 0), m):
-                    nxt.append((np.multiply(mono, pts[..., j], out=design[..., col]), j))
-                    col += 1
-            prev = nxt
-        # a non-finite design makes its column sums non-finite: such steps
-        # (and any whose finite sums overflow) go to the per-step build,
-        # which rejects a non-finite design before any of this arithmetic,
-        # so the block build warns of nothing here
+        # run over the rows in order, as in its own (S, p) reduction.  A
+        # non-finite design makes its column sums non-finite: such steps (and
+        # any whose finite sums overflow) go to the per-step build, which
+        # rejects a non-finite design before any of this arithmetic, so the
+        # block build warns of nothing here
+        design = basis.features(np.swapaxes(points, 0, 1))
         with np.errstate(invalid="ignore", over="ignore"):
-            mean = np.add.reduce(design, axis=0) / s
-            centered = np.subtract(design, mean, out=design)
-            std = np.sqrt(np.add.reduce(centered * centered, axis=0) / s)
-            keep = std > 1e-12 * (1.0 + np.abs(mean))
+            mean, centered, std, keep = _centre(design)
 
         out: list[DesignProjector | None] = [None] * c_steps
         pending = np.isfinite(mean).all(axis=1)
@@ -275,6 +256,16 @@ class DesignProjector:
         flat = targets.reshape(self.scenario_count, -1)
         coef = self._vt.T @ ((self._u.T @ flat) / self._sv[:, None])
         return (a @ coef).reshape(a.shape[:1] + targets.shape[1:])
+
+
+def _centre(design: np.ndarray):
+    """(column means, the design centred in place, column stds, kept columns)
+    over the leading scenario axis, by numpy's own mean/std reductions."""
+    s = design.shape[0]
+    mean = np.add.reduce(design, axis=0) / s
+    centered = np.subtract(design, mean, out=design)
+    std = np.sqrt(np.add.reduce(centered * centered, axis=0) / s)
+    return mean, centered, std, std > 1e-12 * (1.0 + np.abs(mean))
 
 
 def _standardized(centered: np.ndarray, std: np.ndarray, keep: np.ndarray) -> np.ndarray:

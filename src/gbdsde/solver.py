@@ -7,8 +7,8 @@
 * ``picard_solve``     - full nonlinear problem by outer fixed-point
                          iteration: freeze the solution inside the
                          coefficients, solve the resulting simple equation,
-                         repeat; successive differences are tracked in an
-                         exponentially weighted norm whose ratio exposes the
+                         repeat; successive differences are tracked in the
+                         energy norm (below), whose ratio exposes the
                          contraction factor (1 + alpha) / 2.
 * ``solve_bdsde_markov`` and ``solve_transformed_gbsde`` - the Markovian
                          equation on a reflected diffusion, directly and
@@ -35,6 +35,10 @@ targets of every step are built before the loop, each step fits one
 contiguous [target | control target] buffer, and the results are
 transposed once at the end.
 
+The a-priori and stability estimates and the Picard energy norm weigh
+sup |Y|^2, int |Y|^2 dk and int |Z|^2 dt (`_squares`) by e^{MU t + LAM k}
+(`_energy_weight`, with the constants ``MU`` = ``LAM`` = 1).
+
 Measurability note: values at time t are regressed only on functionals
 available at t -- the forward state (W or X) and, when the backward driver
 varies across scenarios, the tail increment B_T - B_t.
@@ -51,11 +55,14 @@ from .geometry import SmoothDomain
 from .grids import TimeGrid
 from .paths import PathBundle, swap_scenario_time, time_major_increments
 from .problems import CoefficientSet
-from .reflection import ReflectedPath, _euler_projection
+from .reflection import ReflectedPath, _euler_projection, _reflected_path
 from .regression import projector_walk
 
 # fixed-point sweeps of the implicit driver and boundary terms per step
 INNER_SWEEPS = 2
+# the time and boundary rates of the energy weight e^{MU t + LAM k}
+MU = 1.0
+LAM = 1.0
 
 
 class PicardDivergence(RuntimeError):
@@ -98,11 +105,12 @@ def _standard_error(totals: np.ndarray) -> np.ndarray:
     return totals.std(axis=0, ddof=1) / np.sqrt(totals.shape[0])
 
 
-def _markov_solution(grid: TimeGrid, Y: np.ndarray, Z: np.ndarray, k: np.ndarray,
-                     totals: np.ndarray) -> BdsdeSolution:
-    """The solution of a Markovian induction, with its norms."""
-    return BdsdeSolution(grid=grid, Y=Y, Z=Z, diagnostics=solution_norms(Y, Z, k, grid),
-                         pathwise_totals=totals[:, None])
+def _solution(grid: TimeGrid, Y: np.ndarray, Z: np.ndarray, k: np.ndarray,
+              totals: np.ndarray, trace=()) -> BdsdeSolution:
+    """A solution with its norms; 1-D pathwise totals become one column."""
+    return BdsdeSolution(grid=grid, Y=Y, Z=Z, picard_trace=list(trace),
+                         diagnostics=solution_norms(Y, Z, k, grid),
+                         pathwise_totals=_as_columns(totals))
 
 
 def _as_k(k_path: np.ndarray | None, n_scen: int, n_pts: int) -> np.ndarray:
@@ -135,12 +143,6 @@ def _points_of(bundle: PathBundle, with_backward_tail: bool, state: np.ndarray |
     return points_of
 
 
-def default_feature_fn(bundle: PathBundle, with_backward_tail: bool):
-    """Feature points at index i: W_t coordinates plus, optionally, B_T - B_t."""
-    points_of = _points_of(bundle, with_backward_tail)
-    return lambda i: points_of(i, i + 1)[0]
-
-
 def solve_simple(
     xi: np.ndarray,
     f_path: np.ndarray | None,
@@ -149,8 +151,6 @@ def solve_simple(
     k_path: np.ndarray | None,
     bundle: PathBundle,
     basis,
-    feature_fn=None,
-    projectors: list | None = None,
 ) -> BdsdeSolution:
     """Solve the linear (solution-free coefficient) equation by projection.
 
@@ -165,15 +165,8 @@ def solve_simple(
     S, n_pts = bundle.scenario_count, len(grid)
     xi = _as_columns(xi)
     k = _as_k(k_path, S, n_pts)
-    backward = range(grid.step_count - 1, -1, -1)
-    if projectors is None:
-        if feature_fn is None:
-            points_of = _points_of(bundle, not bundle.shared_b and g_path is not None)
-        else:
-            points_of = lambda lo, hi: np.stack([feature_fn(i) for i in range(lo, hi)])
-        walk = projector_walk(points_of, basis, backward)
-    else:
-        walk = ((i, projectors[i]) for i in backward)
+    walk = projector_walk(_points_of(bundle, not bundle.shared_b and g_path is not None),
+                          basis, range(grid.step_count - 1, -1, -1))
 
     def rows(path):
         return None if path is None else np.swapaxes(path, 0, 1)
@@ -182,9 +175,7 @@ def solve_simple(
                                      time_major_increments(k), bundle, walk)
     if not (np.isfinite(Y).all() and np.isfinite(Z).all()):
         raise FloatingPointError("solve_simple produced non-finite solution values")
-    Y, Z = swap_scenario_time(Y), swap_scenario_time(Z)
-    return BdsdeSolution(grid=grid, Y=Y, Z=Z, diagnostics=solution_norms(Y, Z, k, grid),
-                         pathwise_totals=totals)
+    return _solution(grid, swap_scenario_time(Y), swap_scenario_time(Z), k, totals)
 
 
 def _simple_induction(xi, f_rows, g_rows, h_rows, dk, bundle: PathBundle, walk):
@@ -233,58 +224,55 @@ def _simple_induction(xi, f_rows, g_rows, h_rows, dk, bundle: PathBundle, walk):
     return Y, Z, targets[0]
 
 
-def solution_norms(Y: np.ndarray, Z: np.ndarray, k: np.ndarray, grid: TimeGrid) -> dict:
-    """Empirical sup/flow/boundary norms of a solution pair.
+def _squares(Y: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|Y|^2 (S, T+1) and the left-endpoint |Z|^2 (S, T) of a solution pair.
 
-    For n = d = 1 the squared norms index the size-1 trailing axes instead
-    of summing over them (a one-term sum is that term, so the floats agree).
+    For n = d = 1 they index the size-1 trailing axes instead of summing over
+    them (a one-term sum is that term, so the floats agree).
     """
-    dt = grid.dt
-    dk = np.diff(k, axis=1)
-    scalar = Z.shape[-2:] == (1, 1)
-    y_sq = Y[..., 0] ** 2 if scalar else np.sum(Y**2, axis=-1)
-    sup_sq = np.max(y_sq, axis=1)
-    k2 = np.sum(y_sq[:, :-1] * dk, axis=1)
-    del y_sq
-    z_sq = Z[:, :-1, 0, 0] ** 2 if scalar else np.sum(Z[:, :-1] ** 2, axis=(-2, -1))
-    m2 = np.sum(z_sq * dt, axis=1)
+    if Z.shape[-2:] == (1, 1):
+        return Y[..., 0] ** 2, Z[:, :-1, 0, 0] ** 2
+    return np.sum(Y**2, axis=-1), np.sum(Z[:, :-1] ** 2, axis=(-2, -1))
+
+
+def _energy_weight(times, k: np.ndarray) -> np.ndarray:
+    """The energy weight e^{MU t + LAM k} of the estimates, per scenario and time."""
+    return np.exp(MU * times + LAM * k)
+
+
+def solution_norms(Y: np.ndarray, Z: np.ndarray, k: np.ndarray, grid: TimeGrid) -> dict:
+    """Empirical sup/flow/boundary norms of a solution pair."""
+    y_sq, z_sq = _squares(Y, Z)
     return {
-        "s2_norm": float(np.mean(sup_sq)),
-        "m2_norm": float(np.mean(m2)),
-        "k2_norm": float(np.mean(k2)),
+        "s2_norm": float(np.mean(np.max(y_sq, axis=1))),
+        "m2_norm": float(np.mean(np.sum(z_sq * grid.dt, axis=1))),
+        "k2_norm": float(np.mean(np.sum(y_sq[:, :-1] * np.diff(k, axis=1), axis=1))),
     }
 
 
-def weighted_difference_norm(
-    dY: np.ndarray,
-    dZ: np.ndarray,
-    k: np.ndarray,
-    grid: TimeGrid,
-    mu: float = 1.0,
-    lam: float = 1.0,
-    c_bar: float = 1.0,
-    c_k: float = 1.0,
-) -> float:
-    """Exponentially weighted norm of a solution difference.
+def weighted_difference_norm(dY: np.ndarray, dZ: np.ndarray, k: np.ndarray,
+                             grid: TimeGrid) -> float:
+    """Energy-weighted norm of a solution difference, the Picard contraction norm.
 
-    c_bar E int e^{mu t + lam k} |dY|^2 dt + c_k E int e^{...} |dY|^2 dk
+    E int e^{MU t + LAM k} |dY|^2 dt + E int e^{...} |dY|^2 dk
     + E int e^{...} |dZ|^2 dt, discretized at the left endpoints.
     """
-    return _weighted_norm(dY, dZ, *_norm_weights(k, grid, mu, lam), grid.dt, c_bar, c_k)
+    return _weighted_norm(dY, dZ, *_norm_weights(k, grid), grid.dt)
 
 
-def _norm_weights(k: np.ndarray, grid: TimeGrid, mu: float, lam: float):
-    """The left-endpoint weights e^{mu t + lam k} and the k increments, (S, T)."""
-    return np.exp(mu * grid.points[None, :-1] + lam * k[:, :-1]), np.diff(k, axis=1)
+def _norm_weights(k: np.ndarray, grid: TimeGrid):
+    """The left-endpoint energy weights, computed on k[:, :-1] to come out
+    contiguous, and the k increments, both (S, T)."""
+    return _energy_weight(grid.points[:-1], k[:, :-1]), np.diff(k, axis=1)
 
 
-def _weighted_norm(dY, dZ, weights, dk, dt, c_bar=1.0, c_k=1.0) -> float:
+def _weighted_norm(dY, dZ, weights, dk, dt) -> float:
     """`weighted_difference_norm` with its weights and k increments given."""
-    y_sq = np.sum(dY[:, :-1] ** 2, axis=-1)
-    z_sq = np.sum(dZ[:, :-1] ** 2, axis=(-2, -1))
+    y_sq, z_sq = _squares(dY, dZ)
+    y_sq = y_sq[:, :-1]
     total = (
-        c_bar * np.sum(weights * y_sq * dt, axis=1)
-        + c_k * np.sum(weights * y_sq * dk, axis=1)
+        np.sum(weights * y_sq * dt, axis=1)
+        + np.sum(weights * y_sq * dk, axis=1)
         + np.sum(weights * z_sq * dt, axis=1)
     )
     return float(np.mean(total))
@@ -298,17 +286,16 @@ def picard_solve(
     basis,
     tol: float = 1e-10,
     max_iter: int = 12,
-    mu: float = 1.0,
-    lam: float = 1.0,
     x_path: np.ndarray | None = None,
 ) -> BdsdeSolution:
     """Outer fixed-point iteration for the full nonlinear equation.
 
     Freezes (Y, Z) inside f, g, h, solves the resulting simple equation and
-    repeats until the weighted norm of successive differences drops below
-    tol (or max_iter is hit).  Raises PicardDivergence if the trace grows for
-    three consecutive iterations, and FloatingPointError when a difference
-    norm is not finite (a non-finite iterate makes its norm non-finite).
+    repeats until the energy-weighted norm of successive differences
+    (`weighted_difference_norm`) drops below tol (or max_iter is hit).
+    Raises PicardDivergence if the trace grows for three consecutive
+    iterations, and FloatingPointError when a difference norm is not finite
+    (a non-finite iterate makes its norm non-finite).
 
     The iterates stay time-major: the coefficients are evaluated per time
     on their rows and `solve_simple`'s pass runs on them directly; the
@@ -321,7 +308,7 @@ def picard_solve(
     n = xi.shape[1]
     k = _as_k(k_path, S, n_pts)
     dk_rows = time_major_increments(k)
-    weights, dk = _norm_weights(k, grid, mu, lam)
+    weights, dk = _norm_weights(k, grid)
     times = grid.points
     backward = range(grid.step_count - 1, -1, -1)
 
@@ -359,9 +346,8 @@ def picard_solve(
             grew = 0
         if norm <= tol:
             break
-    Y, Z = swap_scenario_time(y_rows), swap_scenario_time(z_rows)
-    return BdsdeSolution(grid=grid, Y=Y, Z=Z, picard_trace=trace,
-                         diagnostics=solution_norms(Y, Z, k, grid), pathwise_totals=totals)
+    return _solution(grid, swap_scenario_time(y_rows), swap_scenario_time(z_rows), k, totals,
+                     trace)
 
 
 def apriori_ratio(
@@ -369,12 +355,10 @@ def apriori_ratio(
     coeffs: CoefficientSet,
     xi: np.ndarray,
     k_path: np.ndarray | None,
-    mu: float = 1.0,
-    lam: float = 1.0,
 ) -> dict:
     """Both sides of the a-priori energy estimate and their ratio.
 
-    LHS: E(sup e^{mu t + lam k}|Y|^2 + int e |Y|^2 dk + int e |Z|^2 dt);
+    LHS: E(sup e^{MU t + LAM k}|Y|^2 + int e |Y|^2 dk + int e |Z|^2 dt);
     RHS: the same weights against the terminal value and the coefficient
     growth envelopes.  A zero RHS with a nonzero LHS is reported as a
     violation.
@@ -385,23 +369,22 @@ def apriori_ratio(
     k = _as_k(k_path, S, n_pts)
     dt = grid.dt
     dk = np.diff(k, axis=1)
-    w = np.exp(mu * grid.points[None, :] + lam * k)
+    w = _energy_weight(grid.points, k)
 
-    y_sq = np.sum(solution.Y**2, axis=-1)
-    z_sq = np.sum(solution.Z**2, axis=(-2, -1))
+    y_sq, z_sq = _squares(solution.Y, solution.Z)
     lhs = float(np.mean(
         np.max(w * y_sq, axis=1)
         + np.sum(w[:, :-1] * y_sq[:, :-1] * dk, axis=1)
-        + np.sum(w[:, :-1] * z_sq[:, :-1] * dt, axis=1)
+        + np.sum(w[:, :-1] * z_sq * dt, axis=1)
     ))
-    f_env = np.array([coeffs.f_env(t) for t in grid.points])
-    g_env = np.array([coeffs.g_env(t) for t in grid.points])
-    h_env = np.array([coeffs.h_env(t) for t in grid.points])
+    # the squared growth envelopes at the left endpoints
+    f_sq, g_sq, h_sq = (np.array([env(t) for t in grid.points[:-1]]) ** 2
+                        for env in (coeffs.f_env, coeffs.g_env, coeffs.h_env))
     rhs = float(np.mean(
         w[:, -1] * np.sum(xi**2, axis=-1)
-        + np.sum(w[:, :-1] * f_env[None, :-1] ** 2 * dt, axis=1)
-        + np.sum(w[:, :-1] * h_env[None, :-1] ** 2 * dk, axis=1)
-        + np.sum(w[:, :-1] * g_env[None, :-1] ** 2 * dt, axis=1)
+        + np.sum(w[:, :-1] * f_sq * dt, axis=1)
+        + np.sum(w[:, :-1] * h_sq * dk, axis=1)
+        + np.sum(w[:, :-1] * g_sq * dt, axis=1)
     ))
     result = {"lhs": lhs, "rhs": rhs, "trivial": lhs <= 1e-12}
     if rhs == 0.0:
@@ -417,14 +400,14 @@ def stability_gap(
     data_prime: dict,
     solution: BdsdeSolution,
     solution_prime: BdsdeSolution,
-    mu: float = 1.0,
 ) -> dict:
     """Both sides of the two-data stability estimate.
 
     ``data`` and ``data_prime`` are dicts with keys xi, coeffs, k (arrays /
     coefficient sets); both solutions must live on one shared bundle.  The
-    weight uses A_t = |k - k'|_tv(t) + k'_t and the coefficient differences
-    are evaluated along the first solution, as in the estimate.
+    energy weight is e^{LAM A_t}, with A_t = |k - k'|_tv(t) + k'_t in place
+    of k and no time term, and the coefficient differences are evaluated
+    along the first solution, as in the estimate.
     """
     grid = solution.grid
     S, n_pts = solution.Y.shape[0], len(grid)
@@ -433,14 +416,11 @@ def stability_gap(
     kp = _as_k(data_prime.get("k"), S, n_pts)
     dk_gap = np.abs(np.diff(k - kp, axis=1))
     k_var = np.concatenate([np.zeros((S, 1)), np.cumsum(dk_gap, axis=1)], axis=1)
-    a_t = k_var + kp
-    w = np.exp(mu * a_t)
+    w = _energy_weight(0.0, k_var + kp)
 
-    dY = solution.Y - solution_prime.Y
-    dZ = solution.Z - solution_prime.Z
+    y_sq, z_sq = _squares(solution.Y - solution_prime.Y, solution.Z - solution_prime.Z)
     lhs = float(np.mean(
-        np.max(w * np.sum(dY**2, axis=-1), axis=1)
-        + np.sum(w[:, :-1] * np.sum(dZ[:, :-1] ** 2, axis=(-2, -1)) * dt, axis=1)
+        np.max(w * y_sq, axis=1) + np.sum(w[:, :-1] * z_sq * dt, axis=1)
     ))
 
     co, cp = data["coeffs"], data_prime["coeffs"]
@@ -478,48 +458,32 @@ def solve_bdsde_markov(
     x0: np.ndarray,
     bundle: PathBundle,
     basis,
-    reflected: ReflectedPath | None = None,
     g_is_zero: bool = False,
 ) -> tuple[BdsdeSolution, ReflectedPath]:
     """Backward induction for the Markovian equation on a reflected diffusion.
 
-    Simulates (X, k) from (start_time, x0) unless paths are supplied and runs
-    `_backward_induction` from the terminal map, with the backward-noise
-    term read at the right endpoint (zero when ``g_is_zero``).  Scalar-valued
-    problems only (n = 1).  Raises FloatingPointError when Y or Z is not
-    finite.
+    Simulates (X, k) from (start_time, x0) and runs `_backward_induction`
+    from the terminal map, with the backward-noise term read at the right
+    endpoint (zero when ``g_is_zero``).  Scalar-valued problems only
+    (n = 1).  Raises FloatingPointError when Y or Z is not finite.
 
-    A path simulated here stays in the Euler loop's time-major buffers, with
-    its dW, for the induction; it is transposed into the returned
-    `ReflectedPath` afterwards.  This is the one-node case of
-    `_markov_start_values`.
+    The path stays in the Euler loop's time-major buffers, with its dW, for
+    the induction; it is transposed into the returned `ReflectedPath`, the
+    one `simulate_reflected` gives, afterwards.  This is the one-node case
+    of `_markov_start_values`.
     """
     _require_markov(coeffs)
     grid = bundle.grid
     start_idx = grid.index_of(start_time)
-    if reflected is None:
-        X, k, flags, excluded, dW = _euler_projection(coeffs, domain, start_time, x0, bundle)
-        dk = np.diff(k, axis=0)
-    else:
-        X = swap_scenario_time(reflected.X)
-        dk = time_major_increments(reflected.k)
-        dW = time_major_increments(bundle.W)
+    *buffers, excluded, dW = _euler_projection(coeffs, domain, start_time, x0, bundle)
     terminal, (Y, Z, increments) = _markov_induction(
-        "solve_bdsde_markov", coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero)
-    del dk, dW
+        coeffs, buffers[0], np.diff(buffers[1], axis=0), dW, bundle, basis, start_idx, g_is_zero)
+    del dW
     Y[:start_idx] = Y[start_idx]
-    if reflected is None:
-        # rebinding frees each time-major buffer before the next copy is made
-        X = swap_scenario_time(X)
-        k = swap_scenario_time(k)
-        flags = swap_scenario_time(flags)
-        reflected = ReflectedPath(grid=grid, X=X, k=k, boundary_flags=flags,
-                                  excluded=excluded)
-    # drops the time-major copy of a supplied path before Y and Z are copied
-    del X
+    reflected = _reflected_path(grid, buffers, excluded)
     Y = swap_scenario_time(Y)
     Z = swap_scenario_time(Z)
-    return _markov_solution(grid, Y, Z, reflected.k, terminal + increments), reflected
+    return _solution(grid, Y, Z, reflected.k, terminal + increments), reflected
 
 
 def _markov_start_values(
@@ -551,8 +515,7 @@ def _markov_start_values(
         np.subtract(k[i], k[i - 1], out=k[i])
     dk = k[1:]
     terminal, (Y, _, increments) = _markov_induction(
-        "solve_bdsde_markov", coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero,
-        history=False)
+        coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero, history=False)
     S = bundle.scenario_count
     return (Y[start_idx % len(Y), :, 0].reshape(-1, S),
             (terminal + increments).reshape(-1, S))
@@ -565,8 +528,7 @@ def _require_markov(coeffs: CoefficientSet) -> None:
         raise ValueError("Markovian problems need a terminal map l")
 
 
-def _markov_induction(solver, coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero,
-                      history=True):
+def _markov_induction(coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero, history=True):
     """The Markovian induction from the terminal map down to ``start_idx``.
 
     Binds the backward-noise term (g at the right endpoint against dB) and
@@ -594,7 +556,8 @@ def _markov_induction(solver, coeffs, X, dk, dW, bundle, basis, start_idx, g_is_
         return coeffs.f(times[i], x_i, y, z) * dt, coeffs.h(times[i], x_i, y) * dk_i[:, None]
 
     return terminal, _backward_induction(
-        solver, X, dk, dW, bundle, basis, range(grid.step_count - 1, start_idx - 1, -1),
+        "solve_bdsde_markov", X, dk, dW, bundle, basis,
+        range(grid.step_count - 1, start_idx - 1, -1),
         not bundle.shared_b and not g_is_zero, terminal, noise, bracket, history)
 
 
@@ -642,8 +605,8 @@ def solve_transformed_gbsde(
         "solve_transformed_gbsde", X, dk, dW, bundle, basis,
         range(grid.step_count - 1, -1, -1), False, terminal, None, bracket)
     # views of scenario-major buffers: no copies
-    return _markov_solution(grid, swap_scenario_time(Y), swap_scenario_time(Z),
-                            reflected.k, terminal + increments)
+    return _solution(grid, swap_scenario_time(Y), swap_scenario_time(Z), reflected.k,
+                     terminal + increments)
 
 
 def _backward_induction(

@@ -18,6 +18,7 @@ from . import acceptance as acc
 from .config import ConfigError, ExperimentConfig
 from .fields import evaluate_u, field_blocks, pde_oracle_g0
 from .flows import BrownianFlow, flow_derivative_identities
+from .grids import TimeGrid
 from .paths import sample_paths
 from .reflection import simulate_reflected
 from .regression import PiecewiseBinBasis
@@ -186,8 +187,6 @@ def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
 
     per_case: dict[str, list[tuple[float, float, float]]] = {}
     for steps in ladder:
-        from .grids import TimeGrid
-
         grid = TimeGrid(config.grid.t_start, config.grid.t_end, steps)
         bundle = sample_paths(grid, 1, config.seed, scenarios)
         n_pts = steps + 1
@@ -197,16 +196,9 @@ def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
                 np.zeros(1), None, None, None, ones_m, None, bundle),
             "ito_backward_noise": lambda: ito_formula_residual(
                 np.zeros(1), None, None, 0.8 * ones_m, None, None, bundle),
+            "ventzell_deterministic": lambda: ito_ventzell_residual(
+                acc.quadratic_drift_field(), np.zeros(1), None, None, ones_m, None, bundle),
         }
-        from .residuals import DriftField
-
-        drift_field = DriftField(
-            time_coef=lambda t: 1.0 + t, time_coef_dt=lambda t: 1.0,
-            space=lambda x: x[..., 0] ** 2, space_grad=lambda x: 2.0 * x,
-            space_hess=lambda x: np.broadcast_to(
-                2.0 * np.eye(1), x.shape[:-1] + (1, 1)).copy())
-        cases["ventzell_deterministic"] = lambda: ito_ventzell_residual(
-            drift_field, np.zeros(1), None, None, ones_m, None, bundle)
         for name, run in cases.items():
             rep = run()
             per_case.setdefault(name, []).append(
@@ -251,8 +243,9 @@ def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
     """The field suite: u, se and v at the configured nodes, and the oracle gap.
 
     In ``pointwise`` mode the nodes go to the workers in the blocks that
-    `evaluate_u` solves together (`field_blocks`); in ``global`` mode each
-    node is its own solve.  The rows come back in the configured order.
+    `evaluate_u` solves together (`field_blocks`); in ``global`` mode all
+    nodes are read off one solve, in one block.  The rows come back in the
+    configured order.
     """
     opts = config.options.get("field", {})
     nodes = opts.get("nodes")
@@ -264,7 +257,7 @@ def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
         blocks = field_blocks([float(node[0]) for node in nodes], config.grid,
                               config.scenarios, config.domain().dim)
     else:
-        blocks = [[j] for j in range(len(nodes))]
+        blocks = [list(range(len(nodes)))]
     block_nodes = [[nodes[j] for j in block] for block in blocks]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:

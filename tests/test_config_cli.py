@@ -291,3 +291,40 @@ def test_cli_field_csv_is_pinned(tmp_path):
                  "--out-dir", str(out)]) == 0
     digest = hashlib.sha256((out / "field.csv").read_bytes()).hexdigest()
     assert digest == "21c6512f3442123447688ac84dbfdfc845123d5a15532d46dcb86db6659539a7"
+
+
+@pytest.mark.parametrize("section", ["grid", "monte_carlo", "basis", "problem", "field",
+                                     "output"])
+def test_cli_empty_section_is_exit_2(tmp_path, capsys, section):
+    # a section left without a value parses as None, not as a mapping
+    config = Path(__file__).resolve().parents[1] / "configs" / "neumann-heat.yaml"
+    cfg = yaml.safe_load(config.read_text())
+    cfg[section] = None
+    path = write_config(tmp_path, cfg)
+    code = main(["field", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config error: {section}: must be a mapping, not None" in capsys.readouterr().err
+
+
+def test_cli_field_global_mode_reads_every_node_off_one_solve(tmp_path, capsys, monkeypatch):
+    import gbdsde.suites as suites
+
+    calls = []
+    real_evaluate_u = suites.evaluate_u
+
+    def recording_evaluate_u(coeffs, domain, field_grid, *args, **kwargs):
+        calls.append(len(field_grid))
+        return real_evaluate_u(coeffs, domain, field_grid, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "evaluate_u", recording_evaluate_u)
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["field"] = {"mode": "global", "nodes": [[0.0, 0.5], [0.25, 0.3], [0.25, 0.7]]}
+    out = tmp_path / "out"
+    main(["field", "--config", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
+    assert calls == [3]
+    assert len((out / "field.csv").read_text().splitlines()) == 4
+    # a second node at the start time, where every path sits at the first
+    cfg["field"]["nodes"] = [[0.0, 0.5], [0.0, 0.25]]
+    code = main(["field", "--config", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
+    assert code == 2
+    assert "need pointwise mode" in capsys.readouterr().err

@@ -115,6 +115,18 @@ def test_field_global_mode_agrees_with_pointwise():
         assert abs(p.u - g.u) <= 0.05
 
 
+def test_field_global_mode_rejects_a_second_node_at_the_start_time():
+    # every path of the one solve sits at the first node's x at the earliest
+    # time, so a second node there would read off the first node's value
+    coeffs = _heat_coeffs()
+    grid = TimeGrid(0.0, 1.0, 20)
+    bundle = sample_paths(grid, d=1, seed=33, count=400, shared_b=True)
+    nodes = [(0.0, np.array([0.5])), (0.0, np.array([0.2])), (0.5, np.array([0.3]))]
+    with pytest.raises(ValueError, match="need pointwise mode"):
+        evaluate_u(coeffs, interval_domain(0.0, 1.0), nodes, bundle, BASIS, mode="global",
+                   g_is_zero=True)
+
+
 def test_field_global_mode_runs_with_a_bin_basis():
     from gbdsde import PiecewiseBinBasis
 

@@ -192,6 +192,50 @@ def test_stability_quadratic_in_perturbation():
     assert max(scalings) / min(scalings) <= 2.0
 
 
+# reprs of the Picard trace, the a-priori sides and the stability sides with
+# unequal boundary processes, pinned so that any change of the energy weight
+# or of the squared norms shows
+PINNED_ESTIMATES = {
+    (1, 1): (["2.240888436790923", "0.14125809617323182", "0.005398215941477157",
+              "0.00016486383889371479"],
+             ["3.5728647966641103", "7.420842215125326", "0.4814635176290122"],
+             ["0.0016742066090013321", "0.011289282454912446"]),
+    (2, 2): (["6.908959857049902", "0.5263500080683879", "0.030346063662642555",
+              "0.0013829639830112745"],
+             ["9.107123671942183", "9.981468357988042", "0.9124032001417776"],
+             ["0.005280207642390853", "0.0225511468993766"]),
+}
+
+
+@pytest.mark.parametrize("n, d", sorted(PINNED_ESTIMATES))
+def test_estimates_and_picard_trace_are_pinned(n, d):
+    grid = TimeGrid(0.0, 1.0, 20)
+    bundle = sample_paths(grid, d=d, seed=61, count=400)
+    coeffs = _zeros_coeffs(
+        n=n, d=d, alpha=0.3,
+        f=lambda t, x, y, z: -0.5 * y + 0.2 * z[..., 0],
+        g=lambda t, x, y, z: 0.3 * z,
+        h=lambda t, x, y: 0.2 * y + 0.1)
+    pert = _zeros_coeffs(
+        n=n, d=d, alpha=0.3,
+        f=lambda t, x, y, z: -0.5 * y + 0.2 * z[..., 0] + 0.05 * np.cos(y),
+        g=lambda t, x, y, z: 0.3 * z,
+        h=lambda t, x, y: 0.2 * y + 0.15)
+    k = 0.4 * grid.points
+    k_prime = 0.3 * grid.points**2
+    xi = np.cos(bundle.W[:, -1, :1]) + 0.1 * np.arange(n)
+    basis = PolynomialBasis(2)
+    sol = picard_solve(coeffs, xi, k, bundle, basis, tol=1e-12, max_iter=4)
+    sol_p = picard_solve(pert, xi, k_prime, bundle, basis, tol=1e-12, max_iter=4)
+    est = apriori_ratio(sol, coeffs, xi, k)
+    gap = stability_gap({"xi": xi, "coeffs": coeffs, "k": k},
+                        {"xi": xi, "coeffs": pert, "k": k_prime}, sol, sol_p)
+    trace, sides, gap_sides = PINNED_ESTIMATES[(n, d)]
+    assert [repr(v) for v in sol.picard_trace] == trace
+    assert [repr(est[key]) for key in ("lhs", "rhs", "ratio")] == sides
+    assert [repr(gap[key]) for key in ("lhs", "rhs")] == gap_sides
+
+
 def test_exponential_shift_solver_roundtrip():
     grid = TimeGrid(0.0, 1.0, 100)
     bundle = sample_paths(grid, d=1, seed=13, count=4000)
@@ -408,9 +452,9 @@ def test_markov_solver_matches_scenario_major_reference(case):
 
 
 def _reference_picard(coeffs, xi, k_path, bundle, basis, tol, max_iter, x_path=None):
-    """The scenario-major Picard coefficient loop, kept as the bit-for-bit reference."""
-    from gbdsde.regression import DesignProjector
-    from gbdsde.solver import _as_k, default_feature_fn, weighted_difference_norm
+    """The scenario-major Picard coefficient loop on `_reference_simple`, kept
+    as the bit-for-bit reference."""
+    from gbdsde.solver import _as_k, weighted_difference_norm
 
     grid = bundle.grid
     S, n_pts = bundle.scenario_count, len(grid)
@@ -422,10 +466,8 @@ def _reference_picard(coeffs, xi, k_path, bundle, basis, tol, max_iter, x_path=N
     times = grid.points
     Y = np.zeros((S, n_pts, n))
     Z = np.zeros((S, n_pts, n, coeffs.d))
-    feature_fn = default_feature_fn(bundle, not bundle.shared_b)
-    projectors = [DesignProjector(feature_fn(i), basis) for i in range(grid.step_count)]
     trace = []
-    solution = None
+    totals = norms = None
     for _ in range(max_iter):
         f_path = np.empty((S, n_pts, n))
         h_path = np.empty((S, n_pts, n))
@@ -435,14 +477,14 @@ def _reference_picard(coeffs, xi, k_path, bundle, basis, tol, max_iter, x_path=N
             f_path[:, i] = coeffs.f(times[i], x_i, Y[:, i], Z[:, i])
             h_path[:, i] = coeffs.h(times[i], x_i, Y[:, i])
             g_path[:, i] = coeffs.g(times[i], x_i, Y[:, i], Z[:, i])
-        solution = solve_simple(xi, f_path, g_path, h_path, k, bundle, basis,
-                                feature_fn, projectors)
-        norm = weighted_difference_norm(solution.Y - Y, solution.Z - Z, k, grid)
+        Y_new, Z_new, totals, norms = _reference_simple(xi, f_path, g_path, h_path, k,
+                                                        bundle, basis)
+        norm = weighted_difference_norm(Y_new - Y, Z_new - Z, k, grid)
         trace.append(norm)
-        Y, Z = solution.Y, solution.Z
+        Y, Z = Y_new, Z_new
         if norm <= tol:
             break
-    return solution, trace
+    return Y, Z, totals, norms, trace
 
 
 @pytest.mark.parametrize("with_x", [False, True])
@@ -459,11 +501,12 @@ def test_picard_matches_scenario_major_reference(with_x):
     xi = np.cos(bundle.W[:, -1, 0])
     sol = picard_solve(coeffs, xi, k_path, bundle, BASIS, tol=1e-12, max_iter=4,
                        x_path=x_path)
-    ref, trace = _reference_picard(coeffs, xi, k_path, bundle, BASIS, 1e-12, 4, x_path)
-    assert np.array_equal(sol.Y, ref.Y) and np.array_equal(sol.Z, ref.Z)
+    Y, Z, totals, norms, trace = _reference_picard(coeffs, xi, k_path, bundle, BASIS,
+                                                   1e-12, 4, x_path)
+    assert np.array_equal(sol.Y, Y) and np.array_equal(sol.Z, Z)
     assert sol.picard_trace == trace and len(trace) == 4
-    assert sol.diagnostics == ref.diagnostics
-    assert np.array_equal(sol.pathwise_totals, ref.pathwise_totals)
+    assert sol.diagnostics == norms
+    assert np.array_equal(sol.pathwise_totals, totals)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -591,16 +634,11 @@ def test_solution_norms_match_summed_reference(n, d):
 @pytest.mark.parametrize("t0", [0.0, 0.25])
 def test_markov_simulated_path_matches_simulate_reflected(t0):
     coeffs, dom, _, x0, bundle, basis, g0 = _markov_case("backward_tail")
-    sol, refl = solve_bdsde_markov(coeffs, dom, t0, x0, bundle, basis, g_is_zero=g0)
+    _, refl = solve_bdsde_markov(coeffs, dom, t0, x0, bundle, basis, g_is_zero=g0)
     ref = simulate_reflected(coeffs, dom, t0, x0, bundle)
     for name in ("X", "k", "boundary_flags", "excluded"):
         a, b = getattr(refl, name), getattr(ref, name)
         assert a.flags.c_contiguous and np.array_equal(a, b), name
-    given, _ = solve_bdsde_markov(coeffs, dom, t0, x0, bundle, basis, reflected=ref,
-                                  g_is_zero=g0)
-    assert np.array_equal(sol.Y, given.Y) and np.array_equal(sol.Z, given.Z)
-    assert np.array_equal(sol.pathwise_totals, given.pathwise_totals)
-    assert sol.diagnostics == given.diagnostics
 
 
 def test_picard_matches_reference_with_every_step_stacked(monkeypatch):
