@@ -110,8 +110,7 @@ class SinNoise:
         self.freq_x = freq_x
 
     def __call__(self, t, x, y):
-        mod = 1.0 + self.x_mod * np.cos(self.freq_x * np.asarray(x)[..., 0])
-        return (self.amp * np.sin(y) * mod)[..., None]
+        return self.bind_x(x)(t, y)
 
     def bind_x(self, x):
         mod = 1.0 + self.x_mod * np.cos(self.freq_x * np.asarray(x)[..., 0])

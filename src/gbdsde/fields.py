@@ -40,11 +40,7 @@ class FieldEstimate:
     """Monte Carlo estimates of the solution field on requested nodes."""
 
     nodes: list[FieldNode]
-    b_scenario: int
     mode: str
-
-    def values(self) -> np.ndarray:
-        return np.array([n.u for n in self.nodes])
 
 
 # A block of pointwise field nodes holds, per node, its time-major X rows and
@@ -127,7 +123,7 @@ def evaluate_u(
     for (t_node, _), x_node, (u_val, se) in zip(field_grid, points, estimates):
         v_val = _invert_node(flow, grid.index_of(t_node), x_node, u_val)
         nodes.append(FieldNode(t_node, x_node, u_val, se, v_val, bundle.scenario_count))
-    return FieldEstimate(nodes=nodes, b_scenario=bundle.seed, mode=mode)
+    return FieldEstimate(nodes=nodes, mode=mode)
 
 
 def _invert_node(flow, t_index: int, x: np.ndarray, u_val: float) -> float:
@@ -192,15 +188,13 @@ def _oracle_pass(
     time_points: int,
     t_start: float,
     t_end: float,
-    theta: float = 0.5,
-    newton_tol: float = 1e-11,
-    newton_max: int = 30,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Crank-Nicolson sweep of the terminal-value problem."""
+    """One Crank-Nicolson sweep of the terminal-value problem; each step is
+    solved by Newton to a relative residual of 1e-11 within 30 iterations."""
     xs = np.linspace(a, b, space_points + 1)
     ts = np.linspace(t_start, t_end, time_points + 1)
     dx = xs[1] - xs[0]
-    dt_step = ts[1] - ts[0]
+    half_dt = 0.5 * (ts[1] - ts[0])  # Crank-Nicolson weight of each time level
     j_max = space_points
     x_col = xs[:, None]
 
@@ -232,21 +226,21 @@ def _oracle_pass(
     fd_eps = 1e-7
 
     def newton_step(t: float, u_guess: np.ndarray, const_part: np.ndarray) -> np.ndarray:
-        """Solve  v - theta dt (Lv + f(t, v)) = const_part  by banded Newton."""
+        """Solve  v - dt/2 (Lv + f(t, v)) = const_part  by banded Newton."""
         v = u_guess.copy()
-        for _ in range(newton_max):
-            resid = v - theta * dt_step * rhs_operator(t, v) - const_part
-            if np.max(np.abs(resid)) <= newton_tol * (1.0 + np.max(np.abs(v))):
+        for _ in range(30):
+            resid = v - half_dt * rhs_operator(t, v) - const_part
+            if np.max(np.abs(resid)) <= 1e-11 * (1.0 + np.max(np.abs(v))):
                 return v
             # tridiagonal Jacobian by column-group finite differences:
             # perturb every third node so the stencil responses do not overlap
             jac = np.zeros((3, j_max + 1))  # banded rows: upper, diag, lower
-            base = v - theta * dt_step * rhs_operator(t, v)
+            base = v - half_dt * rhs_operator(t, v)
             for group in range(3):
                 vp = v.copy()
                 sel = np.arange(group, j_max + 1, 3)
                 vp[sel] += fd_eps
-                pert = vp - theta * dt_step * rhs_operator(t, vp)
+                pert = vp - half_dt * rhs_operator(t, vp)
                 _fill_bands(jac, sel, (pert - base) / fd_eps)
             try:
                 delta = solve_banded((1, 1), jac, resid)
@@ -260,10 +254,15 @@ def _oracle_pass(
     u_grid[-1] = u
     for m in range(time_points - 1, -1, -1):
         t_new, t_old = ts[m], ts[m + 1]
-        const_part = u + (1.0 - theta) * dt_step * rhs_operator(t_old, u)
+        const_part = u + half_dt * rhs_operator(t_old, u)
         u = newton_step(t_new, u, const_part)
         u_grid[m] = u
     return xs, ts, u_grid
+
+
+# the oracle doubles its grids until two passes agree to this on shared nodes
+ORACLE_REFINE_TOL = 1e-4
+ORACLE_MAX_REFINEMENTS = 3
 
 
 def pde_oracle_g0(
@@ -273,14 +272,13 @@ def pde_oracle_g0(
     time_points: int = 100,
     t_start: float = 0.0,
     t_end: float = 1.0,
-    refine_tol: float = 1e-4,
-    max_refinements: int = 3,
 ) -> OracleSolution:
     """Deterministic interval oracle for the vanishing-backward-noise case.
 
     Crank-Nicolson in time, nonlinear Neumann closure by ghost nodes with a
     per-step Newton iteration; refines (doubling both grids) until two
-    successive solutions differ by less than ``refine_tol`` on shared nodes.
+    successive solutions differ by less than ``ORACLE_REFINE_TOL`` on shared
+    nodes, at most ``ORACLE_MAX_REFINEMENTS`` times.
     Raises FloatingPointError when a pass yields a non-finite value.
     """
     if domain.dim != 1:
@@ -300,14 +298,14 @@ def pde_oracle_g0(
     xs, ts, u = finite_pass(space_points, time_points)
     gap = np.inf
     refinements = 0
-    for r in range(1, max_refinements + 1):
+    for r in range(1, ORACLE_MAX_REFINEMENTS + 1):
         space_points *= 2
         time_points *= 2
         xs2, ts2, u2 = finite_pass(space_points, time_points)
         gap = float(np.max(np.abs(u2[::2, ::2] - u)))
         xs, ts, u = xs2, ts2, u2
         refinements = r
-        if gap < refine_tol:
+        if gap < ORACLE_REFINE_TOL:
             break
     return OracleSolution(x_nodes=xs, t_nodes=ts, u=u, refinement_gap=gap,
                           refinements=refinements)

@@ -20,11 +20,15 @@ pass from per-span Taylor matrices of the B-spline basis (piecewise
 polynomial form, de Boor, *A Practical Guide to Splines*), which agrees with
 FITPACK's own evaluation up to rounding: a relative drift of a few 1e-15 in
 the value and up to ~1e-11 in the second x-derivative.
+
+`BrownianFlow` differentiates on one stencil table (`_stencil_offsets`); the
+checks share one derivative pass and one direct operator (`_direct_operator`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
 from typing import Callable
 
@@ -34,8 +38,6 @@ from scipy.special import lambertw
 
 from .geometry import SmoothDomain
 from .problems import CoefficientSet
-
-DERIV_KEYS = ("value", "dx", "dy", "dxx", "dxy", "dyy")
 
 
 class FlowBlowup(RuntimeError):
@@ -57,6 +59,21 @@ def spde_noise_coefficient(coeffs: CoefficientSet) -> Callable:
         return out[..., 0, :]
 
     return g_flow
+
+
+def _stencil_offsets(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit offsets (P, m) in x and (P,) in y of the central-difference stencil.
+
+    The order is the centre; x_j +- for each j; y +-; (x_j +-, y +-) for each
+    j; (x_j +-, x_k +-) for each j < k; + comes before -, the outer sign first.
+    """
+    e, zero, signs = np.eye(m), np.zeros(m), (1.0, -1.0)
+    ox = ([zero] + [s * e[j] for j in range(m) for s in signs] + [zero, zero]
+          + [s * e[j] for j in range(m) for s in signs for _ in signs]
+          + [sj * e[j] + sk * e[k] for j, k in combinations(range(m), 2)
+             for sj in signs for sk in signs])
+    oy = [0.0] * (2 * m + 1) + [*signs] + [*signs] * (2 * m) + [0.0] * (2 * m * (m - 1))
+    return np.array(ox), np.array(oy)
 
 
 class BrownianFlow:
@@ -184,71 +201,40 @@ class BrownianFlow:
     # -- derivatives ------------------------------------------------------
 
     def _stencil(self, x: np.ndarray, y: np.ndarray):
-        """Finite-difference stencil points around (x, y), stacked on axis 0."""
-        m = x.shape[-1]
+        """Finite-difference stencil points around (x, y), stacked on axis 0
+        in the order of `_stencil_offsets`, and the steps hx (..., m), hy (...)."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
         hy = self.fd_step * (1.0 + np.abs(y))
-        hx = self.fd_step * (1.0 + np.abs(x))  # (..., m)
-        points_x, points_y = [x], [y]
-
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            points_x += [x + hx[..., j, None] * e, x - hx[..., j, None] * e]
-            points_y += [y, y]
-        points_x += [x, x]
-        points_y += [y + hy, y - hy]
-        for j in range(m):
-            e = np.zeros(m)
-            e[j] = 1.0
-            for sx in (1.0, -1.0):
-                for sy in (1.0, -1.0):
-                    points_x.append(x + sx * hx[..., j, None] * e)
-                    points_y.append(y + sy * hy)
-        for j in range(m):
-            for k in range(j + 1, m):
-                ej = np.zeros(m)
-                ej[j] = 1.0
-                ek = np.zeros(m)
-                ek[k] = 1.0
-                for sj in (1.0, -1.0):
-                    for sk in (1.0, -1.0):
-                        points_x.append(
-                            x + sj * hx[..., j, None] * ej + sk * hx[..., k, None] * ek)
-                        points_y.append(y)
-        return np.stack(points_x), np.stack(points_y), hx, hy
+        hx = self.fd_step * (1.0 + np.abs(x))
+        ox, oy = _stencil_offsets(x.shape[-1])
+        ox = ox.reshape(ox.shape[:1] + (1,) * (x.ndim - 1) + ox.shape[1:])
+        oy = oy.reshape(oy.shape + (1,) * y.ndim)
+        return x + hx * ox, y + hy * oy, hx, hy
 
     @staticmethod
-    def _assemble(vals: np.ndarray, hx: np.ndarray, hy: np.ndarray, m: int,
-                  shape: tuple) -> dict:
-        out: dict[str, np.ndarray] = {"value": vals[0]}
-        idx = 1
-        dx = np.empty(shape + (m,))
+    def _assemble(vals: np.ndarray, hx: np.ndarray, hy: np.ndarray) -> dict:
+        """Central differences from the stencil values ``vals`` (P, ...)."""
+        m, shape, v0 = hx.shape[-1], vals.shape[1:], vals[0]
+        vx = vals[1:2 * m + 1].reshape((m, 2) + shape)        # x_j +, x_j -
+        vy = vals[2 * m + 1:2 * m + 3]                         # y +, y -
+        vxy = vals[2 * m + 3:6 * m + 3].reshape((m, 4) + shape)
+        vxx = vals[6 * m + 3:].reshape((-1, 4) + shape)       # pairs j < k
         dxx = np.empty(shape + (m, m))
-        for j in range(m):
-            vp, vm = vals[idx], vals[idx + 1]
-            idx += 2
-            dx[..., j] = (vp - vm) / (2.0 * hx[..., j])
-            dxx[..., j, j] = (vp - 2.0 * vals[0] + vm) / hx[..., j] ** 2
-        vyp, vym = vals[idx], vals[idx + 1]
-        idx += 2
-        out["dy"] = (vyp - vym) / (2.0 * hy)
-        out["dyy"] = (vyp - 2.0 * vals[0] + vym) / hy**2
-        dxy = np.empty(shape + (m,))
-        for j in range(m):
-            vpp, vpm, vmp, vmm = vals[idx], vals[idx + 1], vals[idx + 2], vals[idx + 3]
-            idx += 4
-            dxy[..., j] = (vpp - vpm - vmp + vmm) / (4.0 * hx[..., j] * hy)
-        for j in range(m):
-            for k in range(j + 1, m):
-                vpp, vpm, vmp, vmm = vals[idx], vals[idx + 1], vals[idx + 2], vals[idx + 3]
-                idx += 4
-                cross = (vpp - vpm - vmp + vmm) / (4.0 * hx[..., j] * hx[..., k])
-                dxx[..., j, k] = cross
-                dxx[..., k, j] = cross
-        out["dx"] = dx
-        out["dxx"] = dxx
-        out["dxy"] = dxy
-        return out
+        diag = np.arange(m)
+        dxx[..., diag, diag] = np.moveaxis(vx[:, 0] - 2.0 * v0 + vx[:, 1], 0, -1) / hx**2
+        for (j, k), (vpp, vpm, vmp, vmm) in zip(combinations(range(m), 2), vxx):
+            dxx[..., j, k] = dxx[..., k, j] = (vpp - vpm - vmp + vmm) / (
+                4.0 * hx[..., j] * hx[..., k])
+        return {
+            "value": v0,
+            "dx": np.moveaxis(vx[:, 0] - vx[:, 1], 0, -1) / (2.0 * hx),
+            "dy": (vy[0] - vy[1]) / (2.0 * hy),
+            "dxx": dxx,
+            "dxy": (np.moveaxis(vxy[:, 0] - vxy[:, 1] - vxy[:, 2] + vxy[:, 3], 0, -1)
+                    / (4.0 * hx * hy[..., None])),
+            "dyy": (vy[0] - 2.0 * v0 + vy[1]) / hy**2,
+        }
 
     def derivs(self, t_index, x: np.ndarray, y: np.ndarray) -> dict:
         """Value and central-difference derivatives of the flow at (t, x, y).
@@ -256,11 +242,8 @@ class BrownianFlow:
         Returns a dict with value (...,), dx (..., m), dy (...,),
         dxx (..., m, m), dxy (..., m), dyy (...,).
         """
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         batch_x, batch_y, hx, hy = self._stencil(x, y)
-        vals = self.solve(t_index, batch_x, batch_y)
-        return self._assemble(vals, hx, hy, x.shape[-1], y.shape)
+        return self._assemble(self.solve(t_index, batch_x, batch_y), hx, hy)
 
     # -- inversion --------------------------------------------------------
 
@@ -348,15 +331,10 @@ class BrownianFlow:
     def inverse_derivs(self, t_index, x: np.ndarray, w: np.ndarray,
                        guess: np.ndarray | None = None) -> dict:
         """Central-difference derivatives of the y-inverse at (t, x, w)."""
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
         batch_x, batch_w, hx, hy = self._stencil(x, w)
-        batch_guess = None
         if guess is not None:
-            batch_guess = np.broadcast_to(np.asarray(guess, dtype=float),
-                                          batch_w.shape).copy()
-        vals = self.invert(t_index, batch_x, batch_w, guess=batch_guess)
-        return self._assemble(vals, hx, hy, x.shape[-1], w.shape)
+            guess = np.broadcast_to(np.asarray(guess, dtype=float), batch_w.shape).copy()
+        return self._assemble(self.invert(t_index, batch_x, batch_w, guess=guess), hx, hy)
 
 
 class _SplineAxis:
@@ -486,12 +464,15 @@ class FlowTable:
             self._inv_splines[t_index] = sp
         return sp
 
+    def _clipped(self, x: np.ndarray, y: np.ndarray,
+                 y_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x and y flattened and clipped to the ranges of x_grid and y_grid."""
+        return (np.clip(np.asarray(x, dtype=float).reshape(-1), self.x_grid[0], self.x_grid[-1]),
+                np.clip(np.asarray(y, dtype=float).reshape(-1), y_grid[0], y_grid[-1]))
+
     def value(self, t_index: int, x: np.ndarray, y: np.ndarray,
               dx: int = 0, dy: int = 0) -> np.ndarray:
-        x1 = np.clip(np.asarray(x, dtype=float).reshape(-1),
-                     self.x_grid[0], self.x_grid[-1])
-        y1 = np.clip(np.asarray(y, dtype=float).reshape(-1),
-                     self.y_grid[0], self.y_grid[-1])
+        x1, y1 = self._clipped(x, y, self.y_grid)
         out = self._spline(t_index).ev(x1, y1, dx=dx, dy=dy)
         return out.reshape(np.asarray(y).shape)
 
@@ -512,10 +493,7 @@ class FlowTable:
                                    + np.arange(self._ky + 1)).ravel()
         ax, ay = self._axes
         shape = np.asarray(y).shape
-        x1 = np.clip(np.asarray(x, dtype=float)[..., 0].reshape(-1),
-                     self.x_grid[0], self.x_grid[-1])
-        y1 = np.clip(np.asarray(y, dtype=float).reshape(-1),
-                     self.y_grid[0], self.y_grid[-1])
+        x1, y1 = self._clipped(np.asarray(x)[..., 0], y, self.y_grid)
         span_x, basis_x = ax.basis(x1)
         span_y, basis_y = ay.basis(y1)
         first = span_x * ay.coeff_count + span_y
@@ -534,12 +512,8 @@ class FlowTable:
 
     def invert(self, t_index: int, x: np.ndarray, target: np.ndarray,
                dx: int = 0, dy: int = 0) -> np.ndarray:
-        xv = np.asarray(x, dtype=float)
-        if xv.ndim >= 2:
-            xv = xv[..., 0]
-        x1 = np.clip(xv.reshape(-1), self.x_grid[0], self.x_grid[-1])
-        u1 = np.clip(np.asarray(target, dtype=float).reshape(-1),
-                     self.u_grid[0], self.u_grid[-1])
+        x = np.asarray(x)
+        x1, u1 = self._clipped(x[..., 0] if x.ndim >= 2 else x, target, self.u_grid)
         out = self._inv_spline(t_index).ev(x1, u1, dx=dx, dy=dy)
         return out.reshape(np.asarray(target).shape)
 
@@ -548,13 +522,19 @@ class FlowTable:
 # Verification: derivative identities and growth envelopes
 # ---------------------------------------------------------------------------
 
-IDENTITY_NAMES = (
-    "inverse_grad_x",
-    "inverse_grad_y",
-    "inverse_hess_xx",
-    "inverse_hess_xy",
-    "inverse_hess_yy",
-)
+
+def _as_samples(t_indices, *arrays) -> tuple:
+    """Sample time indices as an int array, then each sample array as floats."""
+    return (np.asarray(t_indices, dtype=int),) + tuple(np.asarray(a, dtype=float)
+                                                       for a in arrays)
+
+
+def _flow_and_inverse_derivs(flow: BrownianFlow, samples: tuple) -> tuple:
+    """(t_indices, ys, flow derivatives at (t, x, y), inverse derivatives at
+    (t, x, flow(t, x, y))) for samples (t_indices, xs, ys)."""
+    t_idx, x, y = _as_samples(*samples)
+    fd = flow.derivs(t_idx, x, y)
+    return t_idx, y, fd, flow.inverse_derivs(t_idx, x, fd["value"], guess=y)
 
 
 def flow_derivative_identities(
@@ -568,13 +548,7 @@ def flow_derivative_identities(
     derivatives at (t, x, y); the identities follow from differentiating
     inverse(t, x, flow(t, x, y)) = y twice.
     """
-    t_idx, xs, ys = samples
-    t_idx = np.asarray(t_idx, dtype=int)
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    fd = flow.derivs(t_idx, x, y)
-    w = fd["value"]
-    ed = flow.inverse_derivs(t_idx, x, w, guess=y)
+    _, _, fd, ed = _flow_and_inverse_derivs(flow, samples)
     dxe, dye = ed["dx"], ed["dy"]
     dxxe, dxye, dyye = ed["dxx"], ed["dxy"], ed["dyy"]
     dxh, dyh = fd["dx"], fd["dy"]
@@ -615,10 +589,7 @@ def flow_growth_constants(
     increment because the flow integrates from the final time backwards (the
     forward-flow bound uses B_t; time reversal swaps in the tail).
     """
-    t_idx, xs, ys = samples
-    t_idx = np.asarray(t_idx, dtype=int)
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
+    t_idx, y, fd, ed = _flow_and_inverse_derivs(flow, samples)
     b_norm = np.linalg.norm(flow.b_path[-1] - flow.b_path[t_idx], axis=-1)
 
     def env_linear(excess: np.ndarray) -> float:
@@ -637,21 +608,15 @@ def flow_growth_constants(
                      / np.where(small, 1.0, b_norm))
         return float(np.max(c))
 
-    fd = flow.derivs(t_idx, x, y)
     w = fd["value"]
-    ed = flow.inverse_derivs(t_idx, x, w, guess=y)
     out = {
         "flow_value": env_linear(np.abs(w) - np.abs(y)),
         "inverse_value": env_linear(np.abs(ed["value"]) - np.abs(w)),
     }
     for tag, dv in (("flow", fd), ("inverse", ed)):
-        mags = np.concatenate([
-            np.abs(dv["dx"]).reshape(len(y), -1),
-            np.abs(dv["dy"]).reshape(len(y), -1),
-            np.abs(dv["dxx"]).reshape(len(y), -1),
-            np.abs(dv["dxy"]).reshape(len(y), -1),
-            np.abs(dv["dyy"]).reshape(len(y), -1),
-        ], axis=1).max(axis=1)
+        mags = np.concatenate([np.abs(dv[key]).reshape(len(y), -1)
+                               for key in ("dx", "dy", "dxx", "dxy", "dyy")],
+                              axis=1).max(axis=1)
         out[f"{tag}_derivatives"] = env_exp(mags)
     return out
 
@@ -661,11 +626,11 @@ def flow_growth_constants(
 # ---------------------------------------------------------------------------
 
 
-def _g_and_dyg(coeffs: CoefficientSet, t, x: np.ndarray, y: np.ndarray,
-               fd_step: float = 1e-6) -> np.ndarray:
-    """<g, D_y g>(t, x, y) for the scalar-flow g, via central differences."""
+def _g_and_dyg(coeffs: CoefficientSet, t, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<g, D_y g>(t, x, y) for the scalar-flow g, via central differences of
+    the fixed step 1e-6 (1 + |y|)."""
     g_flow = spde_noise_coefficient(coeffs)
-    h = fd_step * (1.0 + np.abs(y))
+    h = 1e-6 * (1.0 + np.abs(y))
     g0 = g_flow(t, x, y)
     dg = (g_flow(t, x, y + h) - g_flow(t, x, y - h)) / (2.0 * h[..., None])
     return np.einsum("...d,...d->...", g0, dg)
@@ -760,12 +725,8 @@ class AnalyticField:
     """Deterministic scalar test field with analytic derivatives."""
 
     fn: Callable
-    fn_t: Callable
     grad: Callable
     hess: Callable
-
-    def value(self, t, x: np.ndarray) -> np.ndarray:
-        return self.fn(t, x)
 
 
 def trig_test_field(amp: float = 1.0, freq: float = 1.0,
@@ -774,9 +735,6 @@ def trig_test_field(amp: float = 1.0, freq: float = 1.0,
 
     def fn(t, x):
         return amp * np.exp(-decay * np.asarray(t)) * np.sin(freq * x[..., 0] + 0.5)
-
-    def fn_t(t, x):
-        return -decay * fn(t, x)
 
     def grad(t, x):
         out = np.zeros_like(x)
@@ -790,7 +748,7 @@ def trig_test_field(amp: float = 1.0, freq: float = 1.0,
         out[..., 0, 0] = -(freq**2) * fn(t, x)
         return out
 
-    return AnalyticField(fn, fn_t, grad, hess)
+    return AnalyticField(fn, grad, hess)
 
 
 def quadratic_test_field(a: float = 1.0, b: float = 0.0, c: float = 0.0) -> AnalyticField:
@@ -799,9 +757,6 @@ def quadratic_test_field(a: float = 1.0, b: float = 0.0, c: float = 0.0) -> Anal
     def fn(t, x):
         x1 = x[..., 0]
         return a * x1**2 + b * x1 + c
-
-    def fn_t(t, x):
-        return np.zeros(x.shape[:-1])
 
     def grad(t, x):
         out = np.zeros_like(x)
@@ -814,21 +769,25 @@ def quadratic_test_field(a: float = 1.0, b: float = 0.0, c: float = 0.0) -> Anal
         out[..., 0, 0] = 2.0 * a
         return out
 
-    return AnalyticField(fn, fn_t, grad, hess)
+    return AnalyticField(fn, grad, hess)
+
+
+def _direct_operator(coeffs: CoefficientSet, t, x: np.ndarray, psi: np.ndarray,
+                     dpsi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
+    """-L psi - f(t, x, psi, sigma* Dx psi) + (1/2)<g, Dy g>(t, x, psi), given
+    psi, its gradient (..., m) and its Hessian (..., m, m) at (t, x)."""
+    sig = coeffs.sigma(x)
+    l_psi = _diffusion_operator(sig, coeffs.b(x), dpsi, hpsi)
+    sig_t_dpsi = np.einsum("...md,...m->...d", sig, dpsi)
+    f_val = coeffs.f(t, x, psi[..., None], sig_t_dpsi[..., None, :])[..., 0]
+    return -l_psi - f_val + 0.5 * _g_and_dyg(coeffs, t, x, psi)
 
 
 def spde_operator(coeffs: CoefficientSet, field: AnalyticField, t,
                   x: np.ndarray) -> np.ndarray:
     """The stationary part -L psi - f(t,x,psi,sigma* Dx psi) + (1/2)<g, Dy g>."""
-    psi = field.value(t, x)
-    dx = field.grad(t, x)
-    dxx = field.hess(t, x)
-    sig = coeffs.sigma(x)
-    l_psi = _diffusion_operator(sig, coeffs.b(x), dx, dxx)
-    sig_t_dx = np.einsum("...md,...m->...d", sig, dx)
-    f_val = coeffs.f(t, x, psi[..., None], sig_t_dx[..., None, :])[..., 0]
-    gdg = _g_and_dyg(coeffs, t, x, psi)
-    return -l_psi - f_val + 0.5 * gdg
+    return _direct_operator(coeffs, t, x, field.fn(t, x), field.grad(t, x),
+                            field.hess(t, x))
 
 
 def operator_identity_violations(
@@ -845,10 +804,9 @@ def operator_identity_violations(
     at psi, and compares with the g-free operator of the transformed driver
     applied to phi.  Times enter per sample; one backward sweep serves all.
     """
-    t_idx = np.asarray(t_indices, dtype=int)
-    x = np.asarray(xs, dtype=float)
+    t_idx, x = _as_samples(t_indices, xs)
     t = flow.grid.points[t_idx]
-    phi = base_field.value(t, x)
+    phi = base_field.fn(t, x)
     dphi = base_field.grad(t, x)
     hphi = base_field.hess(t, x)
     dv = flow.derivs(t_idx, x, phi)
@@ -861,13 +819,7 @@ def operator_identity_violations(
         + dv["dyy"][..., None, None] * dphi[..., :, None] * dphi[..., None, :]
         + dv["dy"][..., None, None] * hphi
     )
-    sig = coeffs.sigma(x)
-    b = coeffs.b(x)
-    l_psi = _diffusion_operator(sig, b, dpsi, hpsi)
-    sig_t_dpsi = np.einsum("...md,...m->...d", sig, dpsi)
-    f_val = coeffs.f(t, x, psi[..., None], sig_t_dpsi[..., None, :])[..., 0]
-    gdg = _g_and_dyg(coeffs, t, x, psi)
-    a_direct = -l_psi - f_val + 0.5 * gdg
+    a_direct = _direct_operator(coeffs, t, x, psi, dpsi, hpsi)
 
     # independent inverse slope at (t, x, psi) by differencing the inverse
     h = flow.fd_step * (1.0 + np.abs(psi))
@@ -877,9 +829,10 @@ def operator_identity_violations(
     lhs = dy_inv * a_direct
 
     # transformed side: -L phi - f_tilde(t, x, phi, sigma* Dx phi)
+    sig = coeffs.sigma(x)
     sig_t_dphi = np.einsum("...md,...m->...d", sig, dphi)
     f_tilde = transformed_generator(coeffs, flow, t_idx, t, x, phi, sig_t_dphi)
-    l_phi = _diffusion_operator(sig, b, dphi, hphi)
+    l_phi = _diffusion_operator(sig, coeffs.b(x), dphi, hphi)
     rhs = -l_phi - f_tilde
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return np.abs(lhs - rhs) / scale
@@ -898,11 +851,7 @@ def transform_identity_violations(
     the transformed sides evaluate the transformed coefficients at
     u = inverse(s, x, y), v = D_y inverse * z + sigma* D_x inverse.
     """
-    t_idx, xs, ys, zs = interior_samples
-    t_idx = np.asarray(t_idx, dtype=int)
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    z = np.asarray(zs, dtype=float)
+    t_idx, x, y, z = _as_samples(*interior_samples)
     t = flow.grid.points[t_idx]
     ed = flow.inverse_derivs(t_idx, x, y)
     sig = coeffs.sigma(x)
@@ -927,10 +876,7 @@ def transform_identity_violations(
 
     worst_h = 0.0
     if boundary_samples is not None:
-        tb_idx, xb, yb = boundary_samples
-        tb_idx = np.asarray(tb_idx, dtype=int)
-        xb = np.asarray(xb, dtype=float)
-        yb = np.asarray(yb, dtype=float)
+        tb_idx, xb, yb = _as_samples(*boundary_samples)
         tb = flow.grid.points[tb_idx]
         ed_b = flow.inverse_derivs(tb_idx, xb, yb)
         h_val = coeffs.h(tb, xb, yb[..., None])[..., 0]

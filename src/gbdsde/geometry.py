@@ -18,6 +18,9 @@ import numpy as np
 
 Region = str  # "interior" | "boundary" | "exterior"
 
+# a built-in domain's boundary band: |phi| <= BOUNDARY_TOL times its diameter
+BOUNDARY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SmoothDomain:
@@ -92,14 +95,14 @@ def _smooth_abs_d2(s: np.ndarray, r0: float) -> np.ndarray:
     return np.where(a >= r0, 0.0, inner)
 
 
-def interval_domain(a: float, b: float, boundary_tol: float | None = None) -> SmoothDomain:
-    """The interval (a, b) with phi = mollified signed distance to the boundary."""
+def interval_domain(a: float, b: float) -> SmoothDomain:
+    """The interval (a, b) with phi = mollified signed distance to the boundary
+    and boundary band ``BOUNDARY_TOL`` (b - a)."""
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got ({a}, {b})")
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     r0 = half / 4.0
-    tol = boundary_tol if boundary_tol is not None else 1e-9 * (b - a)
 
     def phi(x: np.ndarray) -> np.ndarray:
         s = np.asarray(x, dtype=float)[..., 0] - mid
@@ -118,18 +121,18 @@ def interval_domain(a: float, b: float, boundary_tol: float | None = None) -> Sm
 
     return SmoothDomain(
         dim=1, phi=phi, grad_phi=grad, hess_phi=hess, project_fn=project,
-        boundary_tol=tol, diameter=b - a, name=f"interval({a},{b})",
+        boundary_tol=BOUNDARY_TOL * (b - a), diameter=b - a, name=f"interval({a},{b})",
     )
 
 
-def ball_domain(center, radius: float, boundary_tol: float | None = None) -> SmoothDomain:
-    """Ball of given center and radius, phi = radius - |x - c| mollified near c."""
+def ball_domain(center, radius: float) -> SmoothDomain:
+    """Ball of given center and radius, phi = radius - |x - c| mollified near c,
+    and boundary band ``BOUNDARY_TOL`` 2 radius."""
     c = np.atleast_1d(np.asarray(center, dtype=float))
     if radius <= 0 or not np.isfinite(radius):
         raise ValueError(f"radius must be positive and finite, got {radius}")
     dim = c.shape[0]
     r0 = radius / 4.0
-    tol = boundary_tol if boundary_tol is not None else 1e-9 * (2 * radius)
 
     def rho(x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(np.asarray(x, dtype=float) - c, axis=-1)
@@ -173,7 +176,8 @@ def ball_domain(center, radius: float, boundary_tol: float | None = None) -> Smo
 
     return SmoothDomain(
         dim=dim, phi=phi, grad_phi=grad, hess_phi=hess, project_fn=project,
-        boundary_tol=tol, diameter=2 * radius, name=f"ball({tuple(c)},{radius})",
+        boundary_tol=BOUNDARY_TOL * (2 * radius), diameter=2 * radius,
+        name=f"ball({tuple(c)},{radius})",
     )
 
 

@@ -45,11 +45,11 @@ class TimeGrid:
     def __len__(self) -> int:
         return self.step_count + 1
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Index of a grid point equal to t (within tol * dt)."""
+    def index_of(self, t: float) -> int:
+        """Index of the grid point equal to t within 1e-9 max(dt, 1)."""
         idx = int(round((t - self.t_start) / self.dt))
         if idx < 0 or idx > self.step_count:
             raise ValueError(f"time {t} outside grid [{self.t_start}, {self.t_end}]")
-        if abs(self.points[idx] - t) > tol * max(self.dt, 1.0):
+        if abs(self.points[idx] - t) > 1e-9 * max(self.dt, 1.0):
             raise ValueError(f"time {t} is not a grid point (dt = {self.dt})")
         return idx

@@ -199,11 +199,11 @@ def moment_diagnostics(
     starts: list[np.ndarray],
     mu: float,
     bundle: PathBundle,
-    start_time: float | None = None,
 ) -> dict:
     """Empirical fourth-moment flow regularity and exponential k moments.
 
-    With common random numbers across starts, estimates the ratios
+    Every start is simulated from the grid's start time.  With common random
+    numbers across starts, estimates the ratios
     E sup |X^x - X^x'|^4 / |x - x'|^4 and the analogue for k, plus
     E exp(mu k_T) per start.  Returns worst ratios, per-pair tables and
     standard errors.
@@ -213,8 +213,7 @@ def moment_diagnostics(
         for j in range(i + 1, len(pts)):
             if np.allclose(pts[i], pts[j]):
                 raise ValueError("starts must be pairwise distinct")
-    t0 = bundle.grid.t_start if start_time is None else start_time
-    sims = [simulate_reflected(coeffs, domain, t0, p, bundle) for p in pts]
+    sims = [simulate_reflected(coeffs, domain, bundle.grid.t_start, p, bundle) for p in pts]
 
     pair_rows = []
     for i in range(len(pts)):

@@ -1,11 +1,13 @@
 """Discrete residual checkers for the two composite Ito-type identities.
 
 Both checkers build a semimartingale path by explicit accumulation of its
-stated components, evaluate both sides of the corresponding identity at the
-discrete level, and report the per-time difference.  The residual of a
-correct discretization vanishes in RMS as dt -> 0; flipping the sign of a
-quadratic-variation or cross-variation term leaves an O(t) defect, which is
-what the mutation switches are for.
+stated components through one helper, `_accumulate`, evaluate both sides of
+the corresponding identity at the discrete level, and report the per-time
+difference.  `_accumulate` fills a missing component with zeros and raises
+ValueError when no component is given, a component is mis-shaped or the k
+path decreases.  The residual of a correct discretization vanishes in RMS as
+dt -> 0; flipping the sign of a quadratic-variation or cross-variation term
+leaves an O(t) defect, which is what the mutation switches are for.
 
 Sign conventions (squared-norm identity):  the backward-noise quadratic
 variation enters with a minus sign, the forward one with a plus sign.
@@ -40,6 +42,45 @@ class ResidualReport:
         return float(np.max(np.abs(self.residuals)))
 
 
+def _accumulate(alpha0, beta, theta, gamma, delta, k_path, bundle: PathBundle) -> tuple:
+    """alpha_{i+1} = alpha_i + beta_i dt + theta_i dk_i + gamma_{i+1} dB_i
+    + delta_i dW_i from alpha0, as (alpha, beta, theta, gamma, delta, dk) with
+    the missing components zero-filled.  Shapes: beta, theta (S, T+1, n);
+    gamma, delta (S, T+1, n, d); alpha0 (n,) or (S, n).  Raises ValueError when
+    no component is given, one (named by its ds, dk, dB or dW slot) is
+    mis-shaped, or the k path decreases.
+    """
+    S, n_pts, d = bundle.scenario_count, len(bundle.grid), bundle.d
+    some = next((c for c in (beta, theta, gamma, delta) if c is not None), None)
+    if some is None:
+        raise ValueError("at least one path component must be supplied")
+    n = np.shape(some)[2] if np.ndim(some) > 2 else 0
+    comps = []
+    for role, comp, shape in (("ds", beta, (S, n_pts, n)), ("dk", theta, (S, n_pts, n)),
+                              ("dB", gamma, (S, n_pts, n, d)), ("dW", delta, (S, n_pts, n, d))):
+        if comp is not None and np.shape(comp) != shape:
+            raise ValueError(f"the {role} component has shape {np.shape(comp)}, "
+                             f"expected {shape}")
+        comps.append(np.zeros(shape) if comp is None else comp)
+    k = _as_k(k_path, S, n_pts)
+    dk = np.diff(k, axis=1)
+    if np.any(dk < -1e-12):
+        raise ValueError("k path must be nondecreasing")
+    beta, theta, gamma, delta = comps
+    dt, dB, dW = bundle.grid.dt, bundle.dB, bundle.dW
+    alpha = np.empty((S, n_pts, n))
+    alpha[:, 0, :] = np.broadcast_to(np.atleast_1d(alpha0), (S, n))
+    for i in range(bundle.grid.step_count):
+        inc = (
+            beta[:, i] * dt
+            + theta[:, i] * dk[:, i, None]
+            + np.einsum("snd,sd->sn", gamma[:, i + 1], dB[:, i])
+            + np.einsum("snd,sd->sn", delta[:, i], dW[:, i])
+        )
+        alpha[:, i + 1] = alpha[:, i] + inc
+    return alpha, beta, theta, gamma, delta, dk
+
+
 def ito_formula_residual(
     alpha0: np.ndarray,
     beta: np.ndarray | None,
@@ -59,43 +100,13 @@ def ito_formula_residual(
     term to +, which must break convergence.
 
     Component shapes: beta, theta (S, T+1, n); gamma, delta (S, T+1, n, d);
-    alpha0 (n,) or (S, n).  Missing components are treated as zero.
+    alpha0 (n,) or (S, n).  Missing components are treated as zero; the path
+    is built, and its input checked, by `_accumulate`.
     """
-    grid = bundle.grid
-    S, n_pts = bundle.scenario_count, len(grid)
-    d = bundle.d
-    some = next(c for c in (beta, theta, gamma, delta) if c is not None)
-    n = some.shape[2]
-    for name, comp, ndim in (
-        ("beta", beta, 3), ("theta", theta, 3), ("gamma", gamma, 4), ("delta", delta, 4),
-    ):
-        if comp is not None and (comp.ndim != ndim or comp.shape[:2] != (S, n_pts)):
-            raise ValueError(f"component {name} has shape {comp.shape}, expected (S, T+1, ...)")
-    zeros_v = np.zeros((S, n_pts, n))
-    zeros_m = np.zeros((S, n_pts, n, d))
-    beta = zeros_v if beta is None else beta
-    theta = zeros_v if theta is None else theta
-    gamma = zeros_m if gamma is None else gamma
-    delta = zeros_m if delta is None else delta
-
-    k = _as_k(k_path, S, n_pts)
-    if np.any(np.diff(k, axis=1) < -1e-12):
-        raise ValueError("k path must be nondecreasing")
-    dk = np.diff(k, axis=1)
-    dt = grid.dt
+    alpha, beta, theta, gamma, delta, dk = _accumulate(
+        alpha0, beta, theta, gamma, delta, k_path, bundle)
+    S, dt = bundle.scenario_count, bundle.grid.dt
     dB, dW = bundle.dB, bundle.dW
-
-    alpha = np.empty((S, n_pts, n))
-    alpha[:, 0, :] = np.broadcast_to(np.atleast_1d(alpha0), (S, n))
-    for i in range(grid.step_count):
-        inc = (
-            beta[:, i] * dt
-            + theta[:, i] * dk[:, i, None]
-            + np.einsum("snd,sd->sn", gamma[:, i + 1], dB[:, i])
-            + np.einsum("snd,sd->sn", delta[:, i], dW[:, i])
-        )
-        alpha[:, i + 1] = alpha[:, i] + inc
-
     lhs = np.sum(alpha**2, axis=-1) - np.sum(alpha[:, :1] ** 2, axis=-1)
 
     gamma_sq = np.sum(gamma[:, 1:] ** 2, axis=(-2, -1))
@@ -110,7 +121,7 @@ def ito_formula_residual(
         + delta_sq * dt
     )
     rhs = np.concatenate([np.zeros((S, 1)), np.cumsum(increments, axis=1)], axis=1)
-    return ResidualReport(times=grid.points.copy(), residuals=lhs - rhs)
+    return ResidualReport(times=bundle.grid.points.copy(), residuals=lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -279,37 +290,17 @@ def ito_ventzell_residual(
     The path has components (beta dk, gamma backward-dB, delta dW) -- no
     drift term -- and the identity for M(t, alpha_t) includes the two
     cross-variation terms + tr(DxK delta*) ds and - tr(DxH gamma*) ds.
-    ``flip_backward_cross`` mutates the latter's sign.
+    ``flip_backward_cross`` mutates the latter's sign.  The path is built,
+    and its input checked, by `_accumulate` (beta takes the dk slot).
     """
-    grid = bundle.grid
-    S, n_pts, d = bundle.scenario_count, len(grid), bundle.d
-    some = next((c for c in (beta, gamma, delta) if c is not None), None)
-    if some is None:
-        raise ValueError("at least one path component must be supplied")
-    n = some.shape[2]
-    zeros_v = np.zeros((S, n_pts, n))
-    zeros_m = np.zeros((S, n_pts, n, d))
-    beta = zeros_v if beta is None else beta
-    gamma = zeros_m if gamma is None else gamma
-    delta = zeros_m if delta is None else delta
-    k = _as_k(k_path, S, n_pts)
-    dk = np.diff(k, axis=1)
-    dt = grid.dt
-    dB, dW = bundle.dB, bundle.dW
-    times = grid.points
-
-    alpha = np.empty((S, n_pts, n))
-    alpha[:, 0, :] = np.broadcast_to(np.atleast_1d(alpha0), (S, n))
-    for i in range(grid.step_count):
-        alpha[:, i + 1] = alpha[:, i] + (
-            beta[:, i] * dk[:, i, None]
-            + np.einsum("snd,sd->sn", gamma[:, i + 1], dB[:, i])
-            + np.einsum("snd,sd->sn", delta[:, i], dW[:, i])
-        )
-
-    B, W = bundle.B, bundle.W
-    lhs = np.empty((S, n_pts))
-    for i in range(n_pts):
+    # beta takes the dk slot, with no ds component: 0 dt + beta dk = beta dk
+    alpha, _, beta, gamma, delta, dk = _accumulate(
+        alpha0, None, beta, gamma, delta, k_path, bundle)
+    grid, S = bundle.grid, bundle.scenario_count
+    dt, times = grid.dt, grid.points
+    B, W, dB, dW = bundle.B, bundle.W, bundle.dB, bundle.dW
+    lhs = np.empty((S, len(grid)))
+    for i in range(len(grid)):
         lhs[:, i] = field.value(times[i], alpha[:, i], B[:, i], W[:, i])
     lhs -= lhs[:, :1]
 
@@ -318,7 +309,7 @@ def ito_ventzell_residual(
     for i in range(grid.step_count):
         t_l, t_r = times[i], times[i + 1]
         x_l, x_r = alpha[:, i], alpha[:, i + 1]
-        b_r, w_l = B[:, i + 1], W[:, i]
+        b_r = B[:, i + 1]
         grad_l = field.grad_x(t_l, x_l, B[:, i], W[:, i])
         grad_r = field.grad_x(t_r, x_r, b_r, W[:, i + 1])
         hess_l = field.hess_x(t_l, x_l, B[:, i], W[:, i])

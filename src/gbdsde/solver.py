@@ -286,16 +286,15 @@ def picard_solve(
     basis,
     tol: float = 1e-10,
     max_iter: int = 12,
-    x_path: np.ndarray | None = None,
 ) -> BdsdeSolution:
     """Outer fixed-point iteration for the full nonlinear equation.
 
-    Freezes (Y, Z) inside f, g, h, solves the resulting simple equation and
-    repeats until the energy-weighted norm of successive differences
-    (`weighted_difference_norm`) drops below tol (or max_iter is hit).
-    Raises PicardDivergence if the trace grows for three consecutive
-    iterations, and FloatingPointError when a difference norm is not finite
-    (a non-finite iterate makes its norm non-finite).
+    Freezes (Y, Z) inside f, g, h (called with x = None), solves the
+    resulting simple equation and repeats until the energy-weighted norm of
+    successive differences (`weighted_difference_norm`) drops below tol (or
+    max_iter is hit).  Raises PicardDivergence if the trace grows for three
+    consecutive iterations, and FloatingPointError when a difference norm is
+    not finite (a non-finite iterate makes its norm non-finite).
 
     The iterates stay time-major: the coefficients are evaluated per time
     on their rows and `solve_simple`'s pass runs on them directly; the
@@ -314,7 +313,6 @@ def picard_solve(
 
     projectors = [proj for _, proj in projector_walk(_points_of(bundle, not bundle.shared_b),
                                                      basis, range(grid.step_count))]
-    x_rows = None if x_path is None else swap_scenario_time(x_path)
     y_rows = np.zeros((n_pts, S, n))
     z_rows = np.zeros((n_pts, S, n, coeffs.d))
     f_rows = np.empty((n_pts, S, n))
@@ -325,10 +323,9 @@ def picard_solve(
     grew = 0
     for _ in range(max_iter):
         for i in range(n_pts):
-            x_i = None if x_rows is None else x_rows[i]
-            f_rows[i] = coeffs.f(times[i], x_i, y_rows[i], z_rows[i])
-            h_rows[i] = coeffs.h(times[i], x_i, y_rows[i])
-            g_rows[i] = coeffs.g(times[i], x_i, y_rows[i], z_rows[i])
+            f_rows[i] = coeffs.f(times[i], None, y_rows[i], z_rows[i])
+            h_rows[i] = coeffs.h(times[i], None, y_rows[i])
+            g_rows[i] = coeffs.g(times[i], None, y_rows[i], z_rows[i])
         Y, Z, totals = _simple_induction(xi, f_rows, g_rows, h_rows, dk_rows, bundle,
                                          ((i, projectors[i]) for i in backward))
         norm = _weighted_norm(swap_scenario_time(Y - y_rows), swap_scenario_time(Z - z_rows),

@@ -817,3 +817,126 @@ def test_inversion_contract_property(t_index, x, target, offset):
     y_hat = flow.invert(t_index, xs, targets, guess=targets + offset)
     resid = np.abs(flow.solve(t_index, xs, y_hat) - targets)
     assert np.all(resid <= 1e-10 * (1.0 + np.abs(targets)))
+
+
+def _reference_stencil(fd_step, x, y):
+    """The four hand-unrolled stencil loops the offset table replaced."""
+    m = x.shape[-1]
+    hy = fd_step * (1.0 + np.abs(y))
+    hx = fd_step * (1.0 + np.abs(x))  # (..., m)
+    points_x, points_y = [x], [y]
+
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = 1.0
+        points_x += [x + hx[..., j, None] * e, x - hx[..., j, None] * e]
+        points_y += [y, y]
+    points_x += [x, x]
+    points_y += [y + hy, y - hy]
+    for j in range(m):
+        e = np.zeros(m)
+        e[j] = 1.0
+        for sx in (1.0, -1.0):
+            for sy in (1.0, -1.0):
+                points_x.append(x + sx * hx[..., j, None] * e)
+                points_y.append(y + sy * hy)
+    for j in range(m):
+        for k in range(j + 1, m):
+            ej = np.zeros(m)
+            ej[j] = 1.0
+            ek = np.zeros(m)
+            ek[k] = 1.0
+            for sj in (1.0, -1.0):
+                for sk in (1.0, -1.0):
+                    points_x.append(
+                        x + sj * hx[..., j, None] * ej + sk * hx[..., k, None] * ek)
+                    points_y.append(y)
+    return np.stack(points_x), np.stack(points_y), hx, hy
+
+
+def _reference_assemble(vals, hx, hy, m, shape):
+    """The per-coordinate difference loops the whole-array expressions replaced."""
+    out = {"value": vals[0]}
+    idx = 1
+    dx = np.empty(shape + (m,))
+    dxx = np.empty(shape + (m, m))
+    for j in range(m):
+        vp, vm = vals[idx], vals[idx + 1]
+        idx += 2
+        dx[..., j] = (vp - vm) / (2.0 * hx[..., j])
+        dxx[..., j, j] = (vp - 2.0 * vals[0] + vm) / hx[..., j] ** 2
+    vyp, vym = vals[idx], vals[idx + 1]
+    idx += 2
+    out["dy"] = (vyp - vym) / (2.0 * hy)
+    out["dyy"] = (vyp - 2.0 * vals[0] + vym) / hy**2
+    dxy = np.empty(shape + (m,))
+    for j in range(m):
+        vpp, vpm, vmp, vmm = vals[idx], vals[idx + 1], vals[idx + 2], vals[idx + 3]
+        idx += 4
+        dxy[..., j] = (vpp - vpm - vmp + vmm) / (4.0 * hx[..., j] * hy)
+    for j in range(m):
+        for k in range(j + 1, m):
+            vpp, vpm, vmp, vmm = vals[idx], vals[idx + 1], vals[idx + 2], vals[idx + 3]
+            idx += 4
+            cross = (vpp - vpm - vmp + vmm) / (4.0 * hx[..., j] * hx[..., k])
+            dxx[..., j, k] = cross
+            dxx[..., k, j] = cross
+    out["dx"] = dx
+    out["dxx"] = dxx
+    out["dxy"] = dxy
+    return out
+
+
+def _mixing_g(t, x, y):
+    return (0.6 * np.sin(y) * (1.0 + 0.2 * np.cos(np.sum(x, axis=-1))))[..., None]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("batch", [(6,), (5, 4)], ids=["6", "5x4"])
+def test_derivs_bit_identical_to_reference_stencil(m, batch):
+    grid, bp = _grid_and_path(steps=120, seed=47)
+    flow = BrownianFlow(_mixing_g, bp, grid, lipschitz_hint=0.72)
+    rng = np.random.default_rng(m)
+    x = rng.uniform(-1.0, 1.0, batch + (m,))
+    y = rng.uniform(-1.0, 1.0, batch)
+    t_idx = rng.integers(0, 120, batch)
+    bx, by, hx, hy = _reference_stencil(flow.fd_step, x, y)
+    ref = _reference_assemble(flow.solve(t_idx, bx, by), hx, hy, m, batch)
+    got = flow.derivs(t_idx, x, y)
+    assert got.keys() == ref.keys()
+    assert all(np.array_equal(got[key], ref[key]) for key in ref)
+    guess = np.broadcast_to(y, by.shape).copy()
+    ref = _reference_assemble(flow.invert(t_idx, bx, by, guess=guess), hx, hy, m, batch)
+    got = flow.inverse_derivs(t_idx, x, y, guess=y)
+    assert all(np.array_equal(got[key], ref[key]) for key in ref)
+
+
+def test_verification_outputs_are_pinned():
+    # reprs taken before the stencil table, the shared derivative pass and the
+    # shared direct operator replaced their hand-written copies
+    from gbdsde.acceptance import _transform_instance
+    from gbdsde.flows import (operator_identity_violations, spde_noise_coefficient,
+                              trig_test_field)
+
+    grid = TimeGrid(0.0, 1.0, 50)
+    bp = sample_paths(grid, d=1, seed=61, count=1).B[0]
+    coeffs = _transform_instance()
+    flow = BrownianFlow(spde_noise_coefficient(coeffs), bp, grid, lipschitz_hint=1.0)
+    x = np.array([[0.2], [0.7]])
+    assert repr(spde_operator(coeffs, trig_test_field(), 0.3, x).tolist()) == (
+        "[0.707895379652447, 1.1429710959439054]")
+    assert repr(operator_identity_violations(coeffs, flow, trig_test_field(),
+                                             np.array([10, 30]), x).tolist()) == (
+        "[2.887690087050032e-13, 1.4206413823103503e-12]")
+    noise = SinNoise(amp=0.8)
+    growth = flow_growth_constants(
+        BrownianFlow(noise, bp, grid, lipschitz_hint=noise.lipschitz),
+        (np.array([5, 20, 40]), np.array([[0.1], [0.5], [0.9]]), np.array([-0.5, 0.2, 1.0])))
+    assert repr(growth) == (
+        "{'flow_value': 0.7981636856397777, 'inverse_value': 0.41335078183385693, "
+        "'flow_derivatives': 0.9698549238775988, 'inverse_derivatives': 0.9825824306362105}")
+    out = transform_identity_violations(
+        coeffs, interval_domain(0.0, 1.0), flow,
+        (np.array([10, 30]), x, np.array([0.4, -0.3]), np.array([[0.5], [-0.2]])),
+        (np.array([15, 35]), np.array([[0.0], [1.0]]), np.array([0.1, -0.6])))
+    assert repr(out) == "{'generator': 7.607652341423687e-09, 'boundary': 4.0721426231016267e-11}"

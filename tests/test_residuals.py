@@ -171,3 +171,37 @@ def test_ventzell_boundary_component():
                                 None, None, k, bundle)
     # alpha_t = k_t deterministic; the dk chain-rule term must track it
     assert rep.rms < 5e-3
+
+
+def _bad_input(problem):
+    """Components (beta, theta, gamma, delta) and a k path with one defect."""
+    S, n_pts = 4, 11
+    ones_v, ones_m = np.ones((S, n_pts, 1)), np.ones((S, n_pts, 1, 1))
+    k = np.linspace(0.0, 1.0, n_pts)
+    if problem == "no_component":
+        return (None, None, None, None), k, "at least one path component"
+    if problem == "decreasing_k":
+        k = k.copy()
+        k[5] = -1.0
+        return (None, None, ones_m, None), k, "k path must be nondecreasing"
+    if problem == "dk_without_state_axis":
+        return (None, np.ones((S, n_pts)), None, None), k, r"the dk component has shape \(4, 11\)"
+    if problem == "dW_without_noise_axis":
+        return (None, ones_v, None, ones_v), k, r"the dW component has shape \(4, 11, 1\)"
+    # a two-dimensional dk component beside a one-dimensional dB one
+    return (None, np.ones((S, n_pts, 2)), ones_m, None), k, "the dB component has shape"
+
+
+@pytest.mark.parametrize("checker", ["ito", "ventzell"])
+@pytest.mark.parametrize("problem", ["no_component", "decreasing_k", "dk_without_state_axis",
+                                     "dW_without_noise_axis", "state_dims_disagree"])
+def test_checkers_reject_bad_input_by_name(checker, problem):
+    bundle = _bundle(10, count=4)
+    (beta, theta, gamma, delta), k, message = _bad_input(problem)
+    with pytest.raises(ValueError, match=message):
+        if checker == "ito":
+            ito_formula_residual(np.zeros(1), beta, theta, gamma, delta, k, bundle)
+        else:
+            # the Ventzell path's boundary component takes the dk slot
+            ito_ventzell_residual(_quadratic_drift_field(), np.zeros(1), theta, gamma,
+                                  delta, k, bundle)

@@ -451,7 +451,7 @@ def test_markov_solver_matches_scenario_major_reference(case):
     assert np.any(Z != 0.0)
 
 
-def _reference_picard(coeffs, xi, k_path, bundle, basis, tol, max_iter, x_path=None):
+def _reference_picard(coeffs, xi, k_path, bundle, basis, tol, max_iter):
     """The scenario-major Picard coefficient loop on `_reference_simple`, kept
     as the bit-for-bit reference."""
     from gbdsde.solver import _as_k, weighted_difference_norm
@@ -473,10 +473,9 @@ def _reference_picard(coeffs, xi, k_path, bundle, basis, tol, max_iter, x_path=N
         h_path = np.empty((S, n_pts, n))
         g_path = np.empty((S, n_pts, n, coeffs.d))
         for i in range(n_pts):
-            x_i = None if x_path is None else x_path[:, i, :]
-            f_path[:, i] = coeffs.f(times[i], x_i, Y[:, i], Z[:, i])
-            h_path[:, i] = coeffs.h(times[i], x_i, Y[:, i])
-            g_path[:, i] = coeffs.g(times[i], x_i, Y[:, i], Z[:, i])
+            f_path[:, i] = coeffs.f(times[i], None, Y[:, i], Z[:, i])
+            h_path[:, i] = coeffs.h(times[i], None, Y[:, i])
+            g_path[:, i] = coeffs.g(times[i], None, Y[:, i], Z[:, i])
         Y_new, Z_new, totals, norms = _reference_simple(xi, f_path, g_path, h_path, k,
                                                         bundle, basis)
         norm = weighted_difference_norm(Y_new - Y, Z_new - Z, k, grid)
@@ -487,8 +486,7 @@ def _reference_picard(coeffs, xi, k_path, bundle, basis, tol, max_iter, x_path=N
     return Y, Z, totals, norms, trace
 
 
-@pytest.mark.parametrize("with_x", [False, True])
-def test_picard_matches_scenario_major_reference(with_x):
+def test_picard_matches_scenario_major_reference():
     grid = TimeGrid(0.0, 1.0, 30)
     bundle = sample_paths(grid, d=2, seed=53, count=500)
     coeffs = _zeros_coeffs(
@@ -497,12 +495,10 @@ def test_picard_matches_scenario_major_reference(with_x):
         g=lambda t, x, y, z: 0.3 * z + (0.0 if x is None else 0.1 * x[..., None]),
         h=lambda t, x, y: 0.2 * y + 0.1)
     k_path = 0.4 * grid.points
-    x_path = bundle.W[:, :, :1] if with_x else None
     xi = np.cos(bundle.W[:, -1, 0])
-    sol = picard_solve(coeffs, xi, k_path, bundle, BASIS, tol=1e-12, max_iter=4,
-                       x_path=x_path)
+    sol = picard_solve(coeffs, xi, k_path, bundle, BASIS, tol=1e-12, max_iter=4)
     Y, Z, totals, norms, trace = _reference_picard(coeffs, xi, k_path, bundle, BASIS,
-                                                   1e-12, 4, x_path)
+                                                   1e-12, 4)
     assert np.array_equal(sol.Y, Y) and np.array_equal(sol.Z, Z)
     assert sol.picard_trace == trace and len(trace) == 4
     assert sol.diagnostics == norms
@@ -647,7 +643,7 @@ def test_picard_matches_reference_with_every_step_stacked(monkeypatch):
     from gbdsde import regression
 
     monkeypatch.setattr(regression, "BLOCK_BYTES", 1 << 24)
-    test_picard_matches_scenario_major_reference(with_x=True)
+    test_picard_matches_scenario_major_reference()
 
 
 def _reference_simple(xi, f_path, g_path, h_path, k_path, bundle, basis):
