@@ -43,7 +43,6 @@ from .residuals import (
 from .regression import (
     PiecewiseBinBasis,
     PolynomialBasis,
-    conditional_expectation,
     make_basis,
 )
 from .solver import (
@@ -100,7 +99,6 @@ __all__ = [
     "PolynomialBasis",
     "PiecewiseBinBasis",
     "make_basis",
-    "conditional_expectation",
     "BdsdeSolution",
     "solve_simple",
     "picard_solve",

@@ -5,6 +5,13 @@ threshold it is held against and the verdict; the CLI acceptance suite and
 the test suite both run these, so there is exactly one implementation of
 each gate.  All scales (step sizes, scenario counts, sample counts) are the
 stated ones; nothing is deferred to later calibration.
+
+The ingredients of the criteria are stated once and shared with the CLI
+verification suites: `noise_flow` and `flow_samples` give the flow and the
+sample points of the flow identities (criteria 2 and 7, `verify-flow`),
+`_ito_cases` and `_ventzell_cases` the residual cases on a bundle
+(criterion 8, `verify-calculus`), and `_noise_instance` the one-dimensional
+problems with a sine backward noise (criteria 6 and 7).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .flows import (
     trig_test_field,
 )
 from .grids import TimeGrid
-from .paths import PathBundle, sample_paths
+from .paths import PathBundle, philox, sample_paths
 from .problems import CoefficientSet
 from .reflection import moment_diagnostics, simulate_reflected, skorokhod_bridge_exact, skorokhod_oracle_1d
 from .regression import PolynomialBasis
@@ -125,6 +132,33 @@ class SinNoise:
         return self.amp * (1.0 + abs(self.x_mod))
 
 
+def noise_flow(noise: SinNoise, grid: TimeGrid, seed: int, fd_step: float) -> BrownianFlow:
+    """The flow of ``noise`` along the B path of the seed's one-scenario bundle."""
+    bundle = sample_paths(grid, d=1, seed=seed, count=1)
+    return BrownianFlow(noise, bundle.B[0], grid, fd_step=fd_step,
+                        lipschitz_hint=noise.lipschitz)
+
+
+def flow_samples(seed: int, stream: int, steps: int, count: int) -> tuple:
+    """Sample points (t_idx, x, y) of the flow checks, from the Philox stream
+    (seed, stream): time indices below ``steps``, then x of shape (count, 1)
+    and y of shape (count,), both uniform on [-2, 2)."""
+    rng = philox(seed, stream)
+    return (rng.integers(0, steps, count), rng.uniform(-2.0, 2.0, (count, 1)),
+            rng.uniform(-2.0, 2.0, count))
+
+
+def _noise_instance(noise: SinNoise, f, h, drift: float, **rest) -> CoefficientSet:
+    """n = d = x_dim = 1 with backward noise g(t, x, y) = noise(t, x, y),
+    forward drift b = ``drift`` and unit sigma."""
+
+    def g(t, x, y, z):
+        return noise(t, x, y[..., 0])[..., None, :]
+
+    return CoefficientSet(n=1, d=1, f=f, g=g, h=h, b=lambda x: np.full_like(x, drift),
+                          sigma=lambda x: np.ones(x.shape[:-1] + (1, 1)), x_dim=1, **rest)
+
+
 # ---------------------------------------------------------------------------
 # 1. Reflected scheme against the exact half-line solution
 # ---------------------------------------------------------------------------
@@ -142,9 +176,8 @@ def criterion_reflection_oracle(seed: int = 2024) -> list[CriterionResult]:
 
     for b0 in range(0, scenarios, batch):
         rows = min(batch, scenarios - b0)
-        key = np.array([seed, 1000 + b0], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        incr = gen.standard_normal((rows, t_ref_steps)) * math.sqrt(1.0 / t_ref_steps)
+        incr = (philox(seed, 1000 + b0).standard_normal((rows, t_ref_steps))
+                * math.sqrt(1.0 / t_ref_steps))
         w_fine = np.concatenate([np.zeros((rows, 1)), np.cumsum(incr, axis=1)], axis=1)
         x_ref, _ = skorokhod_oracle_1d(0.0, w_fine)
         for dt, stride in strides.items():
@@ -176,24 +209,14 @@ def criterion_reflection_oracle(seed: int = 2024) -> list[CriterionResult]:
 
 def criterion_flow_identities(seed: int = 2024) -> list[CriterionResult]:
     grid = TimeGrid(0.0, 1.0, 10_000)  # dt = 1e-4
-    bundle = sample_paths(grid, d=1, seed=seed, count=1)
-    noise = SinNoise(amp=1.0, x_mod=0.25)
-    flow = BrownianFlow(noise, bundle.B[0], grid, fd_step=1e-4,
-                        lipschitz_hint=noise.lipschitz)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 21], dtype=np.uint64)))
-    n_samples = 1000
-    t_idx = rng.integers(0, grid.step_count, n_samples)
-    xs = rng.uniform(-2.0, 2.0, (n_samples, 1))
-    ys = rng.uniform(-2.0, 2.0, n_samples)
-
+    flow = noise_flow(SinNoise(amp=1.0, x_mod=0.25), grid, seed, 1e-4)
+    t_idx, xs, ys = flow_samples(seed, 21, grid.step_count, 1000)
     w = flow.solve(t_idx, xs, ys)
     back = flow.invert(t_idx, xs, w, guess=ys)
     inv_gap = float(np.max(np.abs(back - ys) / (1.0 + np.abs(ys))))
     results = [_le("flow_inversion_identity", inv_gap, 1e-9)]
     viol = flow_derivative_identities(flow, (t_idx, xs, ys))
-    for name, value in viol.items():
-        results.append(_le(f"flow_identity_{name}", value, 1e-3))
-    return results
+    return results + [_le(f"flow_identity_{name}", value, 1e-3) for name, value in viol.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -311,30 +334,15 @@ def criterion_heat_benchmark(seed: int = 2024) -> list[CriterionResult]:
 # ---------------------------------------------------------------------------
 
 
+TRANSFORM_NOISE = SinNoise(amp=0.3, x_mod=0.25, freq_x=math.pi)
+
+
 def _transform_instance() -> CoefficientSet:
-    noise = SinNoise(amp=0.3, x_mod=0.25, freq_x=math.pi)
-
-    def f(t, x, y, z):
-        return -y + 0.25 * np.sin(z[..., 0, :].sum(axis=-1))[..., None]
-
-    def g(t, x, y, z):
-        return noise(t, x, y[..., 0])[..., None, :]
-
-    def h(t, x, y):
-        return 0.5 - 0.5 * y
-
-    def b_fn(x):
-        return np.zeros_like(x)
-
-    def sigma_fn(x):
-        return np.ones(x.shape[:-1] + (1, 1))
-
-    return CoefficientSet(
-        n=1, d=1, f=f, g=g, h=h,
-        K=2.0, c=1.0, alpha=0.2, beta1=0.5,
-        b=b_fn, sigma=sigma_fn, x_dim=1,
-        l=lambda x: 1.0 + np.cos(math.pi * x[..., 0]),
-    )
+    return _noise_instance(
+        TRANSFORM_NOISE,
+        lambda t, x, y, z: -y + 0.25 * np.sin(z[..., 0, :].sum(axis=-1))[..., None],
+        lambda t, x, y: 0.5 - 0.5 * y, drift=0.0, K=2.0, c=1.0, alpha=0.2, beta1=0.5,
+        l=lambda x: 1.0 + np.cos(math.pi * x[..., 0]))
 
 
 def criterion_transform_equivalence(seed: int = 2024) -> list[CriterionResult]:
@@ -347,9 +355,8 @@ def criterion_transform_equivalence(seed: int = 2024) -> list[CriterionResult]:
     direct, reflected = solve_bdsde_markov(
         coeffs, domain, 0.0, np.array([0.5]), bundle, basis)
 
-    noise = SinNoise(amp=0.3, x_mod=0.25, freq_x=math.pi)
-    flow = BrownianFlow(noise, bundle.B[0], grid, fd_step=1e-4,
-                        lipschitz_hint=noise.lipschitz)
+    flow = BrownianFlow(TRANSFORM_NOISE, bundle.B[0], grid, fd_step=1e-4,
+                        lipschitz_hint=TRANSFORM_NOISE.lipschitz)
     y_all = direct.Y[:, :, 0]
     pad = 1.5
     y_grid = np.linspace(y_all.min() - pad, y_all.max() + pad, 96)
@@ -376,33 +383,17 @@ def criterion_transform_equivalence(seed: int = 2024) -> list[CriterionResult]:
 
 def criterion_operator_identity(seed: int = 2024) -> list[CriterionResult]:
     noise = SinNoise(amp=1.0, x_mod=0.25)
-
-    def f(t, x, y, z):
-        return -y + 0.2 * np.sin(z[..., 0, :].sum(axis=-1))[..., None] + 0.1 * x[..., :1]
-
-    def g(t, x, y, z):
-        return noise(t, x, y[..., 0])[..., None, :]
-
-    def h(t, x, y):
-        return np.zeros_like(y)
-
-    def b_fn(x):
-        return np.full_like(x, 0.1)
-
-    def sigma_fn(x):
-        return np.ones(x.shape[:-1] + (1, 1))
-
-    coeffs = CoefficientSet(n=1, d=1, f=f, g=g, h=h, K=2.0, c=2.0, alpha=0.5,
-                            beta1=1.0, b=b_fn, sigma=sigma_fn, x_dim=1)
+    coeffs = _noise_instance(
+        noise,
+        lambda t, x, y, z: (-y + 0.2 * np.sin(z[..., 0, :].sum(axis=-1))[..., None]
+                            + 0.1 * x[..., :1]),
+        lambda t, x, y: np.zeros_like(y), drift=0.1, K=2.0, c=2.0, alpha=0.5, beta1=1.0)
     grid = TimeGrid(0.0, 1.0, 10_000)
-    bundle = sample_paths(grid, d=1, seed=seed, count=1)
-    flow = BrownianFlow(noise, bundle.B[0], grid, fd_step=1e-4,
-                        lipschitz_hint=noise.lipschitz)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 31], dtype=np.uint64)))
-    t_idx = rng.integers(0, grid.step_count, 100)
-    xs = rng.uniform(0.0, 1.0, (100, 1))
+    flow = noise_flow(noise, grid, seed, 1e-4)
+    t_idx, xs, _ = flow_samples(seed, 31, grid.step_count, 100)
     field = trig_test_field(amp=0.8, freq=2.0, decay=0.4)
-    viol = operator_identity_violations(coeffs, flow, field, t_idx, xs)
+    # (x + 2) / 4 is exactly the U[0, 1) draw behind each x
+    viol = operator_identity_violations(coeffs, flow, field, t_idx, (xs + 2.0) / 4.0)
     return [_le("operator_identity_relative", float(np.max(viol)), 1e-3)]
 
 
@@ -411,27 +402,21 @@ def criterion_operator_identity(seed: int = 2024) -> list[CriterionResult]:
 # ---------------------------------------------------------------------------
 
 
-def _ito_cases(seed: int, steps: int) -> dict[str, dict]:
-    grid = TimeGrid(0.0, 1.0, steps)
-    bundle = sample_paths(grid, d=1, seed=seed, count=256)
-    S, n_pts = 256, steps + 1
+def _ito_cases(bundle: PathBundle) -> dict[str, dict]:
+    """The Ito-formula residual cases on a bundle: forward noise alone,
+    backward noise alone (c = 0.8), and all four components with k_t = t."""
+    S, n_pts = bundle.scenario_count, len(bundle.grid)
     ones_m = np.ones((S, n_pts, 1, 1))
-    c_val = 0.8
-    k_ramp = np.broadcast_to(grid.points, (S, n_pts))
-    cases = {
-        "forward_noise": dict(alpha0=np.zeros(1), beta=None, theta=None,
-                              gamma=None, delta=ones_m, k_path=None, bundle=bundle),
-        "backward_noise": dict(alpha0=np.zeros(1), beta=None, theta=None,
-                               gamma=c_val * ones_m, delta=None, k_path=None,
-                               bundle=bundle),
+    none = dict(alpha0=np.zeros(1), beta=None, theta=None, gamma=None, delta=None,
+                k_path=None, bundle=bundle)
+    return {
+        "forward_noise": {**none, "delta": ones_m},
+        "backward_noise": {**none, "gamma": 0.8 * ones_m},
         "mixed_boundary": dict(
-            alpha0=np.full(1, 0.2),
-            beta=0.5 * np.ones((S, n_pts, 1)),
-            theta=np.ones((S, n_pts, 1)),
-            gamma=0.4 * ones_m, delta=0.7 * ones_m,
-            k_path=k_ramp, bundle=bundle),
+            alpha0=np.full(1, 0.2), beta=0.5 * np.ones((S, n_pts, 1)),
+            theta=np.ones((S, n_pts, 1)), gamma=0.4 * ones_m, delta=0.7 * ones_m,
+            k_path=np.broadcast_to(bundle.grid.points, (S, n_pts)), bundle=bundle),
     }
-    return cases
 
 
 def quadratic_drift_field() -> DriftField:
@@ -446,78 +431,61 @@ def quadratic_drift_field() -> DriftField:
     )
 
 
-def _ventzell_cases(seed: int, steps: int) -> list[tuple[str, dict]]:
-    grid = TimeGrid(0.0, 1.0, steps)
-    bundle = sample_paths(grid, d=1, seed=seed + 7, count=256)
-    S, n_pts = 256, steps + 1
-    ones_m = np.ones((S, n_pts, 1, 1))
-
+def _ventzell_cases(bundle: PathBundle) -> dict[str, dict]:
+    """The Ito-Ventzell residual cases on a bundle: the quadratic drift field
+    along forward noise, and the fields linear in B and in W along unit
+    backward and forward noise."""
+    ones_m = np.ones((bundle.scenario_count, len(bundle.grid), 1, 1))
     linear_coef = dict(
         coef=lambda x: x[..., :1],
         coef_grad=lambda x: np.ones(x.shape[:-1] + (1, 1)),
         coef_hess=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)),
     )
-    backward_field = NoiseLinearField(channel="backward", **linear_coef)
-    forward_field = NoiseLinearField(channel="forward", **linear_coef)
-    return [
-        ("deterministic_field", dict(field=quadratic_drift_field(), alpha0=np.zeros(1),
-                                     beta=None, gamma=None, delta=ones_m, k_path=None,
-                                     bundle=bundle)),
-        ("backward_field", dict(field=backward_field, alpha0=np.zeros(1), beta=None,
-                                gamma=ones_m, delta=None, k_path=None, bundle=bundle)),
-        ("forward_field", dict(field=forward_field, alpha0=np.zeros(1), beta=None,
-                               gamma=None, delta=ones_m, k_path=None, bundle=bundle)),
-    ]
+    none = dict(alpha0=np.zeros(1), beta=None, gamma=None, delta=None, k_path=None,
+                bundle=bundle)
+    return {
+        "deterministic_field": {**none, "field": quadratic_drift_field(), "delta": ones_m},
+        "backward_field": {**none, "gamma": ones_m,
+                           "field": NoiseLinearField(channel="backward", **linear_coef)},
+        "forward_field": {**none, "delta": ones_m,
+                          "field": NoiseLinearField(channel="forward", **linear_coef)},
+    }
+
+
+# per residual: its checker, its cases, the bundle seed's offset, and the case,
+# switch and expected final defect of its sign mutation at dt = 1e-3: 2 c^2 t
+# with c = 0.8 for the flipped backward quadratic variation, and 2 int
+# tr(DxH gamma*) ds = 2t for the flipped backward cross term
+_RESIDUALS = {
+    "ito": (ito_formula_residual, _ito_cases, 0, "backward_noise", "flip_gamma_sign", 1.28),
+    "ventzell": (ito_ventzell_residual, _ventzell_cases, 7, "backward_field",
+                 "flip_backward_cross", 2.0),
+}
 
 
 def criterion_residual_convergence(seed: int = 2024) -> list[CriterionResult]:
-    results = []
-    ladders = (100, 1000, 10_000)  # dt = 1e-2, 1e-3, 1e-4
-
-    ito_rms: dict[str, list[float]] = {}
-    for steps in ladders:
-        for name, case in _ito_cases(seed, steps).items():
-            rep = ito_formula_residual(**case)
-            ito_rms.setdefault(name, []).append(rep.rms)
-    for name, series in ito_rms.items():
-        ratios = [series[i] / series[i + 1] for i in range(len(series) - 1)]
-        results.append(_ge(f"ito_residual_decay_{name}", min(ratios), 2.5,
-                           rms=series))
-
-    vz_rms: dict[str, list[float]] = {}
-    for steps in ladders:
-        for name, case in _ventzell_cases(seed, steps):
-            rep = ito_ventzell_residual(**case)
-            vz_rms.setdefault(name, []).append(rep.rms)
-    for name, series in vz_rms.items():
-        ratios = [series[i] / series[i + 1] for i in range(len(series) - 1)]
-        results.append(_ge(f"ventzell_residual_decay_{name}", min(ratios), 2.5,
-                           rms=series))
-
-    # sign mutations at dt = 1e-3 must leave an O(t) defect
-    cases = _ito_cases(seed, 1000)
-    good = ito_formula_residual(**cases["backward_noise"])
-    bad = ito_formula_residual(**cases["backward_noise"], flip_gamma_sign=True)
-    results.append(_ge("ito_mutation_detected", bad.rms / max(good.rms, 1e-300), 10.0,
-                       correct_rms=good.rms, mutated_rms=bad.rms))
-    # expected defect magnitude ~ 2 c^2 t with c = 0.8 at the final time
-    final = float(np.mean(np.abs(bad.residuals[:, -1])))
-    results.append(_le("ito_mutation_magnitude", abs(final - 1.28) / 1.28, 0.2,
-                       final_mean_abs=final))
-
-    vz_cases = dict(_ventzell_cases(seed, 1000))
-    good_v = ito_ventzell_residual(**vz_cases["backward_field"])
-    bad_v = ito_ventzell_residual(**vz_cases["backward_field"],
-                                  flip_backward_cross=True)
-    results.append(_ge("ventzell_mutation_detected",
-                       bad_v.rms / max(good_v.rms, 1e-300), 10.0,
-                       correct_rms=good_v.rms, mutated_rms=bad_v.rms))
-    # flipped cross term leaves defect ~ 2t (the term enters with weight 1,
-    # flipping adds 2 int tr(DxH gamma*) ds = 2t)
-    final_v = float(np.mean(np.abs(bad_v.residuals[:, -1])))
-    results.append(_le("ventzell_mutation_magnitude", abs(final_v - 2.0) / 2.0, 0.2,
-                       final_mean_abs=final_v))
-    return results
+    decay, mutation = [], []
+    for family, (residual, cases_of, offset, mutated, switch, defect) in _RESIDUALS.items():
+        rms: dict[str, list[float]] = {}
+        for steps in (100, 1000, 10_000):  # dt = 1e-2, 1e-3, 1e-4
+            bundle = sample_paths(TimeGrid(0.0, 1.0, steps), d=1, seed=seed + offset, count=256)
+            cases = cases_of(bundle)
+            for name, case in cases.items():
+                rms.setdefault(name, []).append(residual(**case).rms)
+            if steps == 1000:  # the mutation must leave an O(t) defect
+                good = rms[mutated][-1]
+                bad = residual(**cases[mutated], **{switch: True})
+        for name, series in rms.items():
+            ratios = [series[i] / series[i + 1] for i in range(len(series) - 1)]
+            decay.append(_ge(f"{family}_residual_decay_{name}", min(ratios), 2.5, rms=series))
+        final = float(np.mean(np.abs(bad.residuals[:, -1])))
+        mutation += [
+            _ge(f"{family}_mutation_detected", bad.rms / max(good, 1e-300), 10.0,
+                correct_rms=good, mutated_rms=bad.rms),
+            _le(f"{family}_mutation_magnitude", abs(final - defect) / defect, 0.2,
+                final_mean_abs=final),
+        ]
+    return decay + mutation
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +525,7 @@ def _random_linear_instance(rng: np.random.Generator) -> dict:
 
 def criterion_estimate_stability(seed: int = 2024) -> list[CriterionResult]:
     results = []
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 41], dtype=np.uint64)))
+    rng = philox(seed, 41)
     grid = TimeGrid(0.0, 1.0, 100)
     basis = PolynomialBasis(3)
     ratios = {1000: [], 10_000: []}
@@ -581,22 +549,16 @@ def criterion_estimate_stability(seed: int = 2024) -> list[CriterionResult]:
                        note="mean ratio growth from 1e3 to 1e4 scenarios"))
 
     # two-data stability: perturb the driver by delta cos(y)
-    base = _random_linear_instance(
-        np.random.Generator(np.random.Philox(key=np.array([seed, 43], dtype=np.uint64))))
-    coeffs = base["coeffs"]
+    coeffs = _random_linear_instance(philox(seed, 43))["coeffs"]
     bundle = sample_paths(grid, d=1, seed=seed + 500, count=4000)
     xi = bundle.W[:, -1, 0]
     k_path = 0.3 * grid.points
     sol_base = picard_solve(coeffs, xi, k_path, bundle, basis, tol=1e-12, max_iter=9)
     scalings = []
     for delta in (0.1, 0.05, 0.025):
-        def f_pert(t, x, y, z, _d=delta, _f=coeffs.f):
-            return _f(t, x, y, z) + _d * np.cos(y)
-
-        pert = CoefficientSet(
-            n=1, d=1, f=f_pert, g=coeffs.g, h=coeffs.h, K=coeffs.K + delta,
-            c=coeffs.c + 2 * delta**2 + 2 * delta * math.sqrt(coeffs.c),
-            alpha=coeffs.alpha, beta1=coeffs.beta1)
+        pert = replace(
+            coeffs, f=lambda t, x, y, z, _d=delta: coeffs.f(t, x, y, z) + _d * np.cos(y),
+            K=coeffs.K + delta, c=coeffs.c + 2 * delta**2 + 2 * delta * math.sqrt(coeffs.c))
         sol_pert = picard_solve(pert, xi, k_path, bundle, basis, tol=1e-12, max_iter=9)
         gap = stability_gap(
             {"xi": xi, "coeffs": coeffs, "k": k_path},

@@ -7,9 +7,14 @@ Coefficients in a config file are small expression trees, not code:
     l: {kind: trig, amp: 1.0, func: cos, of: x, freq: 3.14159}
     h: {kind: sum, terms: [{kind: constant, value: 1.0}, {kind: linear, y: 0.5}]}
 
-Supported kinds: zero, constant, linear, affine, trig, sum, scale.  Every
-builder returns a scenario-vectorized callable with the calling convention
-of its role (see problems.CoefficientSet).
+Supported kinds: zero, constant, linear, affine, trig, sum, scale.  A tree
+is compiled once, when the problem is built: `build_coefficient` holds the
+one preamble every callable shares (it names the role's arguments and takes
+the leading size from them) and the role's trailing shape from `_ROLES`, and
+each kind only fills in its values; sum and scale compile their terms
+recursively.  The result is a scenario-vectorized callable with the calling
+convention of its role (see problems.CoefficientSet).  An unknown role or a
+missing kind is a ValueError, an unknown kind or trig function a KeyError.
 """
 
 from __future__ import annotations
@@ -22,179 +27,131 @@ from .problems import CoefficientSet
 
 _FUNCS = {"sin": np.sin, "cos": np.cos}
 
-# roles and their argument lists
-_ROLE_ARGS = {
-    "f": ("t", "x", "y", "z"),
-    "g": ("t", "x", "y", "z"),
-    "h": ("t", "x", "y"),
-    "l": ("x",),
-    "b": ("x",),
-    "sigma": ("x",),
+# role: (argument names, trailing shape of the value, the x term's index)
+_ROLES = {
+    "f": (("t", "x", "y", "z"), ("n",), np.s_[..., :1]),
+    "g": (("t", "x", "y", "z"), ("n", "d"), np.s_[..., :1, None]),
+    "h": (("t", "x", "y"), ("n",), np.s_[..., :1]),
+    "l": (("x",), (), np.s_[..., 0]),
+    "b": (("x",), ("x_dim",), np.s_[...]),
+    "sigma": (("x",), ("x_dim", "d"), np.s_[..., :1, None]),
 }
 
 
-def _scalar_of(spec: dict, t, x, y) -> np.ndarray:
-    """Evaluate the scalar core of a trig term; shape follows y (or x)."""
-    of = spec.get("of", "y")
-    freq = float(spec.get("freq", 1.0))
-    phase = float(spec.get("phase", 0.0))
-    func = _FUNCS[spec.get("func", "sin")]
-    if of == "y":
-        base = y[..., 0]
-    elif of == "x":
-        base = x[..., 0]
-    elif of == "t":
-        base = np.asarray(t, dtype=float)
-    else:
-        raise ValueError(f"trig 'of' must be y, x or t, got {of!r}")
-    out = func(freq * base + phase)
-    mod_amp = float(spec.get("x_mod_amp", 0.0))
-    if mod_amp:
-        mod_freq = float(spec.get("x_mod_freq", 1.0))
-        out = out * (1.0 + mod_amp * np.cos(mod_freq * x[..., 0]))
-    return float(spec.get("amp", 1.0)) * out
-
-
 def build_coefficient(spec: dict, role: str, n: int, d: int, x_dim: int) -> Callable:
-    """Compile one expression tree into a vectorized coefficient callable."""
-    if role not in _ROLE_ARGS:
+    """Compile one expression tree into a vectorized coefficient callable.
+
+    The callable names its arguments after the role, takes the leading size
+    from the first of y, x and z it is given (1 when none is) and returns an
+    array of that leading size and the role's trailing shape.
+    """
+    if role not in _ROLES:
         raise ValueError(f"unknown coefficient role {role!r}")
+    names, trailing, _ = _ROLES[role]
+    trail = tuple({"n": n, "d": d, "x_dim": x_dim}[k] for k in trailing)
+    values = _compile(spec, role, d, x_dim)
+
+    def fn(*args):
+        a = dict(zip(names, args))
+        lead = next((a[k].shape[0] for k in ("y", "x", "z") if a.get(k) is not None), 1)
+        return values(a, (lead,) + trail)
+    return fn
+
+
+def _compile(spec: dict, role: str, d: int, x_dim: int) -> Callable:
+    """The values of one tree node: a function of (named arguments, shape)."""
     kind = spec.get("kind")
     if kind is None:
         raise ValueError(f"coefficient spec for {role!r} lacks a 'kind'")
 
-    def out_shape(lead: int) -> tuple[int, ...]:
-        if role == "f" or role == "h":
-            return (lead, n)
-        if role == "g":
-            return (lead, n, d)
-        if role == "l":
-            return (lead,)
-        if role == "b":
-            return (lead, x_dim)
-        return (lead, x_dim, d)  # sigma
-
-    def lead_of(args: dict) -> int:
-        for key in ("y", "x", "z"):
-            if args.get(key) is not None:
-                return args[key].shape[0]
-        return 1
-
     if kind == "zero":
-        def fn(*args):
-            named = dict(zip(_ROLE_ARGS[role], args))
-            return np.zeros(out_shape(lead_of(named)))
-        return fn
+        return lambda a, shape: np.zeros(shape)
 
     if kind == "constant":
         value = np.asarray(spec.get("value", 0.0), dtype=float)
-
-        def fn(*args):
-            named = dict(zip(_ROLE_ARGS[role], args))
-            lead = lead_of(named)
-            if role == "sigma" and value.ndim == 0:
-                # scalar sigma means value on the diagonal of an x_dim x d block
-                block = np.zeros((x_dim, d))
-                np.fill_diagonal(block, float(value))
-                return np.broadcast_to(block, (lead, x_dim, d)).copy()
-            out = np.zeros(out_shape(lead))
-            out[...] = value
-            return out
-        return fn
+        if role == "sigma" and value.ndim == 0:
+            # scalar sigma means value on the diagonal of an x_dim x d block
+            block = np.zeros((x_dim, d))
+            np.fill_diagonal(block, value)
+            value = block
+        return lambda a, shape: np.broadcast_to(value, shape).copy()
 
     if kind in ("linear", "affine"):
-        c_y = float(spec.get("y", 0.0))
-        c_z = float(spec.get("z", 0.0))
-        c_x = float(spec.get("x", 0.0))
+        c_y, c_z, c_x = (float(spec.get(k, 0.0)) for k in ("y", "z", "x"))
         const = float(spec.get("const", 0.0)) if kind == "affine" else 0.0
+        x_term = _ROLES[role][2]
 
-        def fn(*args):
-            named = dict(zip(_ROLE_ARGS[role], args))
-            lead = lead_of(named)
-            out = np.full(out_shape(lead), const)
-            y, z, x = named.get("y"), named.get("z"), named.get("x")
+        def linear(a, shape):
+            out = np.full(shape, const)
+            y, z, x = a.get("y"), a.get("z"), a.get("x")
             if c_y and y is not None:
                 out += c_y * (y[..., None] if role == "g" else y)
             if c_z and z is not None:
                 out += c_z * (z if role == "g" else z.sum(axis=-1))
             if c_x and x is not None:
-                if role in ("l",):
-                    out += c_x * x[..., 0]
-                elif role in ("b",):
-                    out += c_x * x
-                else:
-                    out += c_x * x[..., :1] if out.ndim == 2 else c_x * x[..., :1, None]
+                out += c_x * x[x_term]
             return out
-        return fn
+        return linear
 
     if kind == "trig":
-        def fn(*args):
-            named = dict(zip(_ROLE_ARGS[role], args))
-            lead = lead_of(named)
-            y = named.get("y")
-            if y is None:
-                y = named.get("x")
-            core = _scalar_of(spec, named.get("t", 0.0), named.get("x"), y)
-            core = np.broadcast_to(np.asarray(core), (lead,))
-            out = np.zeros(out_shape(lead))
-            if role == "l":
-                return core.copy()
-            out[...] = core.reshape((lead,) + (1,) * (out.ndim - 1))
-            return out
-        return fn
+        of = spec.get("of", "y")
+        if of not in ("y", "x", "t"):
+            raise ValueError(f"trig 'of' must be y, x or t, got {of!r}")
+        func = _FUNCS[spec.get("func", "sin")]
+        freq, phase = float(spec.get("freq", 1.0)), float(spec.get("phase", 0.0))
+        amp, mod_amp = float(spec.get("amp", 1.0)), float(spec.get("x_mod_amp", 0.0))
+        mod_freq = float(spec.get("x_mod_freq", 1.0))
+
+        def trig(a, shape):
+            # a role without y reads "of: y" off x; one value per scenario
+            x = a.get("x")
+            if of == "t":
+                base = np.asarray(a.get("t", 0.0), dtype=float)
+            else:
+                base = (x if of == "x" or a.get("y") is None else a["y"])[..., 0]
+            out = func(freq * base + phase)
+            if mod_amp:
+                out = out * (1.0 + mod_amp * np.cos(mod_freq * x[..., 0]))
+            per_scenario = np.broadcast_to(amp * out, shape[:1])
+            return np.broadcast_to(per_scenario[(...,) + (None,) * (len(shape) - 1)],
+                                   shape).copy()
+        return trig
 
     if kind == "sum":
-        parts = [build_coefficient(s, role, n, d, x_dim) for s in spec["terms"]]
+        parts = [_compile(s, role, d, x_dim) for s in spec["terms"]]
 
-        def fn(*args):
-            acc = parts[0](*args)
+        def total(a, shape):
+            acc = parts[0](a, shape)
             for p in parts[1:]:
-                acc = acc + p(*args)
+                acc = acc + p(a, shape)
             return acc
-        return fn
+        return total
 
     if kind == "scale":
-        inner = build_coefficient(spec["term"], role, n, d, x_dim)
+        inner = _compile(spec["term"], role, d, x_dim)
         factor = float(spec["factor"])
-
-        def fn(*args):
-            return factor * inner(*args)
-        return fn
+        return lambda a, shape: factor * inner(a, shape)
 
     raise KeyError(f"unknown catalog entry {kind!r} for role {role!r}")
 
 
 def build_coefficient_set(problem: dict) -> CoefficientSet:
     """Assemble a CoefficientSet from a config 'problem' section."""
-    n = int(problem.get("n", 1))
-    d = int(problem.get("d", 1))
-    x_dim = problem.get("x_dim")
-    x_dim_i = int(x_dim) if x_dim is not None else 0
-
-    def get(role: str, required: bool) -> Callable | None:
+    n, d = int(problem.get("n", 1)), int(problem.get("d", 1))
+    x_dim = None if problem.get("x_dim") is None else int(problem["x_dim"])
+    built = {}
+    for role in _ROLES:
         spec = problem.get(role)
         if spec is None:
-            if required:
+            if role in ("f", "g", "h"):
                 raise ValueError(f"problem section must define coefficient {role!r}")
-            return None
+            continue
         try:
-            return build_coefficient(spec, role, n, d, x_dim_i)
+            built[role] = build_coefficient(spec, role, n, d, x_dim or 0)
         except KeyError as exc:
             raise ValueError(f"unknown catalog entry in {role!r}: {exc}") from exc
-
     constants = problem.get("constants", {})
     return CoefficientSet(
-        n=n,
-        d=d,
-        f=get("f", True),
-        g=get("g", True),
-        h=get("h", True),
-        l=get("l", False),
-        b=get("b", False),
-        sigma=get("sigma", False),
-        x_dim=int(x_dim) if x_dim is not None else None,
-        K=float(constants.get("K", 1.0)),
-        c=float(constants.get("c", 1.0)),
-        alpha=float(constants.get("alpha", 0.5)),
-        beta1=float(constants.get("beta1", 1.0)),
-    )
+        n=n, d=d, x_dim=x_dim, **built,
+        **{k: float(constants.get(k, default))
+           for k, default in (("K", 1.0), ("c", 1.0), ("alpha", 0.5), ("beta1", 1.0))})

@@ -36,7 +36,6 @@ class SmoothDomain:
     hess_phi: Callable[[np.ndarray], np.ndarray]
     project_fn: Callable[[np.ndarray], np.ndarray]
     boundary_tol: float
-    diameter: float
     name: str = "domain"
 
     def classify(self, x: np.ndarray) -> np.ndarray:
@@ -121,7 +120,7 @@ def interval_domain(a: float, b: float) -> SmoothDomain:
 
     return SmoothDomain(
         dim=1, phi=phi, grad_phi=grad, hess_phi=hess, project_fn=project,
-        boundary_tol=BOUNDARY_TOL * (b - a), diameter=b - a, name=f"interval({a},{b})",
+        boundary_tol=BOUNDARY_TOL * (b - a), name=f"interval({a},{b})",
     )
 
 
@@ -176,8 +175,7 @@ def ball_domain(center, radius: float) -> SmoothDomain:
 
     return SmoothDomain(
         dim=dim, phi=phi, grad_phi=grad, hess_phi=hess, project_fn=project,
-        boundary_tol=BOUNDARY_TOL * (2 * radius), diameter=2 * radius,
-        name=f"ball({tuple(c)},{radius})",
+        boundary_tol=BOUNDARY_TOL * (2 * radius), name=f"ball({tuple(c)},{radius})",
     )
 
 

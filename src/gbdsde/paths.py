@@ -83,15 +83,23 @@ class PathBundle:
         )
 
 
+def philox(seed: int, stream: int) -> np.random.Generator:
+    """The generator of the Philox stream keyed by (seed, stream).
+
+    Every random draw of the package comes from one of these streams; the
+    seed is taken modulo 2**64.
+    """
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def _gaussian_block(seed: int, stream: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard normals from a Philox stream keyed by (seed, stream).
+    """Standard normals from the Philox stream keyed by (seed, stream).
 
     Uniforms are taken as (i + 1/2) / 2**53 over 53-bit integers, then mapped
     through the inverse normal CDF; the open-interval offset keeps ndtri finite.
     """
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    raw = gen.integers(0, 1 << 53, size=shape, dtype=np.uint64)
+    raw = philox(seed, stream).integers(0, 1 << 53, size=shape, dtype=np.uint64)
     u = raw.astype(np.float64)
     u += 0.5
     u *= 2.0 ** -53

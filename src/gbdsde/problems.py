@@ -28,6 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import TimeGrid
+from .paths import philox
 
 Coefficient = Callable[..., np.ndarray]
 
@@ -149,7 +150,7 @@ def validate_hypotheses(
     plan against the supplied k path (default: k_t = t on [0, t_max]).
     """
     plan = plan or SamplingPlan()
-    rng = np.random.Generator(np.random.Philox(key=np.array([plan.seed, 11], dtype=np.uint64)))
+    rng = philox(plan.seed, 11)
     S = plan.count
     hw = plan.box_halfwidth
     n, dd = coeffs.n, coeffs.d

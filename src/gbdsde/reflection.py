@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import SmoothDomain
 from .grids import TimeGrid
-from .paths import PathBundle, swap_scenario_time, time_major_increments
+from .paths import PathBundle, philox, swap_scenario_time, time_major_increments
 from .problems import CoefficientSet
 
 
@@ -181,8 +181,7 @@ def skorokhod_bridge_exact(
     w = np.asarray(w_path, dtype=float)
     a = -x0 - w[..., :-1]
     b = -x0 - w[..., 1:]
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
-    u = gen.random(size=a.shape)
+    u = philox(seed, 2).random(size=a.shape)
     u = np.clip(u, 1e-300, 1.0)
     seg_max = 0.5 * (a + b + np.sqrt((b - a) ** 2 - 2.0 * dt * np.log(u)))
     running = np.maximum.accumulate(seg_max, axis=-1)

@@ -318,15 +318,3 @@ class NodeProjectors:
             fitted[n * s:(n + 1) * s] = proj.fit(targets[n * s:(n + 1) * s])
         return fitted
 
-
-def conditional_expectation(
-    targets: np.ndarray,
-    feature_points: np.ndarray,
-    basis,
-) -> np.ndarray:
-    """Project per-scenario targets onto basis functions of the feature points.
-
-    targets may be (S,) or (S, k); the fit is column-wise for the latter.
-    Requires at least ``MIN_SCENARIO_RATIO`` scenarios per basis function.
-    """
-    return DesignProjector(feature_points, basis).fit(targets)

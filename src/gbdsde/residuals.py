@@ -3,9 +3,9 @@
 Both checkers build a semimartingale path by explicit accumulation of its
 stated components through one helper, `_accumulate`, evaluate both sides of
 the corresponding identity at the discrete level, and report the per-time
-difference.  `_accumulate` fills a missing component with zeros and raises
-ValueError when no component is given, a component is mis-shaped or the k
-path decreases.  The residual of a correct discretization vanishes in RMS as
+difference.  `_accumulate` stands a read-only zero view in for a missing
+component and raises ValueError when no component is given, a component is
+mis-shaped or the k path decreases.  The residual of a correct discretization vanishes in RMS as
 dt -> 0; flipping the sign of a quadratic-variation or cross-variation term
 leaves an O(t) defect, which is what the mutation switches are for.
 
@@ -45,10 +45,11 @@ class ResidualReport:
 def _accumulate(alpha0, beta, theta, gamma, delta, k_path, bundle: PathBundle) -> tuple:
     """alpha_{i+1} = alpha_i + beta_i dt + theta_i dk_i + gamma_{i+1} dB_i
     + delta_i dW_i from alpha0, as (alpha, beta, theta, gamma, delta, dk) with
-    the missing components zero-filled.  Shapes: beta, theta (S, T+1, n);
-    gamma, delta (S, T+1, n, d); alpha0 (n,) or (S, n).  Raises ValueError when
-    no component is given, one (named by its ds, dk, dB or dW slot) is
-    mis-shaped, or the k path decreases.
+    each missing component a read-only zero view of its shape (stride 0, no
+    memory).  Shapes: beta, theta (S, T+1, n); gamma, delta (S, T+1, n, d);
+    alpha0 (n,) or (S, n).  Raises ValueError when no component is given, one
+    (named by its ds, dk, dB or dW slot) is mis-shaped, or the k path
+    decreases.
     """
     S, n_pts, d = bundle.scenario_count, len(bundle.grid), bundle.d
     some = next((c for c in (beta, theta, gamma, delta) if c is not None), None)
@@ -61,7 +62,7 @@ def _accumulate(alpha0, beta, theta, gamma, delta, k_path, bundle: PathBundle) -
         if comp is not None and np.shape(comp) != shape:
             raise ValueError(f"the {role} component has shape {np.shape(comp)}, "
                              f"expected {shape}")
-        comps.append(np.zeros(shape) if comp is None else comp)
+        comps.append(np.broadcast_to(0.0, shape) if comp is None else comp)
     k = _as_k(k_path, S, n_pts)
     dk = np.diff(k, axis=1)
     if np.any(dk < -1e-12):

@@ -17,7 +17,7 @@ import numpy as np
 from . import acceptance as acc
 from .config import ConfigError, ExperimentConfig
 from .fields import evaluate_u, field_blocks, pde_oracle_g0
-from .flows import BrownianFlow, flow_derivative_identities
+from .flows import flow_derivative_identities
 from .grids import TimeGrid
 from .paths import sample_paths
 from .reflection import simulate_reflected
@@ -88,12 +88,8 @@ def run_simulate_reflected(config: ExperimentConfig) -> list[acc.CriterionResult
 
     contained = bool(np.all(domain.phi(refl.X) >= -domain.boundary_tol * 10))
     monotone = bool(np.all(refl.dk >= 0))
-    return [
-        acc.CriterionResult("reflected_state_contained", 1.0 if contained else 0.0,
-                            1.0, contained, ">="),
-        acc.CriterionResult("boundary_process_monotone", 1.0 if monotone else 0.0,
-                            1.0, monotone, ">="),
-    ]
+    return [acc._ge("reflected_state_contained", float(contained), 1.0),
+            acc._ge("boundary_process_monotone", float(monotone), 1.0)]
 
 
 def _start_point(opts: dict, domain) -> np.ndarray:
@@ -158,17 +154,11 @@ def run_verify_flow(config: ExperimentConfig) -> list[acc.CriterionResult]:
     opts = config.options.get("flow", {})
     noise = acc.SinNoise(amp=float(opts.get("noise_amp", 1.0)),
                          x_mod=float(opts.get("x_mod", 0.25)))
-    bundle = sample_paths(config.grid, 1, config.seed, 1)
     fd_step = float(opts.get("fd_step", 1e-4))
-    flow = BrownianFlow(noise, bundle.B[0], config.grid, fd_step=fd_step,
-                        lipschitz_hint=noise.lipschitz)
     n_samples = int(opts.get("samples", 100))
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([config.seed, 77], dtype=np.uint64)))
-    t_idx = rng.integers(0, config.grid.step_count, n_samples)
-    xs = rng.uniform(-2.0, 2.0, (n_samples, 1))
-    ys = rng.uniform(-2.0, 2.0, n_samples)
-    viol = flow_derivative_identities(flow, (t_idx, xs, ys))
+    flow = acc.noise_flow(noise, config.grid, config.seed, fd_step)
+    samples = acc.flow_samples(config.seed, 77, config.grid.step_count, n_samples)
+    viol = flow_derivative_identities(flow, samples)
 
     tol = float(opts.get("tolerance", 1e-3))
     rows = [[name, value, n_samples, fd_step, config.grid.dt]
@@ -189,20 +179,15 @@ def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
     for steps in ladder:
         grid = TimeGrid(config.grid.t_start, config.grid.t_end, steps)
         bundle = sample_paths(grid, 1, config.seed, scenarios)
-        n_pts = steps + 1
-        ones_m = np.ones((scenarios, n_pts, 1, 1))
-        cases = {
-            "ito_forward_noise": lambda: ito_formula_residual(
-                np.zeros(1), None, None, None, ones_m, None, bundle),
-            "ito_backward_noise": lambda: ito_formula_residual(
-                np.zeros(1), None, None, 0.8 * ones_m, None, None, bundle),
-            "ventzell_deterministic": lambda: ito_ventzell_residual(
-                acc.quadratic_drift_field(), np.zeros(1), None, None, ones_m, None, bundle),
+        ito, ventzell = acc._ito_cases(bundle), acc._ventzell_cases(bundle)
+        runs = {
+            "ito_forward_noise": (ito_formula_residual, ito["forward_noise"]),
+            "ito_backward_noise": (ito_formula_residual, ito["backward_noise"]),
+            "ventzell_deterministic": (ito_ventzell_residual, ventzell["deterministic_field"]),
         }
-        for name, run in cases.items():
-            rep = run()
-            per_case.setdefault(name, []).append(
-                (grid.dt, rep.rms, rep.max_abs))
+        for name, (residual, case) in runs.items():
+            rep = residual(**case)
+            per_case.setdefault(name, []).append((grid.dt, rep.rms, rep.max_abs))
 
     for name, series in per_case.items():
         rows = [[dt, rms, max_abs, scenarios] for dt, rms, max_abs in series]

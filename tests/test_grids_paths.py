@@ -157,3 +157,14 @@ def test_integrate_range_errors():
     b = bundle.B[:, :, 0]
     with pytest.raises(IndexError):
         integrate(b, b, IntegralConvention.FORWARD_ITO, 5, 20)
+
+
+def test_philox_keys_every_stream_by_the_seed_modulo_2_64():
+    # the stream of a negative seed is that of its residue, as for the W/B
+    # streams; an unmasked uint64 key would raise OverflowError
+    from gbdsde.paths import philox
+
+    key = np.array([2024, 77], dtype=np.uint64)
+    direct = np.random.Generator(np.random.Philox(key=key)).random(5)
+    assert np.array_equal(philox(2024, 77).random(5), direct)
+    assert np.array_equal(philox(-1, 77).random(5), philox(2**64 - 1, 77).random(5))

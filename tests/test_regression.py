@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbdsde import PiecewiseBinBasis, PolynomialBasis, conditional_expectation
+from gbdsde import PiecewiseBinBasis, PolynomialBasis
 from gbdsde.regression import DesignProjector, RegressionRankError
 
 
 def test_constant_targets_reproduced():
     rng = np.random.default_rng(0)
     points = rng.normal(size=(500, 1))
-    fitted = conditional_expectation(np.full(500, 4.2), points, PolynomialBasis(3))
+    fitted = DesignProjector(points, PolynomialBasis(3)).fit(np.full(500, 4.2))
     assert np.allclose(fitted, 4.2)
 
 
@@ -23,7 +23,7 @@ def test_martingale_projection_recovers_conditional_mean():
     for count in (500, 8000):
         w_t = rng.normal(0, np.sqrt(0.5), size=count)
         w_T = w_t + rng.normal(0, np.sqrt(0.5), size=count)
-        fitted = conditional_expectation(w_T, w_t[:, None], PolynomialBasis(1))
+        fitted = DesignProjector(w_t[:, None], PolynomialBasis(1)).fit(w_T)
         errors.append(np.sqrt(np.mean((fitted - w_t) ** 2)))
     assert errors[1] < errors[0]
     assert errors[1] < 0.05
@@ -36,7 +36,7 @@ def test_fit_against_nested_monte_carlo_oracle():
     t, horizon = 0.4, 1.0
     w_t = rng.normal(0, np.sqrt(t), size=count)
     w_T = w_t + rng.normal(0, np.sqrt(horizon - t), size=count)
-    fitted = conditional_expectation(np.cos(w_T), w_t[:, None], PolynomialBasis(3))
+    fitted = DesignProjector(w_t[:, None], PolynomialBasis(3)).fit(np.cos(w_T))
 
     probe_idx = rng.choice(count, size=200, replace=False)
     inner_draws = w_t[probe_idx, None] + rng.normal(
@@ -57,8 +57,8 @@ def test_idempotence_of_projection():
     rng = np.random.default_rng(3)
     points = rng.normal(size=(2000, 2))
     targets = np.sin(points[:, 0]) + rng.normal(size=2000)
-    once = conditional_expectation(targets, points, PolynomialBasis(3))
-    twice = conditional_expectation(once, points, PolynomialBasis(3))
+    once = DesignProjector(points, PolynomialBasis(3)).fit(targets)
+    twice = DesignProjector(points, PolynomialBasis(3)).fit(once)
     scale = np.max(np.abs(once)) + 1.0
     assert np.max(np.abs(twice - once)) <= 1e-10 * scale
 
@@ -66,14 +66,13 @@ def test_idempotence_of_projection():
 def test_scenario_ratio_enforced():
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError, match="10x"):
-        conditional_expectation(np.ones(30), rng.normal(size=(30, 1)),
-                                PolynomialBasis(3))
+        DesignProjector(rng.normal(size=(30, 1)), PolynomialBasis(3)).fit(np.ones(30))
 
 
 def test_degenerate_features_fall_back_to_mean():
     targets = np.array([1.0, 2.0, 3.0, 4.0] * 25)
     points = np.zeros((100, 1))  # constant features: only the mean survives
-    fitted = conditional_expectation(targets, points, PolynomialBasis(3))
+    fitted = DesignProjector(points, PolynomialBasis(3)).fit(targets)
     assert np.allclose(fitted, targets.mean())
 
 
@@ -81,14 +80,14 @@ def test_nonfinite_features_error_names_basis():
     points = np.zeros((100, 1))
     points[3] = np.nan
     with pytest.raises(RegressionRankError, match="polynomial"):
-        conditional_expectation(np.ones(100), points, PolynomialBasis(2))
+        DesignProjector(points, PolynomialBasis(2)).fit(np.ones(100))
 
 
 def test_piecewise_bins_fit_step_function():
     rng = np.random.default_rng(5)
     x = rng.uniform(0, 1, size=2000)
     y = np.where(x > 0.5, 2.0, -1.0) + 0.01 * rng.normal(size=2000)
-    fitted = conditional_expectation(y, x[:, None], PiecewiseBinBasis(10))
+    fitted = DesignProjector(x[:, None], PiecewiseBinBasis(10)).fit(y)
     # the bin containing the jump mixes both levels; elsewhere the fit is tight
     away = (x < 0.38) | (x > 0.62)
     truth = np.where(x > 0.5, 2.0, -1.0)
@@ -100,14 +99,14 @@ def test_empty_bin_error_names_basis():
     x = np.concatenate([np.zeros(50), np.ones(50)])  # two point masses
     with pytest.raises(RegressionRankError, match="piecewise_bins"):
         # quantile edges collapse: middle bins are empty
-        conditional_expectation(np.ones(100), x[:, None], PiecewiseBinBasis(4))
+        DesignProjector(x[:, None], PiecewiseBinBasis(4)).fit(np.ones(100))
 
 
 def test_multi_column_targets():
     rng = np.random.default_rng(6)
     points = rng.normal(size=(1000, 1))
     targets = np.stack([points[:, 0], points[:, 0] ** 2], axis=1)
-    fitted = conditional_expectation(targets, points, PolynomialBasis(2))
+    fitted = DesignProjector(points, PolynomialBasis(2)).fit(targets)
     assert fitted.shape == (1000, 2)
     assert np.allclose(fitted, targets, atol=1e-8)
 
@@ -116,9 +115,10 @@ def test_projector_reuse_matches_one_shot():
     rng = np.random.default_rng(7)
     points = rng.normal(size=(500, 1))
     proj = DesignProjector(points, PolynomialBasis(2))
+    proj.fit(rng.normal(size=500))
     t1 = rng.normal(size=500)
     a = proj.fit(t1)
-    b = conditional_expectation(t1, points, PolynomialBasis(2))
+    b = DesignProjector(points, PolynomialBasis(2)).fit(t1)
     assert np.allclose(a, b, atol=1e-12)
 
 

@@ -205,3 +205,16 @@ def test_checkers_reject_bad_input_by_name(checker, problem):
             # the Ventzell path's boundary component takes the dk slot
             ito_ventzell_residual(_quadratic_drift_field(), np.zeros(1), theta, gamma,
                                   delta, k, bundle)
+
+
+def test_missing_components_are_stride_zero_views():
+    from gbdsde.residuals import _accumulate
+
+    bundle = _bundle(10, count=4)
+    delta = np.ones((4, 11, 1, 1))
+    _, beta, theta, gamma, got_delta, _ = _accumulate(
+        np.zeros(1), None, None, None, delta, None, bundle)
+    assert got_delta is delta
+    for comp, shape in ((beta, (4, 11, 1)), (theta, (4, 11, 1)), (gamma, (4, 11, 1, 1))):
+        assert comp.shape == shape and not comp.flags.writeable
+        assert set(comp.strides) == {0} and not np.any(comp)
