@@ -600,6 +600,7 @@ def criterion_determinism(seed: int = 2024, out_root=None) -> list[CriterionResu
     from .cli import main as cli_main
 
     root = Path(out_root) if out_root is not None else Path(tempfile.mkdtemp())
+    root.mkdir(parents=True, exist_ok=True)
     config_path = root / "determinism.yaml"
     config_path.write_text(_DETERMINISM_CONFIG)
 

@@ -21,6 +21,11 @@ polynomial form, de Boor, *A Practical Guide to Splines*), which agrees with
 FITPACK's own evaluation up to rounding: a relative drift of a few 1e-15 in
 the value and up to ~1e-11 in the second x-derivative.
 
+FITPACK comes from `scipy.interpolate`, which is imported where the splines
+are fitted (`_SplineAxis` and the two `FlowTable` fit sites), not here: it
+is a quarter of the package's import footprint, and only runs that build a
+`FlowTable` need it.
+
 `BrownianFlow` differentiates on one stencil table (`_stencil_offsets`); the
 checks share one derivative pass and one direct operator (`_direct_operator`).
 """
@@ -30,14 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.interpolate import BSpline, RectBivariateSpline
 from scipy.special import lambertw
 
 from .geometry import SmoothDomain
 from .problems import CoefficientSet
+
+if TYPE_CHECKING:
+    from scipy.interpolate import RectBivariateSpline
 
 
 class FlowBlowup(RuntimeError):
@@ -349,6 +356,8 @@ class _SplineAxis:
     """
 
     def __init__(self, knots: np.ndarray, k: int) -> None:
+        from scipy.interpolate import BSpline
+
         n = knots.size - k - 1
         self.k = k
         self.coeff_count = n
@@ -443,6 +452,8 @@ class FlowTable:
     def _spline(self, t_index: int) -> RectBivariateSpline:
         sp = self._splines.get(t_index)
         if sp is None:
+            from scipy.interpolate import RectBivariateSpline
+
             sp = RectBivariateSpline(
                 self.x_grid, self.y_grid, self.values[t_index], kx=self._kx, ky=self._ky
             )
@@ -459,6 +470,8 @@ class FlowTable:
             fine_vals = self._spline(t_index)(self.x_grid, fine_y)
             inv = np.array([np.interp(self.u_grid, column, fine_y)
                             for column in fine_vals])
+            from scipy.interpolate import RectBivariateSpline
+
             sp = RectBivariateSpline(self.x_grid, self.u_grid, inv,
                                      kx=self._kx, ky=self._ky)
             self._inv_splines[t_index] = sp

@@ -171,27 +171,28 @@ def solve_simple(
     def rows(path):
         return None if path is None else np.swapaxes(path, 0, 1)
 
+    dB = None if g_path is None else time_major_increments(bundle.B)
     Y, Z, totals = _simple_induction(xi, rows(f_path), rows(g_path), rows(h_path),
-                                     time_major_increments(k), bundle, walk)
+                                     time_major_increments(k),
+                                     time_major_increments(bundle.W), dB, grid.dt, walk)
     if not (np.isfinite(Y).all() and np.isfinite(Z).all()):
         raise FloatingPointError("solve_simple produced non-finite solution values")
     return _solution(grid, swap_scenario_time(Y), swap_scenario_time(Z), k, totals)
 
 
-def _simple_induction(xi, f_rows, g_rows, h_rows, dk, bundle: PathBundle, walk):
+def _simple_induction(xi, f_rows, g_rows, h_rows, dk, dW, dB, dt, walk):
     """The projection pass of `solve_simple` on time-major rows.
 
     Takes the (S, n) terminal values, coefficient rows (T+1, S, n) for f
-    and h and (T+1, S, n, d) for g (each may be None), the (T, S) boundary
-    increments and the backward walk of (i, projector).  The targets are
-    built for every step first; each step then fits one contiguous
+    and h and (T+1, S, n, d) for g (each may be None), the time-major
+    increments of k (T, S), W and B (T, S, d; dB is read only with g), the
+    step and the backward walk of (i, projector).  The targets are built for
+    every step first; each step then fits one contiguous
     [target | control target] buffer.  Returns time-major Y (T+1, S, n),
     Z (T+1, S, n, d) and the (S, n) pathwise totals.
     """
-    grid = bundle.grid
-    dt, steps = grid.dt, grid.step_count
-    S, n = xi.shape
-    d = bundle.d
+    steps, S, d = dW.shape
+    n = xi.shape[1]
     f_steps = np.zeros((steps, S, n))
     if f_rows is not None:
         np.multiply(f_rows[:-1], dt, out=f_steps)
@@ -200,7 +201,7 @@ def _simple_induction(xi, f_rows, g_rows, h_rows, dk, bundle: PathBundle, walk):
         np.multiply(h_rows[:-1], dk[:, :, None], out=h_steps)
     g_steps = np.zeros((steps, S, n))
     if g_rows is not None:
-        np.einsum("tsnd,tsd->tsn", g_rows[1:], time_major_increments(bundle.B), out=g_steps)
+        np.einsum("tsnd,tsd->tsn", g_rows[1:], dB, out=g_steps)
 
     # targets[i] = xi + the sum of the increments of steps i, ..., T-1,
     # accumulated from the last step back
@@ -212,7 +213,6 @@ def _simple_induction(xi, f_rows, g_rows, h_rows, dk, bundle: PathBundle, walk):
     Y = np.empty((steps + 1, S, n))
     Z = np.zeros((steps + 1, S, n, d))
     Y[-1] = xi
-    dW = time_major_increments(bundle.W)
     stacked = np.empty((S, n + n * d))
     for i, proj in walk:
         one_step = Y[i + 1] + f_steps[i] + h_steps[i] + g_steps[i]
@@ -306,7 +306,9 @@ def picard_solve(
     xi = _as_columns(xi)
     n = xi.shape[1]
     k = _as_k(k_path, S, n_pts)
-    dk_rows = time_major_increments(k)
+    # built once per solve: every pass reads the same increments
+    increments = (time_major_increments(k), time_major_increments(bundle.W),
+                  time_major_increments(bundle.B))
     weights, dk = _norm_weights(k, grid)
     times = grid.points
     backward = range(grid.step_count - 1, -1, -1)
@@ -326,7 +328,7 @@ def picard_solve(
             f_rows[i] = coeffs.f(times[i], None, y_rows[i], z_rows[i])
             h_rows[i] = coeffs.h(times[i], None, y_rows[i])
             g_rows[i] = coeffs.g(times[i], None, y_rows[i], z_rows[i])
-        Y, Z, totals = _simple_induction(xi, f_rows, g_rows, h_rows, dk_rows, bundle,
+        Y, Z, totals = _simple_induction(xi, f_rows, g_rows, h_rows, *increments, grid.dt,
                                          ((i, projectors[i]) for i in backward))
         norm = _weighted_norm(swap_scenario_time(Y - y_rows), swap_scenario_time(Z - z_rows),
                               weights, dk, grid.dt)

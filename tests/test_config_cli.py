@@ -328,3 +328,23 @@ def test_cli_field_global_mode_reads_every_node_off_one_solve(tmp_path, capsys, 
     code = main(["field", "--config", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
     assert code == 2
     assert "need pointwise mode" in capsys.readouterr().err
+
+
+def test_determinism_creates_a_fresh_out_root(tmp_path, monkeypatch):
+    # the criterion writes its config into out_root first, so a nested path
+    # that does not exist yet must be created, not end in FileNotFoundError;
+    # the suites are stubbed to one fixed CSV each
+    import gbdsde.cli
+    from gbdsde.acceptance import criterion_determinism
+
+    def stub_main(argv):
+        out_dir = Path(argv[argv.index("--out-dir") + 1])
+        out_dir.mkdir(parents=True)
+        (out_dir / "rows.csv").write_text("a,b\n1,2\n")
+        return 0
+
+    monkeypatch.setattr(gbdsde.cli, "main", stub_main)
+    root = tmp_path / "fresh" / "nested"
+    [result] = criterion_determinism(seed=5, out_root=root)
+    assert result.passed, result.details
+    assert (root / "determinism.yaml").is_file()

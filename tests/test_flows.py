@@ -1,11 +1,17 @@
 """Pathwise flow solver, inversion, derivative identities, transforms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RectBivariateSpline
 
+import gbdsde
 from gbdsde import (
     BrownianFlow,
     CoefficientSet,
@@ -660,6 +666,30 @@ def test_flow_table_rejects_non_finite_values():
     flow = BrownianFlow(turns_nan, bp, grid)
     with pytest.raises(FlowBlowup, match="non-finite tabulated"):
         FlowTable(flow, np.linspace(0.0, 1.0, 11), np.linspace(-3.0, 3.0, 24))
+
+
+_IMPORT_PROBE = """\
+import sys
+import numpy as np
+import gbdsde, gbdsde.cli
+from gbdsde import BrownianFlow, FlowTable, TimeGrid, sample_paths
+print("scipy.interpolate" in sys.modules)
+grid = TimeGrid(0.0, 1.0, 10)
+b_path = sample_paths(grid, d=1, seed=3, count=1).B[0]
+flow = BrownianFlow(lambda t, x, y: 0.3 * np.sin(y)[..., None], b_path, grid)
+table = FlowTable(flow, np.linspace(0.0, 1.0, 11), np.linspace(-2.0, 2.0, 12))
+table.derivs(0, np.array([0.5]), np.array([0.1]))
+print("scipy.interpolate" in sys.modules)
+"""
+
+
+def test_scipy_interpolate_loads_only_with_a_flow_table():
+    # scipy.interpolate is a quarter of the package's import footprint; only
+    # fitting a FlowTable needs it, so neither the package nor the CLI loads it
+    env = dict(os.environ, PYTHONPATH=str(Path(gbdsde.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", "True"]
 
 
 class _StubDerivs:
