@@ -3,15 +3,8 @@ differential equations and semi-linear SPDEs with nonlinear Neumann boundary
 conditions."""
 
 from .grids import TimeGrid
-from .paths import IntegralConvention, PathBundle, integrate, sample_paths, time_reverse
-from .problems import (
-    CoefficientSet,
-    HypothesisReport,
-    SamplingPlan,
-    choose_shift_rate,
-    exponential_shift,
-    validate_hypotheses,
-)
+from .paths import PathBundle, sample_paths
+from .problems import CoefficientSet, HypothesisReport, SamplingPlan, validate_hypotheses
 from .geometry import SmoothDomain, ball_domain, interval_domain, make_domain
 from .reflection import (
     ReflectedPath,
@@ -24,11 +17,8 @@ from .flows import (
     BrownianFlow,
     FlowTable,
     flow_derivative_identities,
-    flow_growth_constants,
     operator_identity_violations,
     spde_noise_coefficient,
-    spde_operator,
-    transform_identity_violations,
     transformed_boundary,
     transformed_generator,
 )
@@ -36,7 +26,6 @@ from .residuals import (
     DriftField,
     NoiseLinearField,
     ResidualReport,
-    SumField,
     ito_formula_residual,
     ito_ventzell_residual,
 )
@@ -54,23 +43,18 @@ from .solver import (
     solve_transformed_gbsde,
     stability_gap,
 )
-from .fields import FieldEstimate, continuity_diagnostic, evaluate_u, pde_oracle_g0
+from .fields import FieldEstimate, evaluate_u, pde_oracle_g0
 
 __version__ = "0.1.0"
 
 __all__ = [
     "TimeGrid",
     "PathBundle",
-    "IntegralConvention",
     "sample_paths",
-    "integrate",
-    "time_reverse",
     "CoefficientSet",
     "SamplingPlan",
     "HypothesisReport",
     "validate_hypotheses",
-    "exponential_shift",
-    "choose_shift_rate",
     "SmoothDomain",
     "interval_domain",
     "ball_domain",
@@ -84,16 +68,12 @@ __all__ = [
     "FlowTable",
     "spde_noise_coefficient",
     "flow_derivative_identities",
-    "flow_growth_constants",
     "transformed_generator",
     "transformed_boundary",
-    "spde_operator",
     "operator_identity_violations",
-    "transform_identity_violations",
     "ResidualReport",
     "DriftField",
     "NoiseLinearField",
-    "SumField",
     "ito_formula_residual",
     "ito_ventzell_residual",
     "PolynomialBasis",
@@ -109,5 +89,4 @@ __all__ = [
     "FieldEstimate",
     "evaluate_u",
     "pde_oracle_g0",
-    "continuity_diagnostic",
 ]

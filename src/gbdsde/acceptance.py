@@ -341,7 +341,7 @@ def _transform_instance() -> CoefficientSet:
     return _noise_instance(
         TRANSFORM_NOISE,
         lambda t, x, y, z: -y + 0.25 * np.sin(z[..., 0, :].sum(axis=-1))[..., None],
-        lambda t, x, y: 0.5 - 0.5 * y, drift=0.0, K=2.0, c=1.0, alpha=0.2, beta1=0.5,
+        lambda t, x, y: 0.5 - 0.5 * y, drift=0.0, K=2.0, c=1.0625, alpha=0.2, beta1=0.5,
         l=lambda x: 1.0 + np.cos(math.pi * x[..., 0]))
 
 
@@ -516,11 +516,23 @@ def _random_linear_instance(rng: np.random.Generator) -> dict:
     coeffs = CoefficientSet(
         n=1, d=1, f=f, g=g, h=h,
         K=2.0 + abs(a_f) + abs(b_f) + abs(a_g) + abs(a_h),
-        c=max(2.0 * (a_f**2 + b_f**2), a_g**2, 1e-2),
-        alpha=min(max(s_g**2 * 1.01, 1e-3), 0.99),
+        # Young split |a_g dy + s_g dz|^2 <= 2 a_g^2 |dy|^2 + 2 s_g^2 |dz|^2
+        c=max(2.0 * (a_f**2 + b_f**2), 2.0 * a_g**2, 1e-2),
+        alpha=min(max(2.0 * s_g**2, 1e-3), 0.99),
         beta1=max(abs(a_h), 1e-3),
     )
     return {"coeffs": coeffs, "xi_scale": xi_scale, "k_rate": k_rate}
+
+
+STABILITY_DELTAS = (0.1, 0.05, 0.025)
+
+
+def _perturbed_driver(coeffs: CoefficientSet, delta: float) -> CoefficientSet:
+    """``coeffs`` with the driver f + delta cos(y), its K and c raised to cover
+    the perturbation: (sqrt(c) + delta)^2 <= c + 2 delta^2 + 2 delta sqrt(c)."""
+    return replace(
+        coeffs, f=lambda t, x, y, z: coeffs.f(t, x, y, z) + delta * np.cos(y),
+        K=coeffs.K + delta, c=coeffs.c + 2 * delta**2 + 2 * delta * math.sqrt(coeffs.c))
 
 
 def criterion_estimate_stability(seed: int = 2024) -> list[CriterionResult]:
@@ -555,10 +567,8 @@ def criterion_estimate_stability(seed: int = 2024) -> list[CriterionResult]:
     k_path = 0.3 * grid.points
     sol_base = picard_solve(coeffs, xi, k_path, bundle, basis, tol=1e-12, max_iter=9)
     scalings = []
-    for delta in (0.1, 0.05, 0.025):
-        pert = replace(
-            coeffs, f=lambda t, x, y, z, _d=delta: coeffs.f(t, x, y, z) + _d * np.cos(y),
-            K=coeffs.K + delta, c=coeffs.c + 2 * delta**2 + 2 * delta * math.sqrt(coeffs.c))
+    for delta in STABILITY_DELTAS:
+        pert = _perturbed_driver(coeffs, delta)
         sol_pert = picard_solve(pert, xi, k_path, bundle, basis, tol=1e-12, max_iter=9)
         gap = stability_gap(
             {"xi": xi, "coeffs": coeffs, "k": k_path},

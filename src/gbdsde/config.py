@@ -2,8 +2,7 @@
 
 A config file has named sections (problem, domain, grid, monte_carlo, basis,
 suite, output plus per-suite options).  Parsing is strict about the fields
-the suites rely on and reports the offending section/field on error; a
-parsed config serializes back to the same mapping (round-trip identity).
+the suites rely on and reports the offending section/field on error.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description plus the raw mapping it came from."""
+    """Validated experiment description."""
 
-    raw: dict
     suite: str
     grid: TimeGrid
     scenarios: int
@@ -73,9 +71,6 @@ class ExperimentConfig:
 
     def basis(self):
         return make_basis(self.basis_spec)
-
-    def to_mapping(self) -> dict:
-        return self.raw
 
 
 def _grid_from(section: dict) -> TimeGrid:
@@ -151,7 +146,6 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
         raise ConfigError("workers: must be >= 1")
 
     config = ExperimentConfig(
-        raw=data,
         suite=suite,
         grid=grid,
         scenarios=scenarios,
@@ -182,13 +176,3 @@ def load_config(path: str | Path, overrides: dict | None = None) -> ExperimentCo
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     return parse_config(mapping or {}, overrides)
-
-
-def dump_config(config: ExperimentConfig) -> str:
-    return yaml.safe_dump(config.to_mapping(), sort_keys=True)
-
-
-def roundtrip(mapping: dict) -> dict:
-    """parse -> serialize -> parse; used to assert the identity in tests."""
-    cfg = parse_config(mapping)
-    return yaml.safe_load(dump_config(cfg))

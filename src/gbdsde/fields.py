@@ -11,7 +11,7 @@ iteration; that solver is the acceptance oracle for the reduction case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -309,54 +309,3 @@ def pde_oracle_g0(
             break
     return OracleSolution(x_nodes=xs, t_nodes=ts, u=u, refinement_gap=gap,
                           refinements=refinements)
-
-
-def boundary_residual(coeffs: CoefficientSet, oracle: OracleSolution) -> float:
-    """Max |normal derivative + h| of an oracle solution over all times.
-
-    Uses one-sided second-order differences for the normal derivative.
-    """
-    xs, u = oracle.x_nodes, oracle.u
-    dx = xs[1] - xs[0]
-    worst = 0.0
-    for m, t in enumerate(oracle.t_nodes):
-        ux_a = (-3.0 * u[m, 0] + 4.0 * u[m, 1] - u[m, 2]) / (2.0 * dx)
-        ux_b = (3.0 * u[m, -1] - 4.0 * u[m, -2] + u[m, -3]) / (2.0 * dx)
-        h_vals = coeffs.h(t, np.array([[xs[0]], [xs[-1]]]),
-                          np.array([[u[m, 0]], [u[m, -1]]]))[:, 0]
-        # inward normal is +1 at the left endpoint, -1 at the right
-        worst = max(worst, abs(ux_a + h_vals[0]), abs(-ux_b + h_vals[1]))
-    return worst
-
-
-def continuity_diagnostic(
-    coeffs: CoefficientSet,
-    domain: SmoothDomain,
-    node_pairs: list[tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]],
-    bundle: PathBundle,
-    basis,
-    g_is_zero: bool = False,
-) -> list[dict]:
-    """Mean-square solution gaps between nearby starting nodes.
-
-    Both solves share the bundle (common random numbers); the table reports
-    E|Y_s - Y'_s|^2 averaged over common times against the node separation.
-    """
-    rows = []
-    grid = bundle.grid
-    for (t1, x1), (t2, x2) in node_pairs:
-        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-        x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        sol1, _ = solve_bdsde_markov(coeffs, domain, t1, x1, bundle, basis, g_is_zero=g_is_zero)
-        sol2, _ = solve_bdsde_markov(coeffs, domain, t2, x2, bundle, basis, g_is_zero=g_is_zero)
-        i0 = max(grid.index_of(t1), grid.index_of(t2))
-        gap_sq = float(np.mean((sol1.Y[:, i0:, 0] - sol2.Y[:, i0:, 0]) ** 2))
-        sep = abs(t1 - t2) + float(np.linalg.norm(x1 - x2))
-        rows.append({
-            "t": t1, "t_prime": t2,
-            "x": x1.tolist(), "x_prime": x2.tolist(),
-            "separation": sep,
-            "mean_sq_gap": gap_sq,
-            "ratio": gap_sq / sep**2 if sep > 0 else 0.0,
-        })
-    return rows

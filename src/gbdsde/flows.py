@@ -27,7 +27,7 @@ is a quarter of the package's import footprint, and only runs that build a
 `FlowTable` need it.
 
 `BrownianFlow` differentiates on one stencil table (`_stencil_offsets`); the
-checks share one derivative pass and one direct operator (`_direct_operator`).
+operator check evaluates its direct side through `_direct_operator`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from math import factorial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.special import lambertw
 
 from .geometry import SmoothDomain
 from .problems import CoefficientSet
@@ -532,7 +531,7 @@ class FlowTable:
 
 
 # ---------------------------------------------------------------------------
-# Verification: derivative identities and growth envelopes
+# Verification: derivative identities
 # ---------------------------------------------------------------------------
 
 
@@ -540,14 +539,6 @@ def _as_samples(t_indices, *arrays) -> tuple:
     """Sample time indices as an int array, then each sample array as floats."""
     return (np.asarray(t_indices, dtype=int),) + tuple(np.asarray(a, dtype=float)
                                                        for a in arrays)
-
-
-def _flow_and_inverse_derivs(flow: BrownianFlow, samples: tuple) -> tuple:
-    """(t_indices, ys, flow derivatives at (t, x, y), inverse derivatives at
-    (t, x, flow(t, x, y))) for samples (t_indices, xs, ys)."""
-    t_idx, x, y = _as_samples(*samples)
-    fd = flow.derivs(t_idx, x, y)
-    return t_idx, y, fd, flow.inverse_derivs(t_idx, x, fd["value"], guess=y)
 
 
 def flow_derivative_identities(
@@ -561,7 +552,9 @@ def flow_derivative_identities(
     derivatives at (t, x, y); the identities follow from differentiating
     inverse(t, x, flow(t, x, y)) = y twice.
     """
-    _, _, fd, ed = _flow_and_inverse_derivs(flow, samples)
+    t_idx, x, y = _as_samples(*samples)
+    fd = flow.derivs(t_idx, x, y)
+    ed = flow.inverse_derivs(t_idx, x, fd["value"], guess=y)
     dxe, dye = ed["dx"], ed["dy"]
     dxxe, dxye, dyye = ed["dxx"], ed["dxy"], ed["dyy"]
     dxh, dyh = fd["dx"], fd["dy"]
@@ -587,51 +580,6 @@ def flow_derivative_identities(
         "inverse_hess_xy": float(np.max(np.abs(v4))),
         "inverse_hess_yy": float(np.max(np.abs(v5))),
     }
-
-
-def flow_growth_constants(
-    flow: BrownianFlow,
-    samples: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> dict[str, float]:
-    """Smallest constants fitting the flow growth and derivative envelopes.
-
-    Fits C in |flow| <= |y| + C |B_T - B_t| (and the same for the inverse)
-    and, for each first/second derivative D, the smallest C with
-    |D| <= C exp(C |B_T - B_t|) via the Lambert W function, per sample,
-    reported as the max over samples.  The driver enters through its tail
-    increment because the flow integrates from the final time backwards (the
-    forward-flow bound uses B_t; time reversal swaps in the tail).
-    """
-    t_idx, y, fd, ed = _flow_and_inverse_derivs(flow, samples)
-    b_norm = np.linalg.norm(flow.b_path[-1] - flow.b_path[t_idx], axis=-1)
-
-    def env_linear(excess: np.ndarray) -> float:
-        mask = b_norm > 1e-12
-        if not np.any(mask):
-            return 0.0
-        return float(np.max(np.maximum(excess[mask], 0.0) / b_norm[mask]))
-
-    def env_exp(mag: np.ndarray) -> float:
-        # smallest C with mag <= C exp(C b):  C = W(mag b) / b, with C = mag at b = 0
-        mag = np.maximum(mag, 1e-300)
-        small = b_norm < 1e-12
-        w_arg = mag * b_norm
-        c = np.where(small, mag,
-                     np.real(lambertw(np.where(small, 1.0, w_arg)))
-                     / np.where(small, 1.0, b_norm))
-        return float(np.max(c))
-
-    w = fd["value"]
-    out = {
-        "flow_value": env_linear(np.abs(w) - np.abs(y)),
-        "inverse_value": env_linear(np.abs(ed["value"]) - np.abs(w)),
-    }
-    for tag, dv in (("flow", fd), ("inverse", ed)):
-        mags = np.concatenate([np.abs(dv[key]).reshape(len(y), -1)
-                               for key in ("dx", "dy", "dxx", "dxy", "dyy")],
-                              axis=1).max(axis=1)
-        out[f"{tag}_derivatives"] = env_exp(mags)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -764,27 +712,6 @@ def trig_test_field(amp: float = 1.0, freq: float = 1.0,
     return AnalyticField(fn, grad, hess)
 
 
-def quadratic_test_field(a: float = 1.0, b: float = 0.0, c: float = 0.0) -> AnalyticField:
-    """a x_1^2 + b x_1 + c, time-independent."""
-
-    def fn(t, x):
-        x1 = x[..., 0]
-        return a * x1**2 + b * x1 + c
-
-    def grad(t, x):
-        out = np.zeros_like(x)
-        out[..., 0] = 2.0 * a * x[..., 0] + b
-        return out
-
-    def hess(t, x):
-        m = x.shape[-1]
-        out = np.zeros(x.shape[:-1] + (m, m))
-        out[..., 0, 0] = 2.0 * a
-        return out
-
-    return AnalyticField(fn, grad, hess)
-
-
 def _direct_operator(coeffs: CoefficientSet, t, x: np.ndarray, psi: np.ndarray,
                      dpsi: np.ndarray, hpsi: np.ndarray) -> np.ndarray:
     """-L psi - f(t, x, psi, sigma* Dx psi) + (1/2)<g, Dy g>(t, x, psi), given
@@ -794,13 +721,6 @@ def _direct_operator(coeffs: CoefficientSet, t, x: np.ndarray, psi: np.ndarray,
     sig_t_dpsi = np.einsum("...md,...m->...d", sig, dpsi)
     f_val = coeffs.f(t, x, psi[..., None], sig_t_dpsi[..., None, :])[..., 0]
     return -l_psi - f_val + 0.5 * _g_and_dyg(coeffs, t, x, psi)
-
-
-def spde_operator(coeffs: CoefficientSet, field: AnalyticField, t,
-                  x: np.ndarray) -> np.ndarray:
-    """The stationary part -L psi - f(t,x,psi,sigma* Dx psi) + (1/2)<g, Dy g>."""
-    return _direct_operator(coeffs, t, x, field.fn(t, x), field.grad(t, x),
-                            field.hess(t, x))
 
 
 def operator_identity_violations(
@@ -849,53 +769,3 @@ def operator_identity_violations(
     rhs = -l_phi - f_tilde
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return np.abs(lhs - rhs) / scale
-
-
-def transform_identity_violations(
-    coeffs: CoefficientSet,
-    domain: SmoothDomain,
-    flow: BrownianFlow,
-    interior_samples: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    boundary_samples: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> dict[str, float]:
-    """Max violations of the two coefficient-transport identities.
-
-    The direct sides are built from inverse-flow derivatives at (s, x, y);
-    the transformed sides evaluate the transformed coefficients at
-    u = inverse(s, x, y), v = D_y inverse * z + sigma* D_x inverse.
-    """
-    t_idx, x, y, z = _as_samples(*interior_samples)
-    t = flow.grid.points[t_idx]
-    ed = flow.inverse_derivs(t_idx, x, y)
-    sig = coeffs.sigma(x)
-    b = coeffs.b(x)
-    a_mat = np.einsum("...md,...nd->...mn", sig, sig)
-    f_val = coeffs.f(t, x, y[..., None], z[..., None, :])[..., 0]
-    gdg = _g_and_dyg(coeffs, t, x, y)
-    sig_t_dxy = np.einsum("...md,...m->...d", sig, ed["dxy"])
-    direct = (
-        -np.einsum("...m,...m->...", ed["dx"], b)
-        + ed["dy"] * f_val
-        - 0.5 * ed["dyy"] * np.einsum("...d,...d->...", z, z)
-        - 0.5 * np.einsum("...mn,...mn->...", a_mat, ed["dxx"])
-        - np.einsum("...d,...d->...", sig_t_dxy, z)
-        - 0.5 * ed["dy"] * gdg
-    )
-    u = ed["value"]
-    sig_t_dx = np.einsum("...md,...m->...d", sig, ed["dx"])
-    v = ed["dy"][..., None] * z + sig_t_dx
-    f_tilde = transformed_generator(coeffs, flow, t_idx, t, x, u, v)
-    worst_f = float(np.max(np.abs(direct - f_tilde)))
-
-    worst_h = 0.0
-    if boundary_samples is not None:
-        tb_idx, xb, yb = _as_samples(*boundary_samples)
-        tb = flow.grid.points[tb_idx]
-        ed_b = flow.inverse_derivs(tb_idx, xb, yb)
-        h_val = coeffs.h(tb, xb, yb[..., None])[..., 0]
-        normal = domain.grad_phi(xb)
-        direct_h = -np.einsum("...m,...m->...", ed_b["dx"], normal) + ed_b["dy"] * h_val
-        h_tilde = transformed_boundary(
-            coeffs, domain, flow, tb_idx, tb, xb, ed_b["value"])
-        worst_h = float(np.max(np.abs(direct_h - h_tilde)))
-    return {"generator": worst_f, "boundary": worst_h}

@@ -1,4 +1,4 @@
-"""Brownian path bundles and discrete stochastic integrals.
+"""Brownian path bundles and their increments.
 
 Two independent d-dimensional Brownian motions drive every equation in this
 package: a forward one (W) and a backward one (B).  Increments are produced
@@ -10,7 +10,6 @@ accidents of call order.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +20,6 @@ from .grids import TimeGrid
 # Philox stream tags for the two independent motions.
 _STREAM_W = 0
 _STREAM_B = 1
-
-
-class IntegralConvention(enum.Enum):
-    """Endpoint rule used when summing integrand x driver-increment."""
-
-    FORWARD_ITO = "forward_ito"          # left endpoint
-    BACKWARD_ITO = "backward_ito"        # right endpoint
-    STRATONOVICH = "stratonovich"        # midpoint (trapezoidal)
 
 
 @dataclass(frozen=True)
@@ -67,20 +58,6 @@ class PathBundle:
     @property
     def dB(self) -> np.ndarray:
         return np.diff(self.B, axis=1)
-
-    def coarsen(self, factor: int) -> "PathBundle":
-        """Subsample every factor-th grid point (increments aggregate exactly)."""
-        if self.grid.step_count % factor != 0:
-            raise ValueError(f"step_count {self.grid.step_count} not divisible by {factor}")
-        coarse = TimeGrid(self.grid.t_start, self.grid.t_end, self.grid.step_count // factor)
-        return PathBundle(
-            grid=coarse,
-            W=self.W[:, ::factor, :],
-            B=self.B[:, ::factor, :],
-            seed=self.seed,
-            scenario_count=self.scenario_count,
-            shared_b=self.shared_b,
-        )
 
 
 def philox(seed: int, stream: int) -> np.random.Generator:
@@ -160,80 +137,3 @@ def time_major_increments(path: np.ndarray) -> np.ndarray:
     steps = np.swapaxes(path, 0, 1)
     out = np.empty(steps[1:].shape, dtype=path.dtype)
     return np.subtract(steps[1:], steps[:-1], out=out)
-
-
-def integrate(
-    values: np.ndarray,
-    driver: np.ndarray,
-    convention: IntegralConvention,
-    from_index: int = 0,
-    to_index: int | None = None,
-) -> np.ndarray:
-    """Discrete stochastic integral of integrand samples against a driver path.
-
-    Parameters
-    ----------
-    values : array, shape (..., T+1) or (S, T+1, d)
-        Integrand sampled at every grid point.  When both arrays have three
-        or more axes and matching trailing length, the last axis is treated
-        as coordinates and contracted against the driver increments (inner
-        product); two-dimensional inputs are scalar paths with time last.
-    driver : array, shape (..., T+1) or (S, T+1, d)
-        Driver path (B or W).
-    convention : IntegralConvention
-        forward: left-endpoint integrand;  backward: right endpoint;
-        stratonovich: average of the two.
-    from_index, to_index : int
-        Grid indices delimiting the integration range (default: full range).
-
-    Returns
-    -------
-    Integral value with the time (and coordinate) axis summed out.
-    """
-    vector_valued = (
-        values.ndim == driver.ndim
-        and driver.ndim >= 3
-        and values.shape[-1] == driver.shape[-1]
-    )
-    time_axis = -2 if vector_valued else -1
-    n_times = driver.shape[time_axis]
-    if to_index is None:
-        to_index = n_times - 1
-    if not (0 <= from_index <= to_index <= n_times - 1):
-        raise IndexError(
-            f"integration range [{from_index}, {to_index}] invalid for {n_times} grid points"
-        )
-
-    def at(arr: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        idx = [slice(None)] * arr.ndim
-        idx[time_axis] = slice(lo, hi)
-        return arr[tuple(idx)]
-
-    left = at(values, from_index, to_index)
-    right = at(values, from_index + 1, to_index + 1)
-    d_driver = at(driver, from_index + 1, to_index + 1) - at(driver, from_index, to_index)
-    if convention is IntegralConvention.FORWARD_ITO:
-        phi = left
-    elif convention is IntegralConvention.BACKWARD_ITO:
-        phi = right
-    else:
-        phi = 0.5 * (left + right)
-    prod = phi * d_driver
-    if vector_valued:
-        return prod.sum(axis=(-2, -1))
-    return prod.sum(axis=-1)
-
-
-def time_reverse(path: np.ndarray) -> np.ndarray:
-    """Reverse a driver path in time, re-anchored to start at 0.
-
-    The reversed path R satisfies R_m = P_T - P_{T-m dt}; its increments are
-    the original increments read backwards, so a discrete backward integral
-    over [t, T] equals the forward integral of the reversed integrand against
-    the reversed driver, exactly and per scenario.  Paths follow the bundle
-    layout (..., T+1, d); a plain 1-D array is treated as (T+1,).
-    """
-    rev = path[..., ::-1, :] if path.ndim >= 2 else path[::-1]
-    if path.ndim >= 2:
-        return path[..., -1:, :] - rev
-    return path[-1] - rev

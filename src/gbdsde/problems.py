@@ -1,4 +1,4 @@
-"""Problem data: coefficient records, hypothesis checks, exponential shift.
+"""Problem data: coefficient records and hypothesis checks.
 
 A coefficient set bundles the driver f, the backward-noise coefficient g, the
 boundary reaction h, the terminal map l and the forward-diffusion pair
@@ -22,7 +22,7 @@ against the declared constant, and a concrete witness on failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -60,7 +60,6 @@ class CoefficientSet:
     f_env: Callable[[float], float] = field(default_factory=constant_envelope)
     g_env: Callable[[float], float] = field(default_factory=constant_envelope)
     h_env: Callable[[float], float] = field(default_factory=constant_envelope)
-    beta2: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -253,90 +252,3 @@ def validate_hypotheses(
                 1.0, {"x": x}))
 
     return HypothesisReport(checks)
-
-
-# ---------------------------------------------------------------------------
-# Exponential shift (one-sided monotonisation of h)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ValueTransform:
-    """Bijection between original and shifted solution paths.
-
-    forward maps (Y, Z) to (exp(rate k) Y, exp(rate k) Z); inverse undoes it.
-    Paths are arrays (S, T+1, n) / (S, T+1, n, d); k is (T+1,) or (S, T+1).
-    """
-
-    rate: float
-
-    def _factor(self, k: np.ndarray) -> np.ndarray:
-        return np.exp(self.rate * np.atleast_2d(np.asarray(k, dtype=float)))
-
-    def forward(self, y: np.ndarray, z: np.ndarray, k: np.ndarray):
-        e = self._factor(k)
-        return y * e[..., None], z * e[..., None, None]
-
-    def inverse(self, y_bar: np.ndarray, z_bar: np.ndarray, k: np.ndarray):
-        e = self._factor(k)
-        return y_bar / e[..., None], z_bar / e[..., None, None]
-
-
-def choose_shift_rate(beta1: float) -> float:
-    """Shift rate beta1 + 1, which moves the one-sided constant to exactly -1."""
-    if not np.isfinite(beta1):
-        raise ValueError("beta1 must be finite")
-    return beta1 + 1.0
-
-
-def exponential_shift(
-    coeffs: CoefficientSet,
-    eta_rate: float,
-    k_path: np.ndarray,
-    grid: TimeGrid,
-) -> tuple[CoefficientSet, ValueTransform]:
-    """Shifted coefficient set and the solution bijection.
-
-    The shifted data is f_bar(t,y,z) = e f(t, y/e, z/e), same for g, and
-    h_bar(t,y) = e h(t, y/e) - eta_rate * y with e = exp(eta_rate * k_t); the
-    pair (Y, Z) solves the original equation iff (eY, eZ) solves the shifted
-    one.  The shifted one-sided constant is beta1 - eta_rate.
-    """
-    if eta_rate <= 0:
-        raise ValueError("eta_rate must be > 0")
-    k_arr = np.atleast_2d(np.asarray(k_path, dtype=float))
-    if k_arr.shape[-1] != len(grid):
-        raise ValueError("k path length does not match grid")
-    if np.any(np.diff(k_arr, axis=-1) < -1e-12):
-        raise ValueError("k path must be nondecreasing")
-    if np.any(np.abs(k_arr[:, 0]) > 1e-12):
-        raise ValueError("k path must start at 0")
-
-    def factor_at(t: float, rows: int) -> np.ndarray:
-        i = grid.index_of(t)
-        col = np.exp(eta_rate * k_arr[:, i])
-        if col.shape[0] == rows:
-            return col
-        if col.shape[0] == 1:
-            return np.broadcast_to(col, (rows,))
-        raise ValueError(
-            f"k path has {col.shape[0]} scenarios but coefficients were called with {rows}")
-
-    def f_bar(t, x, y, z):
-        e = factor_at(t, y.shape[0])
-        return e[:, None] * coeffs.f(t, x, y / e[:, None], z / e[:, None, None])
-
-    def g_bar(t, x, y, z):
-        e = factor_at(t, y.shape[0])
-        return e[:, None, None] * coeffs.g(t, x, y / e[:, None], z / e[:, None, None])
-
-    def h_bar(t, x, y):
-        e = factor_at(t, y.shape[0])
-        return e[:, None] * coeffs.h(t, x, y / e[:, None]) - eta_rate * y
-
-    shifted = replace(
-        coeffs, f=f_bar, g=g_bar, h=h_bar,
-        beta1=coeffs.beta1 + eta_rate,  # two-sided Lipschitz constant of h_bar
-        beta2=coeffs.beta1 - eta_rate,
-    )
-    return shifted, ValueTransform(rate=eta_rate)

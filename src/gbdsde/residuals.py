@@ -247,35 +247,6 @@ class NoiseLinearField(SpaceTimeField):
         return np.zeros(x.shape[:-1] + (x.shape[-1], self.d))
 
 
-@dataclass
-class SumField(SpaceTimeField):
-    parts: list
-
-    def value(self, t, x, b, w):
-        return sum(p.value(t, x, b, w) for p in self.parts)
-
-    def grad_x(self, t, x, b, w):
-        return sum(p.grad_x(t, x, b, w) for p in self.parts)
-
-    def hess_x(self, t, x, b, w):
-        return sum(p.hess_x(t, x, b, w) for p in self.parts)
-
-    def drift(self, t, x):
-        return sum(p.drift(t, x) for p in self.parts)
-
-    def backward_comp(self, t, x):
-        return sum(p.backward_comp(t, x) for p in self.parts)
-
-    def forward_comp(self, t, x):
-        return sum(p.forward_comp(t, x) for p in self.parts)
-
-    def grad_backward(self, t, x):
-        return sum(p.grad_backward(t, x) for p in self.parts)
-
-    def grad_forward(self, t, x):
-        return sum(p.grad_forward(t, x) for p in self.parts)
-
-
 def ito_ventzell_residual(
     field: SpaceTimeField,
     alpha0: np.ndarray,

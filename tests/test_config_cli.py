@@ -1,4 +1,4 @@
-"""Configuration parsing, CLI exit codes, suite determinism."""
+"""Configuration parsing, CLI exit codes, suite determinism, the export list."""
 
 from pathlib import Path
 
@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from gbdsde.cli import main
-from gbdsde.config import ConfigError, load_config, parse_config, roundtrip
+from gbdsde.config import ConfigError, load_config, parse_config
 from gbdsde.suites import emit_report
 from gbdsde.acceptance import CriterionResult
 
@@ -41,8 +41,14 @@ def write_config(tmp_path: Path, mapping=None) -> Path:
     return path
 
 
-def test_roundtrip_identity():
-    assert roundtrip(BASE_CONFIG) == BASE_CONFIG
+def test_star_import_binds_every_exported_name():
+    # a name left in __all__ after its definition is deleted fails the star import
+    import gbdsde
+
+    namespace = {}
+    exec("from gbdsde import *", namespace)
+    assert len(set(gbdsde.__all__)) == len(gbdsde.__all__)
+    assert all(namespace[name] is getattr(gbdsde, name) for name in gbdsde.__all__)
 
 
 def test_parse_validates_dt_divides_horizon():

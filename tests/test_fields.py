@@ -10,14 +10,13 @@ from gbdsde import (
     CoefficientSet,
     PolynomialBasis,
     TimeGrid,
-    continuity_diagnostic,
     evaluate_u,
     interval_domain,
     pde_oracle_g0,
     sample_paths,
+    solve_bdsde_markov,
 )
 from gbdsde.acceptance import HEAT_AMPLITUDE, _bm_coeffs, _heat_coeffs
-from gbdsde.fields import boundary_residual
 
 BASIS = PolynomialBasis(3)
 
@@ -47,6 +46,24 @@ def test_oracle_heat_benchmark_closed_form():
     got = np.array([oracle.interpolate(0.0, x) for x in xs])
     assert np.max(np.abs(got - closed)) <= 2e-3
     assert oracle.refinement_gap < 1e-4
+
+
+def boundary_residual(coeffs, oracle) -> float:
+    """Max |normal derivative + h| of an oracle solution over all times.
+
+    Uses one-sided second-order differences for the normal derivative.
+    """
+    xs, u = oracle.x_nodes, oracle.u
+    dx = xs[1] - xs[0]
+    worst = 0.0
+    for m, t in enumerate(oracle.t_nodes):
+        ux_a = (-3.0 * u[m, 0] + 4.0 * u[m, 1] - u[m, 2]) / (2.0 * dx)
+        ux_b = (3.0 * u[m, -1] - 4.0 * u[m, -2] + u[m, -3]) / (2.0 * dx)
+        h_vals = coeffs.h(t, np.array([[xs[0]], [xs[-1]]]),
+                          np.array([[u[m, 0]], [u[m, -1]]]))[:, 0]
+        # inward normal is +1 at the left endpoint, -1 at the right
+        worst = max(worst, abs(ux_a + h_vals[0]), abs(-ux_b + h_vals[1]))
+    return worst
 
 
 def test_oracle_robin_self_consistency():
@@ -177,30 +194,32 @@ def test_field_basis_degree_invariance():
     assert spread <= 3 * max(ses)
 
 
+def _mean_sq_gap(coeffs, bundle, x1: float, x2: float) -> float:
+    """E|Y_s - Y'_s|^2 over the grid between the solutions started at (0, x1)
+    and (0, x2) on one bundle (common random numbers)."""
+    dom = interval_domain(0.0, 1.0)
+    y1, y2 = (solve_bdsde_markov(coeffs, dom, 0.0, np.array([x]), bundle, BASIS,
+                                 g_is_zero=True)[0].Y[:, :, 0] for x in (x1, x2))
+    return float(np.mean((y1 - y2) ** 2))
+
+
 def test_continuity_diagnostic_trivials():
     coeffs = _coeffs_with(lambda x: np.full(x.shape[:-1], 2.0))
-    dom = interval_domain(0.0, 1.0)
     grid = TimeGrid(0.0, 1.0, 50)
     bundle = sample_paths(grid, d=1, seed=36, count=500, shared_b=True)
-    pairs = [((0.0, np.array([0.5])), (0.0, np.array([0.5]))),
-             ((0.0, np.array([0.3])), (0.0, np.array([0.6])))]
-    rows = continuity_diagnostic(coeffs, dom, pairs, bundle, BASIS, g_is_zero=True)
-    assert rows[0]["mean_sq_gap"] == pytest.approx(0.0, abs=1e-20)
+    assert _mean_sq_gap(coeffs, bundle, 0.5, 0.5) == pytest.approx(0.0, abs=1e-20)
     # constant terminal map: the field is constant, gaps vanish at any separation
-    assert rows[1]["mean_sq_gap"] <= 1e-20
+    assert _mean_sq_gap(coeffs, bundle, 0.3, 0.6) <= 1e-20
 
 
 def test_continuity_diagnostic_gap_scales_with_separation():
     coeffs = _heat_coeffs()
-    dom = interval_domain(0.0, 1.0)
     grid = TimeGrid(0.0, 1.0, 100)
     bundle = sample_paths(grid, d=1, seed=37, count=2000, shared_b=True)
     seps = (0.2, 0.1, 0.05)
-    pairs = [((0.0, np.array([0.4])), (0.0, np.array([0.4 + s]))) for s in seps]
-    rows = continuity_diagnostic(coeffs, dom, pairs, bundle, BASIS, g_is_zero=True)
-    gaps = [r["mean_sq_gap"] for r in rows]
+    gaps = [_mean_sq_gap(coeffs, bundle, 0.4, 0.4 + s) for s in seps]
     assert gaps[0] > gaps[1] > gaps[2]
-    ratios = [r["ratio"] for r in rows]
+    ratios = [gap / s**2 for gap, s in zip(gaps, seps)]
     assert max(ratios) <= 10 * min(r for r in ratios if r > 0)
 
 

@@ -18,16 +18,13 @@ from gbdsde import (
     FlowTable,
     TimeGrid,
     flow_derivative_identities,
-    flow_growth_constants,
     interval_domain,
     sample_paths,
-    spde_operator,
-    transform_identity_violations,
     transformed_boundary,
     transformed_generator,
 )
 from gbdsde.acceptance import SinNoise
-from gbdsde.flows import FlowBlowup, InversionError, quadratic_test_field
+from gbdsde.flows import AnalyticField, FlowBlowup, InversionError, _direct_operator
 
 
 def _grid_and_path(steps=1000, seed=5):
@@ -137,47 +134,6 @@ def test_inversion_tolerance_contract():
     resid = np.abs(flow.solve(t_idx, xs, back) - w)
     assert np.all(resid <= 1e-10 * (1 + np.abs(w)))
     assert np.max(np.abs(back - ys) / (1 + np.abs(ys))) <= 1e-9
-
-
-def test_growth_constants_finite_and_stable():
-    grid, bp = _grid_and_path(steps=500, seed=9)
-    noise = SinNoise(amp=0.8)
-    flow = BrownianFlow(noise, bp, grid, lipschitz_hint=noise.lipschitz)
-    rng = np.random.default_rng(3)
-
-    def draw(n):
-        return (rng.integers(0, 500, n), rng.uniform(-1, 1, (n, 1)),
-                rng.uniform(-2, 2, n))
-
-    first = flow_growth_constants(flow, draw(60))
-    second = flow_growth_constants(flow, draw(120))
-    for key, val in first.items():
-        assert np.isfinite(val)
-        # doubling the sample may only grow the fitted constant moderately
-        assert second[key] <= max(2.0 * val, val + 1.0)
-
-
-def test_zero_noise_growth_constant_zero():
-    grid, bp = _grid_and_path(steps=200)
-    flow = BrownianFlow(_zero_g, bp, grid)
-    t_idx = np.array([10, 50, 150])
-    samples = (t_idx, np.zeros((3, 1)), np.array([0.5, -1.0, 2.0]))
-    out = flow_growth_constants(flow, samples)
-    assert out["flow_value"] == 0.0
-    assert out["inverse_value"] == 0.0
-
-
-def test_constant_noise_growth_constant_is_coefficient():
-    # |flow - y| = |c| |B_T - B_t| exactly, so the fitted constant is |c|
-    grid, bp = _grid_and_path(steps=200)
-    c = 0.7
-    flow = BrownianFlow(_const_g(c), bp, grid)
-    rng = np.random.default_rng(9)
-    t_idx = rng.integers(0, 200, 40)
-    samples = (t_idx, np.zeros((40, 1)), rng.uniform(-2, 2, 40))
-    out = flow_growth_constants(flow, samples)
-    assert out["flow_value"] == pytest.approx(c, rel=1e-6)
-    assert out["inverse_value"] == pytest.approx(c, rel=1e-6)
 
 
 # -- transformed coefficients -------------------------------------------------
@@ -307,60 +263,42 @@ def test_transformed_boundary_x_dependent_noise_matches_manual_fd():
     assert np.max(np.abs(got - manual)) <= 1e-3
 
 
+def quadratic_test_field(a: float = 1.0, b: float = 0.0, c: float = 0.0) -> AnalyticField:
+    """a x_1^2 + b x_1 + c, time-independent."""
+
+    def fn(t, x):
+        x1 = x[..., 0]
+        return a * x1**2 + b * x1 + c
+
+    def grad(t, x):
+        out = np.zeros_like(x)
+        out[..., 0] = 2.0 * a * x[..., 0] + b
+        return out
+
+    def hess(t, x):
+        m = x.shape[-1]
+        out = np.zeros(x.shape[:-1] + (m, m))
+        out[..., 0, 0] = 2.0 * a
+        return out
+
+    return AnalyticField(fn, grad, hess)
+
+
 def test_spde_operator_trivial_values():
+    # the direct operator -L psi - f(t,x,psi,sigma* Dx psi) + (1/2)<g, Dy g>
+    # on a field psi given with its gradient and Hessian
     coeffs = _spatial_coeffs(f=lambda t, x, y, z: np.zeros_like(y))
     field = quadratic_test_field(a=1.0)
     x = np.array([[0.3]])
-    got = spde_operator(coeffs, field, 0.2, x)
+    got = _direct_operator(coeffs, 0.2, x, field.fn(0.2, x), field.grad(0.2, x),
+                           field.hess(0.2, x))
     assert got[0] == pytest.approx(-1.0)  # -L(x^2) with unit diffusion
 
     coeffs1 = _spatial_coeffs(f=lambda t, x, y, z: np.ones_like(y))
     zero_field = quadratic_test_field(a=0.0, b=0.0, c=0.0)
-    got = spde_operator(coeffs1, zero_field, 0.2, x)
+    got = _direct_operator(coeffs1, 0.2, x, zero_field.fn(0.2, x),
+                           zero_field.grad(0.2, x), zero_field.hess(0.2, x))
     assert got[0] == pytest.approx(-1.0)
-
-
-def test_transform_identities_zero_and_constant_noise():
-    grid, bp = _grid_and_path(steps=300, seed=17)
-    dom = interval_domain(0.0, 1.0)
-    rng = np.random.default_rng(4)
-    t_idx = rng.integers(0, 300, 40)
-    xs = rng.uniform(0.1, 0.9, (40, 1))
-    ys = rng.uniform(-1, 1, 40)
-    zs = rng.uniform(-1, 1, (40, 1))
-    tb_idx = rng.integers(0, 300, 10)
-    xb = np.array([[0.0], [1.0]] * 5)
-    yb = rng.uniform(-1, 1, 10)
-
-    coeffs0 = _spatial_coeffs()
-    flow0 = BrownianFlow(_zero_g, bp, grid)
-    out = transform_identity_violations(coeffs0, dom, flow0, (t_idx, xs, ys, zs),
-                                        (tb_idx, xb, yb))
-    # zero up to the inversion-tolerance / finite-difference cascade
-    assert out["generator"] <= 1e-6
-    assert out["boundary"] <= 1e-6
-
-    coeffs_c = _spatial_coeffs(g_flow=_const_g(0.5))
-    flow_c = BrownianFlow(_const_g(0.5), bp, grid)
-    out = transform_identity_violations(coeffs_c, dom, flow_c, (t_idx, xs, ys, zs),
-                                        (tb_idx, xb, yb))
-    assert out["generator"] <= 1e-6
-    assert out["boundary"] <= 1e-6
-
-
-def test_transform_identities_smooth_noise():
-    grid, bp = _grid_and_path(steps=1000, seed=19)
-    dom = interval_domain(0.0, 1.0)
-    noise = SinNoise(amp=0.6, x_mod=0.25)
-    coeffs = _spatial_coeffs(g_flow=noise)
-    flow = BrownianFlow(noise, bp, grid, fd_step=1e-4, lipschitz_hint=noise.lipschitz)
-    rng = np.random.default_rng(5)
-    t_idx = rng.integers(0, 1000, 50)
-    xs = rng.uniform(0.1, 0.9, (50, 1))
-    ys = rng.uniform(-1, 1, 50)
-    zs = rng.uniform(-1, 1, (50, 1))
-    out = transform_identity_violations(coeffs, dom, flow, (t_idx, xs, ys, zs))
-    assert out["generator"] <= 1e-3
 
 
 def test_flow_table_matches_direct_solver():
@@ -953,20 +891,10 @@ def test_verification_outputs_are_pinned():
     coeffs = _transform_instance()
     flow = BrownianFlow(spde_noise_coefficient(coeffs), bp, grid, lipschitz_hint=1.0)
     x = np.array([[0.2], [0.7]])
-    assert repr(spde_operator(coeffs, trig_test_field(), 0.3, x).tolist()) == (
+    field = trig_test_field()
+    psi = (field.fn(0.3, x), field.grad(0.3, x), field.hess(0.3, x))
+    assert repr(_direct_operator(coeffs, 0.3, x, *psi).tolist()) == (
         "[0.707895379652447, 1.1429710959439054]")
     assert repr(operator_identity_violations(coeffs, flow, trig_test_field(),
                                              np.array([10, 30]), x).tolist()) == (
         "[2.887690087050032e-13, 1.4206413823103503e-12]")
-    noise = SinNoise(amp=0.8)
-    growth = flow_growth_constants(
-        BrownianFlow(noise, bp, grid, lipschitz_hint=noise.lipschitz),
-        (np.array([5, 20, 40]), np.array([[0.1], [0.5], [0.9]]), np.array([-0.5, 0.2, 1.0])))
-    assert repr(growth) == (
-        "{'flow_value': 0.7981636856397777, 'inverse_value': 0.41335078183385693, "
-        "'flow_derivatives': 0.9698549238775988, 'inverse_derivatives': 0.9825824306362105}")
-    out = transform_identity_violations(
-        coeffs, interval_domain(0.0, 1.0), flow,
-        (np.array([10, 30]), x, np.array([0.4, -0.3]), np.array([[0.5], [-0.2]])),
-        (np.array([15, 35]), np.array([[0.0], [1.0]]), np.array([0.1, -0.6])))
-    assert repr(out) == "{'generator': 7.607652341423687e-09, 'boundary': 4.0721426231016267e-11}"

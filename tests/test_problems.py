@@ -1,16 +1,19 @@
-"""Hypothesis validation and the exponential coefficient shift."""
+"""Hypothesis validation."""
 
 import numpy as np
 import pytest
 
-from gbdsde import (
-    CoefficientSet,
-    SamplingPlan,
-    TimeGrid,
-    choose_shift_rate,
-    exponential_shift,
-    validate_hypotheses,
+from gbdsde import CoefficientSet, SamplingPlan, validate_hypotheses
+from gbdsde.acceptance import (
+    STABILITY_DELTAS,
+    _bm_coeffs,
+    _heat_coeffs,
+    _perturbed_driver,
+    _random_linear_instance,
+    _transform_instance,
+    _zeros_coeffs,
 )
+from gbdsde.paths import philox
 
 
 def _zero_matrix(d):
@@ -102,68 +105,28 @@ def test_spatial_hypotheses_checked_when_x_present():
     assert report["H4_l_growth"].passed
 
 
-def test_choose_shift_rate():
-    assert choose_shift_rate(0.5) == pytest.approx(1.5)
-    assert choose_shift_rate(0.0) == pytest.approx(1.0)
-    assert choose_shift_rate(3.0) == pytest.approx(4.0)
-
-
-def test_shift_with_flat_k_is_value_identity():
-    grid = TimeGrid(0.0, 1.0, 10)
-    coeffs = make_coeffs(h=lambda t, x, y: 0.5 * y, beta1=0.5)
-    shifted, transform = exponential_shift(coeffs, 1.5, np.zeros(11), grid)
-    assert shifted.beta2 == pytest.approx(-1.0)
-    y = np.random.default_rng(0).normal(size=(4, 11, 1))
-    z = np.random.default_rng(1).normal(size=(4, 11, 1, 1))
-    yf, zf = transform.forward(y, z, np.zeros(11))
-    assert np.array_equal(yf, y) and np.array_equal(zf, z)
-    # h_bar(y) = (0.5 - 1.5) y on flat k
-    ys = np.random.default_rng(2).normal(size=(6, 1))
-    got = shifted.h(grid.points[3], None, ys)
-    assert np.allclose(got, -1.0 * ys)
-
-
-def test_shifted_h_is_one_sided_negative():
-    # beta1 = 3, rate 4: sampled inner product <dy, dh> <= -|dy|^2
-    grid = TimeGrid(0.0, 1.0, 20)
-    k_path = 0.3 * grid.points
-    coeffs = make_coeffs(h=lambda t, x, y: 3.0 * np.tanh(y), beta1=3.0)
-    rate = choose_shift_rate(coeffs.beta1)
-    shifted, _ = exponential_shift(coeffs, rate, k_path, grid)
-    rng = np.random.default_rng(5)
-    t = grid.points[7]
-    y1 = rng.normal(size=(500, 1))
-    y2 = rng.normal(size=(500, 1))
-    dh = shifted.h(t, None, y1) - shifted.h(t, None, y2)
-    inner = ((y1 - y2) * dh).sum(axis=-1)
-    assert np.all(inner <= -((y1 - y2) ** 2).sum(axis=-1) + 1e-12)
-
-
-def test_transform_roundtrip_machine_precision():
-    grid = TimeGrid(0.0, 1.0, 50)
-    k = np.maximum.accumulate(np.abs(np.random.default_rng(3).normal(size=(8, 51))), axis=1)
-    k[:, 0] = 0.0
-    _, transform = exponential_shift(make_coeffs(), 2.0, k, grid)
-    y = np.random.default_rng(4).normal(size=(8, 51, 1))
-    z = np.random.default_rng(5).normal(size=(8, 51, 1, 1))
-    yf, zf = transform.forward(y, z, k)
-    yb, zb = transform.inverse(yf, zf, k)
-    assert np.allclose(yb, y, rtol=0, atol=1e-13)
-    assert np.allclose(zb, z, rtol=0, atol=1e-13)
-
-
-def test_shift_rejects_bad_inputs():
-    grid = TimeGrid(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        exponential_shift(make_coeffs(), 0.0, np.zeros(6), grid)
-    with pytest.raises(ValueError):
-        exponential_shift(make_coeffs(), 1.0, np.array([0, 1, 0.5, 2, 3, 4.0]), grid)
-    with pytest.raises(ValueError):
-        exponential_shift(make_coeffs(), 1.0, np.ones(6), grid)
-
-
 def test_coefficient_set_validates_constants():
     with pytest.raises(ValueError):
         make_coeffs(alpha=1.5)
     with pytest.raises(ValueError):
         make_coeffs(K=-1.0)
+
+
+def test_acceptance_instances_satisfy_their_declared_constants():
+    # the solvers never read c or alpha, so a broken declaration shows only here
+    rng = philox(2024, 41)
+    instances = {f"stream 41 draw {i}": _random_linear_instance(rng)["coeffs"]
+                 for i in range(20)}
+    base = _random_linear_instance(philox(2024, 43))["coeffs"]
+    instances["stream 43 base"] = base
+    for delta in STABILITY_DELTAS:
+        instances[f"stream 43 delta {delta}"] = _perturbed_driver(base, delta)
+    instances.update(transform=_transform_instance(), bm=_bm_coeffs(),
+                     heat=_heat_coeffs(), zeros=_zeros_coeffs())
+    failed = {}
+    for name, coeffs in instances.items():
+        report = validate_hypotheses(coeffs)
+        if not report.passed:
+            failed[name] = [(c.name, c.worst_ratio / c.bound)
+                            for c in report.checks if not c.passed]
+    assert failed == {}

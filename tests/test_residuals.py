@@ -1,17 +1,19 @@
 """Residual checkers for the two composite identities, with sign mutations."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from gbdsde import (
     DriftField,
     NoiseLinearField,
-    SumField,
     TimeGrid,
     ito_formula_residual,
     ito_ventzell_residual,
     sample_paths,
 )
+from gbdsde.residuals import SpaceTimeField
 
 
 def _bundle(steps, count=128, seed=31):
@@ -149,6 +151,35 @@ def test_ventzell_forward_cross_term():
     field = _linear_noise_field("forward")
     rep = ito_ventzell_residual(field, np.zeros(1), None, None, ones_m, None, bundle)
     assert rep.rms < 0.1
+
+
+@dataclass
+class SumField(SpaceTimeField):
+    parts: list
+
+    def value(self, t, x, b, w):
+        return sum(p.value(t, x, b, w) for p in self.parts)
+
+    def grad_x(self, t, x, b, w):
+        return sum(p.grad_x(t, x, b, w) for p in self.parts)
+
+    def hess_x(self, t, x, b, w):
+        return sum(p.hess_x(t, x, b, w) for p in self.parts)
+
+    def drift(self, t, x):
+        return sum(p.drift(t, x) for p in self.parts)
+
+    def backward_comp(self, t, x):
+        return sum(p.backward_comp(t, x) for p in self.parts)
+
+    def forward_comp(self, t, x):
+        return sum(p.forward_comp(t, x) for p in self.parts)
+
+    def grad_backward(self, t, x):
+        return sum(p.grad_backward(t, x) for p in self.parts)
+
+    def grad_forward(self, t, x):
+        return sum(p.grad_forward(t, x) for p in self.parts)
 
 
 def test_sum_field_combines_components():

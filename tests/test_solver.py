@@ -12,8 +12,6 @@ from gbdsde import (
     PolynomialBasis,
     TimeGrid,
     apriori_ratio,
-    choose_shift_rate,
-    exponential_shift,
     interval_domain,
     picard_solve,
     sample_paths,
@@ -234,30 +232,6 @@ def test_estimates_and_picard_trace_are_pinned(n, d):
     assert [repr(v) for v in sol.picard_trace] == trace
     assert [repr(est[key]) for key in ("lhs", "rhs", "ratio")] == sides
     assert [repr(gap[key]) for key in ("lhs", "rhs")] == gap_sides
-
-
-def test_exponential_shift_solver_roundtrip():
-    grid = TimeGrid(0.0, 1.0, 100)
-    bundle = sample_paths(grid, d=1, seed=13, count=4000)
-    coeffs = _zeros_coeffs(
-        f=lambda t, x, y, z: -0.5 * y,
-        g=lambda t, x, y, z: 0.3 * z,
-        h=lambda t, x, y: 0.4 * y + 0.3,
-        alpha=0.25, beta1=0.4,
-    )
-    k_path = 0.5 * grid.points
-    xi = bundle.W[:, -1, 0]
-    sol = picard_solve(coeffs, xi, k_path, bundle, BASIS, tol=1e-12, max_iter=10)
-
-    rate = choose_shift_rate(coeffs.beta1)
-    shifted, transform = exponential_shift(coeffs, rate, k_path, grid)
-    assert shifted.beta2 == pytest.approx(-1.0)
-    xi_bar = np.exp(rate * k_path[-1]) * xi
-    sol_bar = picard_solve(shifted, xi_bar, k_path, bundle, BASIS,
-                           tol=1e-12, max_iter=10)
-    y_back, z_back = transform.inverse(sol_bar.Y, sol_bar.Z, k_path)
-    assert np.sqrt(np.mean((y_back - sol.Y) ** 2)) <= 0.05
-    assert np.sqrt(np.mean((z_back - sol.Z) ** 2)) <= 0.15
 
 
 def test_markov_constant_terminal_exact():
