@@ -43,7 +43,7 @@ from .solver import (
     solve_transformed_gbsde,
     stability_gap,
 )
-from .fields import FieldEstimate, evaluate_u, pde_oracle_g0
+from .fields import evaluate_u, pde_oracle_g0
 
 __version__ = "0.1.0"
 
@@ -86,7 +86,6 @@ __all__ = [
     "stability_gap",
     "solve_bdsde_markov",
     "solve_transformed_gbsde",
-    "FieldEstimate",
     "evaluate_u",
     "pde_oracle_g0",
 ]

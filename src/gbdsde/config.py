@@ -73,13 +73,21 @@ class ExperimentConfig:
         return make_basis(self.basis_spec)
 
 
+def _number(kind, value, name: str):
+    """``kind(value)``, or a ConfigError naming the ``section.field``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {value!r} cannot be read as {kind.__name__}") from exc
+
+
 def _grid_from(section: dict) -> TimeGrid:
-    t_start = float(section.get("t_start", 0.0))
-    t_end = float(section.get("t_end", 1.0))
+    t_start = _number(float, section.get("t_start", 0.0), "grid.t_start")
+    t_end = _number(float, section.get("t_end", 1.0), "grid.t_end")
     if "step_count" in section:
-        steps = int(section["step_count"])
+        steps = _number(int, section["step_count"], "grid.step_count")
     elif "dt" in section:
-        dt = float(section["dt"])
+        dt = _number(float, section["dt"], "grid.dt")
         if dt <= 0:
             raise ConfigError("grid.dt: must be positive")
         steps_f = (t_end - t_start) / dt
@@ -116,9 +124,10 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
     grid = _grid_from(grid_sec)
 
     mc = dict(data.get("monte_carlo", {}))
-    scenarios = int(overrides["scenarios"] if overrides.get("scenarios") is not None
-                    else mc.get("scenarios", 1000))
-    seed = int(overrides["seed"]) if overrides.get("seed") is not None else int(mc.get("seed", 0))
+    scenarios = _number(int, overrides["scenarios"] if overrides.get("scenarios") is not None
+                        else mc.get("scenarios", 1000), "monte_carlo.scenarios")
+    seed = _number(int, overrides["seed"] if overrides.get("seed") is not None
+                   else mc.get("seed", 0), "monte_carlo.seed")
     shared_b = bool(mc.get("shared_b", False))
     if scenarios < 1:
         raise ConfigError("monte_carlo.scenarios: must be >= 1")
@@ -130,9 +139,10 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
         raise ConfigError(f"basis: {exc}") from exc
     # enforce scenario/basis headroom on the solver suites
     if suite in ("solve-bdsde", "field"):
-        feat_dim = int(data.get("problem", {}).get("x_dim") or 1)
+        problem = data.get("problem", {})
+        feat_dim = _number(int, problem.get("x_dim") or 1, "problem.x_dim")
         if not shared_b:
-            feat_dim += int(data.get("problem", {}).get("d", 1))
+            feat_dim += _number(int, problem.get("d", 1), "problem.d")
         need = MIN_SCENARIO_RATIO * basis.feature_count(feat_dim)
         if scenarios < need:
             raise ConfigError(
@@ -140,8 +150,8 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
                 f"for {basis.name}")
 
     out_dir = Path(overrides.get("out_dir") or data.get("output", {}).get("dir", "out"))
-    workers = int(overrides["workers"] if overrides.get("workers") is not None
-                  else data.get("workers", 1))
+    workers = _number(int, overrides["workers"] if overrides.get("workers") is not None
+                      else data.get("workers", 1), "workers")
     if workers < 1:
         raise ConfigError("workers: must be >= 1")
 

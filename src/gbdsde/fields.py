@@ -21,8 +21,7 @@ from .geometry import SmoothDomain
 from .grids import TimeGrid
 from .paths import PathBundle
 from .problems import CoefficientSet
-from .regression import DesignProjector
-from .solver import _markov_start_values, _standard_error, solve_bdsde_markov
+from .solver import _markov_start_values, _standard_error
 
 
 @dataclass
@@ -32,19 +31,10 @@ class FieldNode:
     u: float
     se_u: float
     v: float
-    scenario_count: int
 
 
-@dataclass
-class FieldEstimate:
-    """Monte Carlo estimates of the solution field on requested nodes."""
-
-    nodes: list[FieldNode]
-    mode: str
-
-
-# A block of pointwise field nodes holds, per node, its time-major X rows and
-# its k rows (turned into the k increments in place): (T+1) x S x (dim + 1)
+# A block of field nodes holds, per node, its time-major X rows and its k
+# rows (turned into the k increments in place): (T+1) x S x (dim + 1)
 # floats.  FIELD_BLOCK_BYTES caps that at 32 MiB, 4 nodes on an interval at
 # 1000 scenarios and 500 steps and one node at a time from 10^4 scenarios, so
 # a block's memory stays bounded whatever the node count
@@ -74,56 +64,31 @@ def evaluate_u(
     bundle: PathBundle,
     basis,
     flow: BrownianFlow | None = None,
-    mode: str = "pointwise",
     g_is_zero: bool = False,
-) -> FieldEstimate:
-    """Estimate u on the requested (t, x) nodes.
+) -> list[FieldNode]:
+    """Estimate u on the requested (t, x) nodes, one backward solve from each.
 
-    ``pointwise`` runs a backward solve from each node (isolates errors and
-    carries an unsmoothed standard error).  The nodes of one `field_blocks`
-    block share a start time and are solved together on the one bundle: one
-    Euler projection and one backward induction over their node-major rows,
-    each node bit-identical to its own `solve_bdsde_markov`.  ``global`` runs
-    one solve from the earliest node and reads every node off the fitted
-    per-time regression functions (cheaper, SE from regression residuals);
-    every path sits at that node's x at its time, so another node at the
-    earliest time raises ValueError.
+    u(t, x) is the mean time-t value of the solve started at (t, x), with
+    the standard error of its scenario totals.  The nodes of one
+    `field_blocks` block share a start time and are solved together on the
+    one bundle: one Euler projection and one backward induction over their
+    node-major rows, each node bit-identical to its own `solve_bdsde_markov`.
     The companion value v is the flow inverse of u at the node; with no flow
     supplied (vanishing backward noise) v = u.
     """
-    if mode not in ("pointwise", "global"):
-        raise ValueError(f"unknown field mode {mode!r}")
     grid = bundle.grid
+    times = [t for t, _ in field_grid]
     points = [np.atleast_1d(np.asarray(x, dtype=float)) for _, x in field_grid]
     estimates: list[tuple[float, float]] = [(0.0, 0.0)] * len(field_grid)
-    if mode == "pointwise":
-        times = [t for t, _ in field_grid]
-        for block in field_blocks(times, grid, bundle.scenario_count, domain.dim):
-            y_start, totals = _markov_start_values(
-                coeffs, domain, times[block[0]], np.stack([points[j] for j in block]),
-                bundle, basis, g_is_zero=g_is_zero)
-            for j, y, total in zip(block, y_start, totals):
-                estimates[j] = float(y.mean()), float(_standard_error(total[:, None])[0])
-    else:
-        t0 = min(t for t, _ in field_grid)
-        x0 = next(x for (t, _), x in zip(field_grid, points) if t == t0)
-        if any(t == t0 and not np.array_equal(x, x0) for (t, _), x in zip(field_grid, points)):
-            raise ValueError(f"global field mode solves from ({t0:g}, {x0.tolist()}), where "
-                             f"every path starts; other nodes at t = {t0:g} need pointwise mode")
-        sol, refl = solve_bdsde_markov(
-            coeffs, domain, t0, x0, bundle, basis, g_is_zero=g_is_zero)
-        for j, ((t_node, _), x_node) in enumerate(zip(field_grid, points)):
-            idx = grid.index_of(t_node)
-            y_vals = sol.Y[:, idx, 0]
-            proj = DesignProjector(refl.X[:, idx, :], basis)
-            resid = y_vals - proj.fit(y_vals)
-            estimates[j] = (float(proj.evaluate(x_node[None, :], y_vals)[0]),
-                            float(resid.std(ddof=1) / np.sqrt(len(y_vals))))
-    nodes: list[FieldNode] = []
-    for (t_node, _), x_node, (u_val, se) in zip(field_grid, points, estimates):
-        v_val = _invert_node(flow, grid.index_of(t_node), x_node, u_val)
-        nodes.append(FieldNode(t_node, x_node, u_val, se, v_val, bundle.scenario_count))
-    return FieldEstimate(nodes=nodes, mode=mode)
+    for block in field_blocks(times, grid, bundle.scenario_count, domain.dim):
+        y_start, totals = _markov_start_values(
+            coeffs, domain, times[block[0]], np.stack([points[j] for j in block]),
+            bundle, basis, g_is_zero=g_is_zero)
+        for j, y, total in zip(block, y_start, totals):
+            estimates[j] = float(y.mean()), float(_standard_error(total[:, None])[0])
+    return [FieldNode(t_node, x_node, u_val, se,
+                      _invert_node(flow, grid.index_of(t_node), x_node, u_val))
+            for t_node, x_node, (u_val, se) in zip(times, points, estimates)]
 
 
 def _invert_node(flow, t_index: int, x: np.ndarray, u_val: float) -> float:

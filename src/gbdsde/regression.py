@@ -87,26 +87,19 @@ class PiecewiseBinBasis:
     def feature_count(self, point_dim: int) -> int:
         return self.count
 
-    def edges(self, points: np.ndarray) -> np.ndarray:
-        """Quantile bin edges of the first coordinate of ``points``."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))[:, 0]
-        return np.quantile(pts, np.linspace(0.0, 1.0, self.count + 1))
+    def features(self, points: np.ndarray) -> np.ndarray:
+        """Bin indicators of the first coordinate against its quantile edges.
 
-    def features(self, points: np.ndarray, edges: np.ndarray | None = None) -> np.ndarray:
-        """Bin indicators of the first coordinate against ``edges``.
-
-        With the points' own quantile edges (the default) every bin must
-        hold mass, unless the coordinate is constant: its one full bin is a
-        constant column, which the projector drops to the intercept.
+        Every bin must hold mass, unless the coordinate is constant: its one
+        full bin is a constant column, which the projector drops to the
+        intercept.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))[:, 0]
-        own = edges is None
-        if own:
-            edges = self.edges(points)
+        edges = np.quantile(pts, np.linspace(0.0, 1.0, self.count + 1))
         idx = np.clip(np.searchsorted(edges, pts, side="right") - 1, 0, self.count - 1)
         design = np.zeros((pts.shape[0], self.count))
         design[np.arange(pts.shape[0]), idx] = 1.0
-        if own and np.ptp(pts) != 0 and np.any(design.sum(axis=0) == 0):
+        if np.ptp(pts) != 0 and np.any(design.sum(axis=0) == 0):
             raise RegressionRankError(f"empty bin in basis {self.name}")
         return design
 
@@ -132,13 +125,9 @@ class DesignProjector:
 
     The standardization reproduces numpy's ``mean``/``std`` bit for bit
     while centring the design once.  ``fit`` takes and returns arrays with
-    scenarios on the leading axis; the orthonormal basis is held as a
-    C-contiguous (scenarios, rank) array.
-
-    ``evaluate`` reads the fitted function off at new points: the projector
-    keeps its training standardization (column means, standard deviations,
-    kept columns and a bin basis's quantile edges) and the retained SVD
-    factors, so new points are never standardized or binned by themselves.
+    scenarios on the leading axis; the orthonormal basis, held as a
+    C-contiguous (scenarios, rank) array, is all the projector keeps: it
+    fits targets on its own training rows and reads no new points.
 
     ``stack`` builds the projectors of a block of steps in one pass, each
     bit-identical to its own ``DesignProjector(points[c], basis)``: the
@@ -163,13 +152,12 @@ class DesignProjector:
         if not np.all(np.isfinite(design)):
             raise RegressionRankError(
                 f"non-finite feature values in basis {basis.name}")
-        mean, centered, std, keep = _centre(design)
-        u, sv, vt = np.linalg.svd(_standardized(centered, std, keep), full_matrices=False)
-        edges = basis.edges(feature_points) if isinstance(basis, PiecewiseBinBasis) else None
-        self._freeze(basis, edges, mean, std, keep, u, sv, vt)
+        _, centered, std, keep = _centre(design)
+        u, sv, _ = np.linalg.svd(_standardized(centered, std, keep), full_matrices=False)
+        self._freeze(basis, u, sv)
 
-    def _freeze(self, basis, edges, mean, std, keep, u, sv, vt) -> None:
-        """Keep the training standardization and the SVD factors above the cutoff."""
+    def _freeze(self, basis, u, sv) -> None:
+        """Keep the left singular vectors above the cutoff."""
         retain = sv > RCOND * sv[0]
         rank = int(np.count_nonzero(retain))
         if rank == 0:
@@ -178,11 +166,8 @@ class DesignProjector:
         self.basis_name = basis.name
         self.scenario_count = u.shape[0]
         self.rank = rank
-        self._basis, self._edges = basis, edges
-        self._mean, self._std, self._keep = mean, std, keep
         # the thin SVD's u is C-contiguous already (per step, also in a stack)
         self._u = u if rank == sv.size else np.ascontiguousarray(u[:, retain])
-        self._sv, self._vt = (sv, vt) if rank == sv.size else (sv[retain], vt[retain])
 
     @classmethod
     def stack(cls, points: np.ndarray, basis) -> list[DesignProjector | None]:
@@ -225,13 +210,13 @@ class DesignProjector:
             for q, j in enumerate(kept, 1):
                 np.divide(centered[:, rows, j], std[rows, j], out=a[..., q])
             try:
-                u, sv, vt = np.linalg.svd(np.swapaxes(a, 0, 1), full_matrices=False)
+                u, sv, _ = np.linalg.svd(np.swapaxes(a, 0, 1), full_matrices=False)
             except np.linalg.LinAlgError:
                 continue
             for k, c in enumerate(steps):
                 proj = cls.__new__(cls)
                 try:
-                    proj._freeze(basis, None, mean[c], std[c], keep[c], u[k], sv[k], vt[k])
+                    proj._freeze(basis, u[k], sv[k])
                 except RegressionRankError:
                     continue
                 out[c] = proj
@@ -245,17 +230,6 @@ class DesignProjector:
         flat = targets.reshape(self.scenario_count, -1)
         fitted = self._u @ (self._u.T @ flat)
         return fitted.reshape(targets.shape)
-
-    def evaluate(self, points: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """The function fitted to ``targets`` at new points, one row each."""
-        targets = np.asarray(targets, dtype=float)
-        design = (self._basis.features(points) if self._edges is None
-                  else self._basis.features(points, self._edges))
-        a = _standardized(design - self._mean, self._std, self._keep)
-        # least-squares coefficients of the standardized design: V S^-1 U^T y
-        flat = targets.reshape(self.scenario_count, -1)
-        coef = self._vt.T @ ((self._u.T @ flat) / self._sv[:, None])
-        return (a @ coef).reshape(a.shape[:1] + targets.shape[1:])
 
 
 def _centre(design: np.ndarray):

@@ -25,8 +25,8 @@ The kernel's rows carry a node axis: N blocks of the bundle's S scenarios,
 started from N points at one time and driven by the same increments.  The
 coefficients see all N S rows at once, while each node is regressed on its
 own rows with its own projectors, so a node's values do not depend on its
-block.  The two public Markovian solvers are the case N = 1; the pointwise
-field (`fields.evaluate_u`) solves its nodes N at a time through
+block.  The two public Markovian solvers are the case N = 1; the field
+estimator (`fields.evaluate_u`) solves its nodes N at a time through
 `_markov_start_values`, keeping only the rows of the current and the next
 step.
 

@@ -203,7 +203,7 @@ def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
 
 
 def _field_node_entry(config: ExperimentConfig, nodes: list[list]) -> list[list]:
-    """Worker entry: rebuild the problem and evaluate one block of field nodes.
+    """Worker entry: rebuild the problem and evaluate one `field_blocks` block.
 
     The parsed config travels whole, so the nodes run at the scenario count,
     grid and seed the command line chose, not the ones in the file.  Each
@@ -218,31 +218,30 @@ def _field_node_entry(config: ExperimentConfig, nodes: list[list]) -> list[list]
                               config.shared_b)
     g_zero = (config.problem or {}).get("g", {}).get("kind") == "zero"
     field_grid = [(float(node[0]), np.asarray(node[1:], dtype=float)) for node in nodes]
-    est = evaluate_u(coeffs, domain, field_grid, bundle, config.basis(),
-                     mode=config.options.get("field", {}).get("mode", "pointwise"),
-                     g_is_zero=g_zero)
-    return [[n.t, *n.x.tolist(), n.u, n.se_u, n.v] for n in est.nodes]
+    return [[n.t, *n.x.tolist(), n.u, n.se_u, n.v]
+            for n in evaluate_u(coeffs, domain, field_grid, bundle, config.basis(),
+                                g_is_zero=g_zero)]
 
 
 def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
     """The field suite: u, se and v at the configured nodes, and the oracle gap.
 
-    In ``pointwise`` mode the nodes go to the workers in the blocks that
-    `evaluate_u` solves together (`field_blocks`); in ``global`` mode all
-    nodes are read off one solve, in one block.  The rows come back in the
-    configured order.
+    The nodes go to the workers in the blocks that `evaluate_u` solves
+    together (`field_blocks`), and their rows come back in the configured
+    order.  ``field.mode`` may only be ``pointwise``, the one estimator.
     """
     opts = config.options.get("field", {})
     nodes = opts.get("nodes")
     if not nodes:
         raise ValueError("field suite needs field.nodes in the config")
+    mode = opts.get("mode", "pointwise")
+    if mode != "pointwise":
+        raise ConfigError(f"field.mode: unknown mode {mode!r}; the field suite "
+                          f"has only 'pointwise'")
     g_zero = (config.problem or {}).get("g", {}).get("kind") == "zero"
 
-    if opts.get("mode", "pointwise") == "pointwise":
-        blocks = field_blocks([float(node[0]) for node in nodes], config.grid,
-                              config.scenarios, config.domain().dim)
-    else:
-        blocks = [list(range(len(nodes)))]
+    blocks = field_blocks([float(node[0]) for node in nodes], config.grid,
+                          config.scenarios, config.domain().dim)
     block_nodes = [[nodes[j] for j in block] for block in blocks]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:

@@ -312,28 +312,34 @@ def test_cli_empty_section_is_exit_2(tmp_path, capsys, section):
     assert f"config error: {section}: must be a mapping, not None" in capsys.readouterr().err
 
 
-def test_cli_field_global_mode_reads_every_node_off_one_solve(tmp_path, capsys, monkeypatch):
-    import gbdsde.suites as suites
-
-    calls = []
-    real_evaluate_u = suites.evaluate_u
-
-    def recording_evaluate_u(coeffs, domain, field_grid, *args, **kwargs):
-        calls.append(len(field_grid))
-        return real_evaluate_u(coeffs, domain, field_grid, *args, **kwargs)
-
-    monkeypatch.setattr(suites, "evaluate_u", recording_evaluate_u)
-    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
-    cfg["field"] = {"mode": "global", "nodes": [[0.0, 0.5], [0.25, 0.3], [0.25, 0.7]]}
+def test_cli_field_global_mode_is_exit_2(tmp_path, capsys):
+    # the field suite has one estimator; any other mode stops before a node is solved
+    config = Path(__file__).resolve().parents[1] / "configs" / "neumann-heat.yaml"
+    cfg = yaml.safe_load(config.read_text())
+    cfg["field"]["mode"] = "global"
     out = tmp_path / "out"
-    main(["field", "--config", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
-    assert calls == [3]
-    assert len((out / "field.csv").read_text().splitlines()) == 4
-    # a second node at the start time, where every path sits at the first
-    cfg["field"]["nodes"] = [[0.0, 0.5], [0.0, 0.25]]
     code = main(["field", "--config", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
     assert code == 2
-    assert "need pointwise mode" in capsys.readouterr().err
+    assert "config error: field.mode:" in capsys.readouterr().err
+    assert not (out / "field.csv").exists()
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("grid", "t_start", "early"), ("grid", "t_end", "late"), ("grid", "dt", "small"),
+    ("grid", "step_count", "many"), ("monte_carlo", "scenarios", "many"),
+    ("monte_carlo", "seed", "x"), (None, "workers", "w"), ("problem", "x_dim", "one"),
+    ("problem", "d", "one"),
+])
+def test_cli_non_numeric_config_number_is_exit_2(tmp_path, capsys, section, field, value):
+    # a number that does not parse is a config error naming its field, not a traceback
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["monte_carlo"]["shared_b"] = False  # the headroom check then reads problem.d
+    (cfg[section] if section else cfg)[field] = value
+    code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    name = f"{section}.{field}" if section else field
+    assert f"config error: {name}: {value!r} cannot be read as" in capsys.readouterr().err
 
 
 def test_determinism_creates_a_fresh_out_root(tmp_path, monkeypatch):

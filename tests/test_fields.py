@@ -90,7 +90,7 @@ def test_field_constant_everywhere():
     nodes = [(0.0, np.array([0.2])), (0.5, np.array([0.8])), (1.0, np.array([0.5]))]
     est = evaluate_u(coeffs, interval_domain(0.0, 1.0), nodes, bundle, BASIS,
                      g_is_zero=True)
-    for node in est.nodes:
+    for node in est:
         assert node.u == pytest.approx(1.5, abs=1e-10)
         assert node.v == pytest.approx(1.5, abs=1e-10)
 
@@ -102,7 +102,7 @@ def test_field_terminal_slice_is_terminal_map():
     nodes = [(1.0, np.array([x])) for x in (0.1, 0.5, 0.9)]
     est = evaluate_u(coeffs, interval_domain(0.0, 1.0), nodes, bundle, BASIS,
                      g_is_zero=True)
-    for node, (_, x) in zip(est.nodes, nodes):
+    for node, (_, x) in zip(est, nodes):
         assert node.u == pytest.approx(math.cos(math.pi * x[0]), abs=1e-12)
 
 
@@ -113,50 +113,9 @@ def test_field_matches_oracle_small_scale():
     bundle = sample_paths(grid, d=1, seed=32, count=4000, shared_b=True)
     nodes = [(0.0, np.array([x])) for x in (0.0, 0.3, 0.7, 1.0)]
     est = evaluate_u(coeffs, dom, nodes, bundle, BASIS, g_is_zero=True)
-    for node, (_, x) in zip(est.nodes, nodes):
+    for node, (_, x) in zip(est, nodes):
         truth = HEAT_AMPLITUDE * math.cos(math.pi * x[0])
         assert abs(node.u - truth) <= 3 * (node.se_u + 2e-3)
-
-
-def test_field_global_mode_agrees_with_pointwise():
-    coeffs = _heat_coeffs()
-    dom = interval_domain(0.0, 1.0)
-    grid = TimeGrid(0.0, 1.0, 100)
-    bundle = sample_paths(grid, d=1, seed=33, count=4000, shared_b=True)
-    nodes = [(0.0, np.array([0.5])), (0.5, np.array([0.5]))]
-    point = evaluate_u(coeffs, dom, nodes, bundle, BASIS, mode="pointwise",
-                       g_is_zero=True)
-    glob = evaluate_u(coeffs, dom, nodes, bundle, BASIS, mode="global",
-                      g_is_zero=True)
-    for p, g in zip(point.nodes, glob.nodes):
-        assert abs(p.u - g.u) <= 0.05
-
-
-def test_field_global_mode_rejects_a_second_node_at_the_start_time():
-    # every path of the one solve sits at the first node's x at the earliest
-    # time, so a second node there would read off the first node's value
-    coeffs = _heat_coeffs()
-    grid = TimeGrid(0.0, 1.0, 20)
-    bundle = sample_paths(grid, d=1, seed=33, count=400, shared_b=True)
-    nodes = [(0.0, np.array([0.5])), (0.0, np.array([0.2])), (0.5, np.array([0.3]))]
-    with pytest.raises(ValueError, match="need pointwise mode"):
-        evaluate_u(coeffs, interval_domain(0.0, 1.0), nodes, bundle, BASIS, mode="global",
-                   g_is_zero=True)
-
-
-def test_field_global_mode_runs_with_a_bin_basis():
-    from gbdsde import PiecewiseBinBasis
-
-    coeffs = _heat_coeffs()
-    dom = interval_domain(0.0, 1.0)
-    grid = TimeGrid(0.0, 1.0, 100)
-    bundle = sample_paths(grid, d=1, seed=33, count=4000, shared_b=True)
-    nodes = [(0.0, np.array([0.5])), (0.5, np.array([0.3])), (0.5, np.array([0.7]))]
-    glob = evaluate_u(coeffs, dom, nodes, bundle, PiecewiseBinBasis(8), mode="global",
-                      g_is_zero=True)
-    for node, (t, x) in zip(glob.nodes, nodes):
-        truth = math.exp(-math.pi**2 * (1.0 - t) / 2.0) * math.cos(math.pi * x[0])
-        assert abs(node.u - truth) <= 0.02  # the t = 0.5 amplitude is 0.05
 
 
 def test_field_roundtrip_through_flow():
@@ -172,7 +131,7 @@ def test_field_roundtrip_through_flow():
     flow = BrownianFlow(g_flow, bundle.B[0], grid, lipschitz_hint=0.4)
     nodes = [(0.0, np.array([0.4])), (0.5, np.array([0.6]))]
     est = evaluate_u(coeffs, dom, nodes, bundle, BASIS, flow=flow, g_is_zero=True)
-    for node, (t, x) in zip(est.nodes, nodes):
+    for node, (t, x) in zip(est, nodes):
         ti = grid.index_of(t)
         forward = flow.solve(ti, np.array([x]), np.array([node.v]))[0]
         assert abs(forward - node.u) <= 1e-9 * (1 + abs(node.u))
@@ -188,8 +147,8 @@ def test_field_basis_degree_invariance():
     for degree in (2, 3, 4):
         est = evaluate_u(coeffs, dom, node, bundle, PolynomialBasis(degree),
                          g_is_zero=True)
-        values.append(est.nodes[0].u)
-        ses.append(est.nodes[0].se_u)
+        values.append(est[0].u)
+        ses.append(est[0].se_u)
     spread = max(values) - min(values)
     assert spread <= 3 * max(ses)
 
@@ -295,12 +254,12 @@ def test_field_blocks_match_per_node_solves(case, g_is_zero, monkeypatch):
         assert blocks == [[0, 1, 3], [4, 6], [2, 5], [7]]
     assert max(len(b) for b in blocks) == 3
     est = evaluate_u(coeffs, dom, nodes, bundle, basis, g_is_zero=g_is_zero)
-    for node, (t, x) in zip(est.nodes, nodes):
+    for node, (t, x) in zip(est, nodes):
         sol, _ = solve_bdsde_markov(coeffs, dom, t, x, bundle, basis, g_is_zero=g_is_zero)
         assert node.t == t and np.array_equal(node.x, x)
         assert node.u == float(sol.Y[:, grid.index_of(t), 0].mean())
         assert node.se_u == float(sol.initial_se()[0])
-    assert len({node.u for node in est.nodes}) == len(nodes)
+    assert len({node.u for node in est}) == len(nodes)
 
 
 def test_field_block_judges_lost_scenarios_per_node():

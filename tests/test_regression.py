@@ -122,35 +122,11 @@ def test_projector_reuse_matches_one_shot():
     assert np.allclose(a, b, atol=1e-12)
 
 
-def test_projector_evaluates_new_points():
-    rng = np.random.default_rng(8)
-    x = rng.uniform(-1, 1, size=(1000, 1))
-    y = 2.0 + 3.0 * x[:, 0]
-    proj = DesignProjector(x, PolynomialBasis(1))
-    probe = np.array([[0.0], [0.5]])
-    assert np.allclose(proj.evaluate(probe, y), [2.0, 3.5], atol=1e-9)
-
-
-def test_bin_projector_evaluates_one_point_against_training_edges():
-    # quantile edges of one evaluation point would all coincide; the stored
-    # training edges put each probe in its training bin
-    rng = np.random.default_rng(12)
-    x = rng.uniform(0.0, 1.0, size=(1000, 1))
-    edges = np.quantile(x[:, 0], np.linspace(0.0, 1.0, 5))
-    bin_of = np.clip(np.searchsorted(edges, x[:, 0], side="right") - 1, 0, 3)
-    proj = DesignProjector(x, PiecewiseBinBasis(4))
-    for probe, want in ((0.05, 0.0), (0.4, 1.0), (0.6, 2.0), (0.97, 3.0)):
-        got = proj.evaluate(np.array([[probe]]), bin_of.astype(float))
-        assert got.shape == (1,) and abs(got[0] - want) <= 1e-9
-    assert np.allclose(proj.evaluate(x, bin_of.astype(float)), bin_of, atol=1e-9)
-
-
 def test_bin_basis_constant_points_reduce_to_the_mean():
     y = np.random.default_rng(13).normal(size=200)
     proj = DesignProjector(np.full((200, 1), 0.5), PiecewiseBinBasis(5))
     assert proj.rank == 1
     assert np.allclose(proj.fit(y), y.mean(), atol=1e-12)
-    assert np.allclose(proj.evaluate(np.array([[0.1], [0.9]]), y), y.mean(), atol=1e-12)
 
 
 def _reference_projector(feature_points, basis):
