@@ -135,10 +135,18 @@ def _compile(spec: dict, role: str, d: int, x_dim: int) -> Callable:
     raise KeyError(f"unknown catalog entry {kind!r} for role {role!r}")
 
 
+def whole_number(value, name: str) -> int:
+    """``int(value)`` for an integral number or a numeric string; a bool or a
+    fraction, which int() would truncate, is a ValueError naming ``name``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name}: {value!r} cannot be read as int")
+    return int(value)
+
+
 def build_coefficient_set(problem: dict) -> CoefficientSet:
     """Assemble a CoefficientSet from a config 'problem' section."""
-    n, d = int(problem.get("n", 1)), int(problem.get("d", 1))
-    x_dim = None if problem.get("x_dim") is None else int(problem["x_dim"])
+    n, d = whole_number(problem.get("n", 1), "n"), whole_number(problem.get("d", 1), "d")
+    x_dim = None if problem.get("x_dim") is None else whole_number(problem["x_dim"], "x_dim")
     built = {}
     for role in _ROLES:
         spec = problem.get(role)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from .catalog import build_coefficient_set
+from .catalog import build_coefficient_set, whole_number
 from .geometry import SmoothDomain, make_domain
 from .grids import TimeGrid
 from .problems import CoefficientSet
@@ -74,9 +74,9 @@ class ExperimentConfig:
 
 
 def _number(kind, value, name: str):
-    """``kind(value)``, or a ConfigError naming the ``section.field``."""
+    """``kind(value)`` (`whole_number` for int), or a ConfigError naming the field."""
     try:
-        return kind(value)
+        return whole_number(value, name) if kind is int else kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {value!r} cannot be read as {kind.__name__}") from exc
 
@@ -128,7 +128,9 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
                         else mc.get("scenarios", 1000), "monte_carlo.scenarios")
     seed = _number(int, overrides["seed"] if overrides.get("seed") is not None
                    else mc.get("seed", 0), "monte_carlo.seed")
-    shared_b = bool(mc.get("shared_b", False))
+    shared_b = mc.get("shared_b", False)
+    if not isinstance(shared_b, bool):
+        raise ConfigError(f"monte_carlo.shared_b: {shared_b!r} is not a boolean")
     if scenarios < 1:
         raise ConfigError("monte_carlo.scenarios: must be >= 1")
 

@@ -1,12 +1,11 @@
 """Field-level evaluators: the solution surface u(t, x) and its oracle.
 
 u(t, x) is read off as the time-t value of the Markovian solution started at
-(t, x); its flow-transformed companion v solves the backward-noise-free
-problem and the two are linked pointwise through the flow and its inverse.
-For vanishing backward noise the problem reduces to a deterministic
-parabolic equation with a nonlinear Neumann condition, solved here on an
-interval by a Crank-Nicolson scheme with ghost nodes and a per-step Newton
-iteration; that solver is the acceptance oracle for the reduction case.
+(t, x), with the standard error of its scenario totals.  For vanishing
+backward noise the problem reduces to a deterministic parabolic equation
+with a nonlinear Neumann condition, solved here on an interval by a
+Crank-Nicolson scheme with ghost nodes and a per-step Newton iteration; that
+solver is the acceptance oracle for the reduction case.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .flows import BrownianFlow
 from .geometry import SmoothDomain
 from .grids import TimeGrid
 from .paths import PathBundle
@@ -30,7 +28,6 @@ class FieldNode:
     x: np.ndarray
     u: float
     se_u: float
-    v: float
 
 
 # A block of field nodes holds, per node, its time-major X rows and its k
@@ -63,7 +60,6 @@ def evaluate_u(
     field_grid: list[tuple[float, np.ndarray]],
     bundle: PathBundle,
     basis,
-    flow: BrownianFlow | None = None,
     g_is_zero: bool = False,
 ) -> list[FieldNode]:
     """Estimate u on the requested (t, x) nodes, one backward solve from each.
@@ -73,8 +69,6 @@ def evaluate_u(
     `field_blocks` block share a start time and are solved together on the
     one bundle: one Euler projection and one backward induction over their
     node-major rows, each node bit-identical to its own `solve_bdsde_markov`.
-    The companion value v is the flow inverse of u at the node; with no flow
-    supplied (vanishing backward noise) v = u.
     """
     grid = bundle.grid
     times = [t for t, _ in field_grid]
@@ -86,15 +80,8 @@ def evaluate_u(
             bundle, basis, g_is_zero=g_is_zero)
         for j, y, total in zip(block, y_start, totals):
             estimates[j] = float(y.mean()), float(_standard_error(total[:, None])[0])
-    return [FieldNode(t_node, x_node, u_val, se,
-                      _invert_node(flow, grid.index_of(t_node), x_node, u_val))
+    return [FieldNode(t_node, x_node, u_val, se)
             for t_node, x_node, (u_val, se) in zip(times, points, estimates)]
-
-
-def _invert_node(flow, t_index: int, x: np.ndarray, u_val: float) -> float:
-    if flow is None:
-        return u_val
-    return float(flow.invert(t_index, x[None, :], np.array([u_val]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -657,10 +657,9 @@ def transformed_boundary(
     t,
     x: np.ndarray,
     y: np.ndarray,
-    check_boundary: bool = True,
 ) -> np.ndarray:
     """Boundary reaction of the transformed equation at a boundary point."""
-    if check_boundary and not np.all(domain.classify(x) == "boundary"):
+    if not np.all(domain.classify(x) == "boundary"):
         raise ValueError("transformed boundary coefficient requires boundary points")
     return _boundary_from_derivs(coeffs, domain, flow_like.derivs(t_index, x, y), t, x, y)
 

@@ -26,14 +26,13 @@ BOUNDARY_TOL = 1e-9
 class SmoothDomain:
     """Convex domain with a C^2 defining function.
 
-    phi, grad_phi, hess_phi act on points of shape (..., dim); projection
-    returns the closest point of the closure plus the displacement norm.
+    phi and grad_phi (the inward unit normal on the boundary) act on (..., dim)
+    points; projection returns the closest point of the closure and its distance.
     """
 
     dim: int
     phi: Callable[[np.ndarray], np.ndarray]
     grad_phi: Callable[[np.ndarray], np.ndarray]
-    hess_phi: Callable[[np.ndarray], np.ndarray]
     project_fn: Callable[[np.ndarray], np.ndarray]
     boundary_tol: float
     name: str = "domain"
@@ -54,14 +53,6 @@ class SmoothDomain:
         proj = self.project_fn(x)
         dist = np.linalg.norm(proj - x, axis=-1)
         return proj, dist
-
-    def inward_normal(self, x: np.ndarray) -> np.ndarray:
-        """Unit inward normal grad phi at a boundary point."""
-        x = np.asarray(x, dtype=float)
-        labels = self.classify(x)
-        if not np.all(labels == "boundary"):
-            raise ValueError("inward_normal requires boundary points")
-        return self.grad_phi(x)
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         return self.phi(np.asarray(x, dtype=float)) >= -self.boundary_tol
@@ -88,12 +79,6 @@ def _smooth_abs_d1(s: np.ndarray, r0: float) -> np.ndarray:
     return np.where(a >= r0, np.sign(s), inner)
 
 
-def _smooth_abs_d2(s: np.ndarray, r0: float) -> np.ndarray:
-    a = np.abs(s)
-    inner = 1.5 / r0 - 1.5 * s * s / r0**3
-    return np.where(a >= r0, 0.0, inner)
-
-
 def interval_domain(a: float, b: float) -> SmoothDomain:
     """The interval (a, b) with phi = mollified signed distance to the boundary
     and boundary band ``BOUNDARY_TOL`` (b - a)."""
@@ -111,15 +96,11 @@ def interval_domain(a: float, b: float) -> SmoothDomain:
         s = np.asarray(x, dtype=float)[..., 0] - mid
         return (-_smooth_abs_d1(s, r0))[..., None]
 
-    def hess(x: np.ndarray) -> np.ndarray:
-        s = np.asarray(x, dtype=float)[..., 0] - mid
-        return (-_smooth_abs_d2(s, r0))[..., None, None]
-
     def project(x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), a, b)
 
     return SmoothDomain(
-        dim=1, phi=phi, grad_phi=grad, hess_phi=hess, project_fn=project,
+        dim=1, phi=phi, grad_phi=grad, project_fn=project,
         boundary_tol=BOUNDARY_TOL * (b - a), name=f"interval({a},{b})",
     )
 
@@ -152,19 +133,6 @@ def ball_domain(center, radius: float) -> SmoothDomain:
         coef = np.where(outer_region, outer_coef, inner_coef)
         return coef[..., None] * diff
 
-    def hess(x: np.ndarray) -> np.ndarray:
-        xv = np.asarray(x, dtype=float)
-        diff = xv - c
-        r = np.linalg.norm(diff, axis=-1)
-        eye = np.eye(dim)
-        outer_prod = diff[..., :, None] * diff[..., None, :]
-        safe_r = np.where(r > 0, r, 1.0)
-        h_outer = -(eye / safe_r[..., None, None] - outer_prod / safe_r[..., None, None] ** 3)
-        h_inner = -(1.5 / r0 - 0.5 * r[..., None, None] ** 2 / r0**3) * eye + (
-            1.0 / r0**3
-        ) * outer_prod
-        return np.where((r >= r0)[..., None, None], h_outer, h_inner)
-
     def project(x: np.ndarray) -> np.ndarray:
         xv = np.asarray(x, dtype=float)
         diff = xv - c
@@ -174,7 +142,7 @@ def ball_domain(center, radius: float) -> SmoothDomain:
         return c + scale[..., None] * diff
 
     return SmoothDomain(
-        dim=dim, phi=phi, grad_phi=grad, hess_phi=hess, project_fn=project,
+        dim=dim, phi=phi, grad_phi=grad, project_fn=project,
         boundary_tol=BOUNDARY_TOL * (2 * radius), name=f"ball({tuple(c)},{radius})",
     )
 

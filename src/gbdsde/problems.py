@@ -22,7 +22,7 @@ against the declared constant, and a concrete witness on failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -31,13 +31,6 @@ from .grids import TimeGrid
 from .paths import philox
 
 Coefficient = Callable[..., np.ndarray]
-
-
-def constant_envelope(value: float = 1.0) -> Callable[[float], float]:
-    def env(t: float) -> float:
-        return value
-
-    return env
 
 
 @dataclass(frozen=True)
@@ -57,9 +50,6 @@ class CoefficientSet:
     b: Coefficient | None = None
     sigma: Coefficient | None = None
     x_dim: int | None = None
-    f_env: Callable[[float], float] = field(default_factory=constant_envelope)
-    g_env: Callable[[float], float] = field(default_factory=constant_envelope)
-    h_env: Callable[[float], float] = field(default_factory=constant_envelope)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -169,31 +159,29 @@ def validate_hypotheses(
         return np.linalg.norm(z, axis=(-2, -1))
 
     checks: list[HypothesisCheck] = []
-    f_t, g_t, h_t = coeffs.f_env(t), coeffs.g_env(t), coeffs.h_env(t)
 
     f1 = coeffs.f(t, x, y1, z1)
     g1 = coeffs.g(t, x, y1, z1)
     h1 = coeffs.h(t, x, y1)
     wit = {"t": np.full(S, t), "y": y1, "z": z1}
 
-    # (H1) linear growth against the envelopes
+    # (H1) linear growth against the unit envelope
     checks.append(_ratio_check(
-        "H1_growth_f", norm_y(f1), f_t + coeffs.K * (norm_y(y1) + norm_z(z1)), 1.0, wit))
+        "H1_growth_f", norm_y(f1), 1.0 + coeffs.K * (norm_y(y1) + norm_z(z1)), 1.0, wit))
     checks.append(_ratio_check(
-        "H1_growth_g", norm_z(g1), g_t + coeffs.K * (norm_y(y1) + norm_z(z1)), 1.0, wit))
+        "H1_growth_g", norm_z(g1), 1.0 + coeffs.K * (norm_y(y1) + norm_z(z1)), 1.0, wit))
     checks.append(_ratio_check(
-        "H1_growth_h", norm_y(h1), h_t + coeffs.K * norm_y(y1), 1.0, wit))
+        "H1_growth_h", norm_y(h1), 1.0 + coeffs.K * norm_y(y1), 1.0, wit))
 
-    # (H1) exponential integrability of the envelopes for finitely many mu
+    # (H1) exponential integrability of the unit envelope for finitely many mu
     if grid is None:
         grid = TimeGrid(0.0, plan.t_max, 100)
     if k_path is None:
         k_path = grid.points - grid.t_start
     k_flat = np.atleast_2d(np.asarray(k_path, dtype=float))
-    env_sq = np.array([coeffs.f_env(s) ** 2 for s in grid.points])
     for mu in plan.mu_values:
         integral = float(np.mean(
-            np.sum(np.exp(mu * k_flat[:, :-1]) * env_sq[:-1] * grid.dt, axis=-1)))
+            np.sum(np.exp(mu * k_flat[:, :-1]) * grid.dt, axis=-1)))
         checks.append(HypothesisCheck(
             f"H1_integrability_mu_{mu:g}", np.isfinite(integral), integral, math.inf))
 

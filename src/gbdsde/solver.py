@@ -75,7 +75,7 @@ class PicardDivergence(RuntimeError):
 
 @dataclass
 class BdsdeSolution:
-    """Per-time, per-scenario solution values with iteration diagnostics.
+    """Per-time, per-scenario solution values with the Picard trace.
 
     Y has shape (S, T+1, n) and matches the terminal data exactly in its last
     slice; Z has shape (S, T+1, n, d) with the final slice identically zero
@@ -91,7 +91,6 @@ class BdsdeSolution:
     Y: np.ndarray
     Z: np.ndarray
     picard_trace: list[float] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
     pathwise_totals: np.ndarray | None = None
 
     def initial_se(self) -> np.ndarray:
@@ -105,11 +104,10 @@ def _standard_error(totals: np.ndarray) -> np.ndarray:
     return totals.std(axis=0, ddof=1) / np.sqrt(totals.shape[0])
 
 
-def _solution(grid: TimeGrid, Y: np.ndarray, Z: np.ndarray, k: np.ndarray,
-              totals: np.ndarray, trace=()) -> BdsdeSolution:
-    """A solution with its norms; 1-D pathwise totals become one column."""
+def _solution(grid: TimeGrid, Y: np.ndarray, Z: np.ndarray, totals: np.ndarray,
+              trace=()) -> BdsdeSolution:
+    """A solution; 1-D pathwise totals become one column."""
     return BdsdeSolution(grid=grid, Y=Y, Z=Z, picard_trace=list(trace),
-                         diagnostics=solution_norms(Y, Z, k, grid),
                          pathwise_totals=_as_columns(totals))
 
 
@@ -177,7 +175,7 @@ def solve_simple(
                                      time_major_increments(bundle.W), dB, grid.dt, walk)
     if not (np.isfinite(Y).all() and np.isfinite(Z).all()):
         raise FloatingPointError("solve_simple produced non-finite solution values")
-    return _solution(grid, swap_scenario_time(Y), swap_scenario_time(Z), k, totals)
+    return _solution(grid, swap_scenario_time(Y), swap_scenario_time(Z), totals)
 
 
 def _simple_induction(xi, f_rows, g_rows, h_rows, dk, dW, dB, dt, walk):
@@ -240,26 +238,6 @@ def _energy_weight(times, k: np.ndarray) -> np.ndarray:
     return np.exp(MU * times + LAM * k)
 
 
-def solution_norms(Y: np.ndarray, Z: np.ndarray, k: np.ndarray, grid: TimeGrid) -> dict:
-    """Empirical sup/flow/boundary norms of a solution pair."""
-    y_sq, z_sq = _squares(Y, Z)
-    return {
-        "s2_norm": float(np.mean(np.max(y_sq, axis=1))),
-        "m2_norm": float(np.mean(np.sum(z_sq * grid.dt, axis=1))),
-        "k2_norm": float(np.mean(np.sum(y_sq[:, :-1] * np.diff(k, axis=1), axis=1))),
-    }
-
-
-def weighted_difference_norm(dY: np.ndarray, dZ: np.ndarray, k: np.ndarray,
-                             grid: TimeGrid) -> float:
-    """Energy-weighted norm of a solution difference, the Picard contraction norm.
-
-    E int e^{MU t + LAM k} |dY|^2 dt + E int e^{...} |dY|^2 dk
-    + E int e^{...} |dZ|^2 dt, discretized at the left endpoints.
-    """
-    return _weighted_norm(dY, dZ, *_norm_weights(k, grid), grid.dt)
-
-
 def _norm_weights(k: np.ndarray, grid: TimeGrid):
     """The left-endpoint energy weights, computed on k[:, :-1] to come out
     contiguous, and the k increments, both (S, T)."""
@@ -267,7 +245,8 @@ def _norm_weights(k: np.ndarray, grid: TimeGrid):
 
 
 def _weighted_norm(dY, dZ, weights, dk, dt) -> float:
-    """`weighted_difference_norm` with its weights and k increments given."""
+    """The Picard contraction norm of a solution difference, E int e^{MU t + LAM k}
+    (|dY|^2 dt + |dY|^2 dk + |dZ|^2 dt) at the left endpoints (`_norm_weights`)."""
     y_sq, z_sq = _squares(dY, dZ)
     y_sq = y_sq[:, :-1]
     total = (
@@ -291,7 +270,7 @@ def picard_solve(
 
     Freezes (Y, Z) inside f, g, h (called with x = None), solves the
     resulting simple equation and repeats until the energy-weighted norm of
-    successive differences (`weighted_difference_norm`) drops below tol (or
+    successive differences (`_weighted_norm`) drops below tol (or
     max_iter is hit).  Raises PicardDivergence if the trace grows for three
     consecutive iterations, and FloatingPointError when a difference norm is
     not finite (a non-finite iterate makes its norm non-finite).
@@ -345,8 +324,7 @@ def picard_solve(
             grew = 0
         if norm <= tol:
             break
-    return _solution(grid, swap_scenario_time(y_rows), swap_scenario_time(z_rows), k, totals,
-                     trace)
+    return _solution(grid, swap_scenario_time(y_rows), swap_scenario_time(z_rows), totals, trace)
 
 
 def apriori_ratio(
@@ -358,9 +336,9 @@ def apriori_ratio(
     """Both sides of the a-priori energy estimate and their ratio.
 
     LHS: E(sup e^{MU t + LAM k}|Y|^2 + int e |Y|^2 dk + int e |Z|^2 dt);
-    RHS: the same weights against the terminal value and the coefficient
-    growth envelopes.  A zero RHS with a nonzero LHS is reported as a
-    violation.
+    RHS: the same weights against the terminal value and the unit growth
+    envelope, which every coefficient set has (``coeffs`` is not read).  A
+    zero RHS with a nonzero LHS is reported as a violation.
     """
     grid = solution.grid
     S, n_pts = solution.Y.shape[0], len(grid)
@@ -376,14 +354,13 @@ def apriori_ratio(
         + np.sum(w[:, :-1] * y_sq[:, :-1] * dk, axis=1)
         + np.sum(w[:, :-1] * z_sq * dt, axis=1)
     ))
-    # the squared growth envelopes at the left endpoints
-    f_sq, g_sq, h_sq = (np.array([env(t) for t in grid.points[:-1]]) ** 2
-                        for env in (coeffs.f_env, coeffs.g_env, coeffs.h_env))
+    # the unit growth envelopes of f and g (dt) and of h (dk)
+    envelope_dt = np.sum(w[:, :-1] * dt, axis=1)
     rhs = float(np.mean(
         w[:, -1] * np.sum(xi**2, axis=-1)
-        + np.sum(w[:, :-1] * f_sq * dt, axis=1)
-        + np.sum(w[:, :-1] * h_sq * dk, axis=1)
-        + np.sum(w[:, :-1] * g_sq * dt, axis=1)
+        + envelope_dt
+        + np.sum(w[:, :-1] * dk, axis=1)
+        + envelope_dt
     ))
     result = {"lhs": lhs, "rhs": rhs, "trivial": lhs <= 1e-12}
     if rhs == 0.0:
@@ -482,7 +459,7 @@ def solve_bdsde_markov(
     reflected = _reflected_path(grid, buffers, excluded)
     Y = swap_scenario_time(Y)
     Z = swap_scenario_time(Z)
-    return _solution(grid, Y, Z, reflected.k, terminal + increments), reflected
+    return _solution(grid, Y, Z, terminal + increments), reflected
 
 
 def _markov_start_values(
@@ -604,8 +581,7 @@ def solve_transformed_gbsde(
         "solve_transformed_gbsde", X, dk, dW, bundle, basis,
         range(grid.step_count - 1, -1, -1), False, terminal, None, bracket)
     # views of scenario-major buffers: no copies
-    return _solution(grid, swap_scenario_time(Y), swap_scenario_time(Z), reflected.k,
-                     terminal + increments)
+    return _solution(grid, swap_scenario_time(Y), swap_scenario_time(Z), terminal + increments)
 
 
 def _backward_induction(

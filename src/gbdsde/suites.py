@@ -218,7 +218,8 @@ def _field_node_entry(config: ExperimentConfig, nodes: list[list]) -> list[list]
                               config.shared_b)
     g_zero = (config.problem or {}).get("g", {}).get("kind") == "zero"
     field_grid = [(float(node[0]), np.asarray(node[1:], dtype=float)) for node in nodes]
-    return [[n.t, *n.x.tolist(), n.u, n.se_u, n.v]
+    # field.csv's v column is u: no flow is read at the nodes
+    return [[n.t, *n.x.tolist(), n.u, n.se_u, n.u]
             for n in evaluate_u(coeffs, domain, field_grid, bundle, config.basis(),
                                 g_is_zero=g_zero)]
 

@@ -342,6 +342,47 @@ def test_cli_non_numeric_config_number_is_exit_2(tmp_path, capsys, section, fiel
     assert f"config error: {name}: {value!r} cannot be read as" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, field, value", [
+    ("grid", "step_count", 40.5), ("monte_carlo", "scenarios", 2000.9),
+    ("monte_carlo", "seed", 2.7), ("monte_carlo", "seed", True), (None, "workers", 1.5),
+    ("problem", "x_dim", 1.5), ("problem", "d", True), ("problem", "n", 1.5),
+])
+def test_parse_rejects_truncated_integer_field(section, field, value):
+    # int() would run 2.7 as seed 2 and true as 1; the error names the field
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["monte_carlo"]["shared_b"] = False  # the headroom check then reads problem.d
+    (cfg[section] if section else cfg)[field] = value
+    # n is read by the problem's builder, whose errors carry the section first
+    name = "problem: n" if field == "n" else f"{section}.{field}" if section else field
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value).startswith(f"{name}: {value!r} cannot be read as int")
+
+
+def test_parse_keeps_integral_numbers_and_numeric_strings():
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["monte_carlo"].update(seed=7.0, scenarios="400")
+    cfg["problem"]["n"] = 1.0
+    config = parse_config(cfg)
+    assert (config.seed, config.scenarios, config.coefficient_set().n) == (7, 400, 1)
+    assert all(type(v) is int for v in (config.seed, config.scenarios))
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_cli_non_boolean_shared_b_is_exit_2(tmp_path, capsys, value):
+    # bool("false") is True: a quoted or numeric flag must not switch the
+    # shared backward scenario on or off
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["monte_carlo"]["shared_b"] = value
+    out = tmp_path / "out"
+    code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert (f"config error: monte_carlo.shared_b: {value!r} is not a boolean"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_determinism_creates_a_fresh_out_root(tmp_path, monkeypatch):
     # the criterion writes its config into out_root first, so a nested path
     # that does not exist yet must be created, not end in FileNotFoundError;

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gbdsde import (
-    BrownianFlow,
     CoefficientSet,
     PolynomialBasis,
     TimeGrid,
@@ -92,7 +91,6 @@ def test_field_constant_everywhere():
                      g_is_zero=True)
     for node in est:
         assert node.u == pytest.approx(1.5, abs=1e-10)
-        assert node.v == pytest.approx(1.5, abs=1e-10)
 
 
 def test_field_terminal_slice_is_terminal_map():
@@ -116,25 +114,6 @@ def test_field_matches_oracle_small_scale():
     for node, (_, x) in zip(est, nodes):
         truth = HEAT_AMPLITUDE * math.cos(math.pi * x[0])
         assert abs(node.u - truth) <= 3 * (node.se_u + 2e-3)
-
-
-def test_field_roundtrip_through_flow():
-    # u = flow(t, x, v) within inversion tolerance when a flow is supplied
-    coeffs = _heat_coeffs()
-    dom = interval_domain(0.0, 1.0)
-    grid = TimeGrid(0.0, 1.0, 100)
-    bundle = sample_paths(grid, d=1, seed=34, count=2000, shared_b=True)
-
-    def g_flow(t, x, y):
-        return (0.4 * np.sin(np.asarray(y)))[..., None]
-
-    flow = BrownianFlow(g_flow, bundle.B[0], grid, lipschitz_hint=0.4)
-    nodes = [(0.0, np.array([0.4])), (0.5, np.array([0.6]))]
-    est = evaluate_u(coeffs, dom, nodes, bundle, BASIS, flow=flow, g_is_zero=True)
-    for node, (t, x) in zip(est, nodes):
-        ti = grid.index_of(t)
-        forward = flow.solve(ti, np.array([x]), np.array([node.v]))[0]
-        assert abs(forward - node.u) <= 1e-9 * (1 + abs(node.u))
 
 
 def test_field_basis_degree_invariance():
