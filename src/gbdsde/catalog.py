@@ -19,6 +19,7 @@ missing kind is a ValueError, an unknown kind or trig function a KeyError.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Callable
 
 import numpy as np
@@ -136,11 +137,14 @@ def _compile(spec: dict, role: str, d: int, x_dim: int) -> Callable:
 
 
 def whole_number(value, name: str) -> int:
-    """``int(value)`` for an integral number or a numeric string; a bool or a
-    fraction, which int() would truncate, is a ValueError naming ``name``."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"{name}: {value!r} cannot be read as int")
-    return int(value)
+    """``int(value)`` for an integral number or a numeric string; anything
+    else, including a bool or a fraction that int() would truncate, is a
+    ValueError naming ``name``."""
+    truncated = isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    if not truncated:
+        with suppress(TypeError, ValueError, OverflowError):
+            return int(value)
+    raise ValueError(f"{name}: {value!r} cannot be read as int")
 
 
 def build_coefficient_set(problem: dict) -> CoefficientSet:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
     gbdsde SUITE --config PATH [--seed N] [--scenarios N] [--dt X]
-                 [--out-dir DIR] [--out CSV] [--workers N]
+                 [--out-dir DIR] [--workers N]
 
 Exit codes: 0 all criteria pass, 1 criteria failure, 2 configuration error,
 3 numerical failure.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .config import SUITES, ConfigError, load_config
 from .flows import FlowBlowup, InversionError
@@ -36,6 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gbdsde",
         description="Monte Carlo laboratory for generalized backward doubly "
                     "stochastic equations and Neumann-boundary SPDE fields",
+        allow_abbrev=False,
     )
     parser.add_argument("suite", choices=SUITES, help="experiment suite to run")
     parser.add_argument("--config", required=True, help="YAML config file")
@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the scenario count")
     parser.add_argument("--dt", type=float, default=None, help="override the time step")
     parser.add_argument("--out-dir", default=None, help="output directory")
-    parser.add_argument("--out", default=None,
-                        help="redundant alias: directory for CSV output")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for node-parallel suites")
     return parser
@@ -53,22 +51,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # --out pointing at a .csv names the suite's main table; the directory
-    # holding it receives the report and any companion files
-    rename_csv = None
-    out_dir = args.out_dir
-    if args.out:
-        if args.out.endswith(".csv"):
-            rename_csv = Path(args.out)
-            out_dir = out_dir or str(rename_csv.parent)
-        else:
-            out_dir = args.out
     overrides = {
         "suite": args.suite,
         "seed": args.seed,
         "scenarios": args.scenarios,
         "dt": args.dt,
-        "out_dir": out_dir,
+        "out_dir": args.out_dir,
         "workers": args.workers,
     }
     try:
@@ -77,10 +65,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    from .suites import MAIN_CSV, run_suite
+    from .suites import run_suite
 
     try:
-        code, results = run_suite(config)
+        code, report = run_suite(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -92,14 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    if rename_csv is not None:
-        main_csv = Path(config.out_dir) / MAIN_CSV.get(config.suite, "")
-        if main_csv.is_file() and main_csv != rename_csv:
-            rename_csv.parent.mkdir(parents=True, exist_ok=True)
-            main_csv.replace(rename_csv)
-
-    for line in (Path(config.out_dir) / f"{config.suite}_report.txt").read_text().splitlines():
-        print(line)
+    print(*report, sep="\n")
     return code
 
 

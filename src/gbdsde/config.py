@@ -16,7 +16,7 @@ from .catalog import build_coefficient_set, whole_number
 from .geometry import SmoothDomain, make_domain
 from .grids import TimeGrid
 from .problems import CoefficientSet
-from .regression import MIN_SCENARIO_RATIO, make_basis
+from .regression import make_basis
 
 SUITES = (
     "simulate-reflected",
@@ -109,6 +109,10 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
         raise ConfigError("config root must be a mapping")
     data = {k: v for k, v in mapping.items()}
     overrides = overrides or {}
+    known = SECTIONS + OPTION_SECTIONS + ("suite", "workers")
+    unknown = [k for k in data if k not in known]
+    if unknown:
+        raise ConfigError(f"unknown top-level keys {unknown}; pick from {known}")
     for name in SECTIONS + OPTION_SECTIONS:
         if name in data and not isinstance(data[name], dict):
             raise ConfigError(f"{name}: must be a mapping, not {data[name]!r}")
@@ -136,20 +140,9 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
 
     basis_spec = dict(data.get("basis", {"kind": "polynomial", "degree": 3}))
     try:
-        basis = make_basis(basis_spec)
+        make_basis(basis_spec)
     except ValueError as exc:
         raise ConfigError(f"basis: {exc}") from exc
-    # enforce scenario/basis headroom on the solver suites
-    if suite in ("solve-bdsde", "field"):
-        problem = data.get("problem", {})
-        feat_dim = _number(int, problem.get("x_dim") or 1, "problem.x_dim")
-        if not shared_b:
-            feat_dim += _number(int, problem.get("d", 1), "problem.d")
-        need = MIN_SCENARIO_RATIO * basis.feature_count(feat_dim)
-        if scenarios < need:
-            raise ConfigError(
-                f"monte_carlo.scenarios: {scenarios} < {MIN_SCENARIO_RATIO}x basis size ({need}) "
-                f"for {basis.name}")
 
     out_dir = Path(overrides.get("out_dir") or data.get("output", {}).get("dir", "out"))
     workers = _number(int, overrides["workers"] if overrides.get("workers") is not None

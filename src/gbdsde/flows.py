@@ -142,11 +142,12 @@ class BrownianFlow:
               store: bool = False) -> np.ndarray:
         """Integrate the flow from T down to t_index for a batch of seeds.
 
-        y holds the values at the final time.  ``t_index`` may be a scalar
-        (returns the values at that index, or with ``store`` the whole
-        trajectory ordered forward in time) or an integer array broadcastable
-        against y, in which case each batch element is read off at its own
-        time index within a single backward sweep.  Every index must lie in
+        y holds the values at the final time.  ``t_index`` is an integer or
+        an integer array broadcastable against y; each batch element is read
+        off at its own time index within a single backward sweep, and a
+        scalar is the case of one index for the whole batch.  With ``store``,
+        for a scalar index only, the whole trajectory from t_index to T is
+        returned, ordered forward in time.  Every index must lie in
         [0, step_count]; others raise ValueError.
 
         The step times, the (sub)increments dB_i / m_i and the substep
@@ -156,33 +157,24 @@ class BrownianFlow:
         any |state| entry (inf included) exceeds ``overflow_guard``; NaN
         entries are skipped by the guard, so a NaN state does not trip it.
         """
-        y = np.asarray(y, dtype=float)
-        state = y.copy()
+        state = np.array(y, dtype=float)
         g = self._g_bound(x)
         step_count = self.grid.step_count
         guard = self.overflow_guard
-        per_element = not np.isscalar(t_index) and np.asarray(t_index).ndim > 0
-        hit_steps = ()
-        if per_element:
-            if store:
-                raise ValueError("store is not supported with per-element time indices")
-            t_arr = np.broadcast_to(np.asarray(t_index, dtype=int), y.shape)
-            # the initial values keep an empty batch valid: it runs no step
-            stop = int(t_arr.min(initial=step_count))
-            if stop < 0 or t_arr.max(initial=0) > step_count:
-                raise ValueError(f"time indices must lie in [0, {step_count}]")
-            out = np.where(t_arr == step_count, state, np.nan)
-            # one mask per distinct index, built when its step is reached:
-            # building all up front would hold (distinct x batch) booleans
-            hit_steps = set(np.unique(t_arr).tolist())
-        else:
-            out = None
-            stop = int(t_index)
-            if not 0 <= stop <= step_count:
-                raise ValueError(f"time index {stop} outside [0, {step_count}]")
+        t_index = np.asarray(t_index, dtype=int)
+        if store and t_index.ndim:
+            raise ValueError("store is not supported with per-element time indices")
+        # the distinct indices, from the index as given (np.unique would sort a
+        # broadcast batch); each one's mask is built when its step is reached
+        hit_steps = set(np.unique(t_index).tolist())
+        stop = min(hit_steps, default=step_count)
+        if stop < 0 or max(hit_steps, default=0) > step_count:
+            raise ValueError(f"time indices must lie in [0, {step_count}]")
+        t_arr = np.broadcast_to(t_index, state.shape)
+        out = np.where(t_arr == step_count, state, np.nan)
         traj = None
         if store:
-            traj = np.empty((step_count + 1 - stop,) + y.shape)
+            traj = np.empty((step_count + 1 - stop,) + state.shape)
             traj[-1] = state
         steps = self._steps
         for i in range(step_count - 1, stop - 1, -1):
@@ -200,9 +192,7 @@ class BrownianFlow:
                 out = np.where(t_arr == i, state, out)
             if store:
                 traj[i - stop] = state
-        if per_element:
-            return out
-        return traj if store else state
+        return traj if store else out
 
     # -- derivatives ------------------------------------------------------
 
@@ -256,16 +246,14 @@ class BrownianFlow:
     def _residuals(self, t_index, x, target: np.ndarray, *seeds: np.ndarray) -> list:
         """flow(t, x, seed) - target for each seed array, from one sweep.
 
-        The seeds are stacked on a new leading axis, with x and per-element
-        time indices repeated alongside.  The sweep is elementwise, so each
-        result equals that of a sweep of its own.
+        The seeds are stacked on a new leading axis, with x repeated
+        alongside; the time indices broadcast against the stack.  The sweep
+        is elementwise, so each result equals that of a sweep of its own.
         """
         batch = (len(seeds),) + target.shape
         if x is not None:
             x = np.asarray(x, dtype=float)
             x = np.broadcast_to(x, batch + x.shape[-1:]).copy()
-        if not np.isscalar(t_index) and np.asarray(t_index).ndim > 0:
-            t_index = np.broadcast_to(np.asarray(t_index, dtype=int), batch)
         return [v - target for v in self.solve(t_index, x, np.stack(seeds))]
 
     def invert(

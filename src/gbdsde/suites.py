@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance as acc
 from .config import ConfigError, ExperimentConfig
-from .fields import evaluate_u, field_blocks, pde_oracle_g0
+from .fields import FieldNode, evaluate_u, field_blocks, pde_oracle_g0
 from .flows import flow_derivative_identities
 from .grids import TimeGrid
 from .paths import sample_paths
@@ -48,19 +49,20 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     return path
 
 
+def _summary(results: list[acc.CriterionResult]) -> list[str]:
+    """The report's text: one line per criterion, then the overall verdict."""
+    overall = all(r.passed for r in results)
+    return [r.line() for r in results] + [f"OVERALL: {'PASS' if overall else 'FAIL'}"]
+
+
 def emit_report(results: list[acc.CriterionResult], path: Path) -> bool:
-    """One line per criterion plus an overall verdict; returns overall pass."""
+    """The criteria as CSV at ``path``, their `_summary` beside it as .txt; returns overall pass."""
     rows = [[r.name, r.measured, r.comparator, r.threshold,
              "PASS" if r.passed else "FAIL"] for r in results]
     write_csv(path, ["criterion", "measured", "comparator", "threshold", "status"],
               rows)
-    overall = all(r.passed for r in results)
-    summary = path.with_suffix(".txt")
-    with open(summary, "w") as fh:
-        for r in results:
-            fh.write(r.line() + "\n")
-        fh.write(f"OVERALL: {'PASS' if overall else 'FAIL'}\n")
-    return overall
+    path.with_suffix(".txt").write_text("".join(f"{line}\n" for line in _summary(results)))
+    return all(r.passed for r in results)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +204,10 @@ def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
     return results
 
 
-def _field_node_entry(config: ExperimentConfig, nodes: list[list]) -> list[list]:
-    """Worker entry: rebuild the problem and evaluate one `field_blocks` block.
+def _field_node_entry(config: ExperimentConfig, g_zero: bool,
+                      nodes: list[list]) -> list[FieldNode]:
+    """Worker entry: rebuild the problem and return the `FieldNode`s of one
+    `field_blocks` block, as `evaluate_u` gives them.
 
     The parsed config travels whole, so the nodes run at the scenario count,
     grid and seed the command line chose, not the ones in the file.  Each
@@ -212,24 +216,22 @@ def _field_node_entry(config: ExperimentConfig, nodes: list[list]) -> list[list]
     identical bundles, and the block is solved on the last one.
     """
     coeffs = config.coefficient_set()
-    domain = config.domain()
     for _ in nodes:
         bundle = sample_paths(config.grid, coeffs.d, config.seed, config.scenarios,
                               config.shared_b)
-    g_zero = (config.problem or {}).get("g", {}).get("kind") == "zero"
     field_grid = [(float(node[0]), np.asarray(node[1:], dtype=float)) for node in nodes]
-    # field.csv's v column is u: no flow is read at the nodes
-    return [[n.t, *n.x.tolist(), n.u, n.se_u, n.u]
-            for n in evaluate_u(coeffs, domain, field_grid, bundle, config.basis(),
-                                g_is_zero=g_zero)]
+    return evaluate_u(coeffs, config.domain(), field_grid, bundle, config.basis(),
+                      g_is_zero=g_zero)
 
 
 def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
     """The field suite: u, se and v at the configured nodes, and the oracle gap.
 
     The nodes go to the workers in the blocks that `evaluate_u` solves
-    together (`field_blocks`), and their rows come back in the configured
-    order.  ``field.mode`` may only be ``pointwise``, the one estimator.
+    together (`field_blocks`); each row of field.csv is built once, from its
+    node's `FieldNode`, in the configured order.  With g = 0 on an interval
+    the rows also carry the Crank-Nicolson oracle and their gap to it.
+    ``field.mode`` may only be ``pointwise``, the one estimator.
     """
     opts = config.options.get("field", {})
     nodes = opts.get("nodes")
@@ -240,41 +242,41 @@ def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
         raise ConfigError(f"field.mode: unknown mode {mode!r}; the field suite "
                           f"has only 'pointwise'")
     g_zero = (config.problem or {}).get("g", {}).get("kind") == "zero"
+    domain = config.domain()
 
     blocks = field_blocks([float(node[0]) for node in nodes], config.grid,
-                          config.scenarios, config.domain().dim)
+                          config.scenarios, domain.dim)
+    entry = partial(_field_node_entry, config, g_zero)
     block_nodes = [[nodes[j] for j in block] for block in blocks]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            block_rows = list(pool.map(_field_node_entry, [config] * len(blocks), block_nodes))
+            block_values = list(pool.map(entry, block_nodes))
     else:
-        block_rows = [_field_node_entry(config, members) for members in block_nodes]
-    value_rows: list[list] = [[]] * len(nodes)
-    for block, rows in zip(blocks, block_rows):
-        for j, row in zip(block, rows):
-            value_rows[j] = row
+        block_values = [entry(members) for members in block_nodes]
+    by_index = {j: node for block, found in zip(blocks, block_values)
+                for j, node in zip(block, found)}
 
     oracle = None
-    results: list[acc.CriterionResult] = []
-    if g_zero and config.domain().dim == 1:
-        oracle = pde_oracle_g0(config.coefficient_set(), config.domain(),
+    if g_zero and domain.dim == 1:
+        oracle = pde_oracle_g0(config.coefficient_set(), domain,
                                t_start=config.grid.t_start, t_end=config.grid.t_end)
-    rows = []
-    for row in value_rows:
-        t_node, x_vals, u, se, v = row[0], row[1:-3], row[-3], row[-2], row[-1]
-        if oracle is not None:
-            o = oracle.interpolate(t_node, x_vals[0])
-            gap = abs(u - o)
-            rows.append([t_node, *x_vals, u, se, v, o, gap])
-            tol = 3.0 * (se + 2e-3)
-            results.append(acc.CriterionResult(
-                f"field_vs_oracle_t{t_node:g}_x{x_vals[0]:g}", gap, tol, gap <= tol))
-        else:
-            rows.append([t_node, *x_vals, u, se, v])
-    dim = len(value_rows[0]) - 4
-    header = ["t"] + [f"x{j}" for j in range(dim)] + ["u", "se_u", "v"]
+    header = ["t"] + [f"x{j}" for j in range(domain.dim)] + ["u", "se_u", "v"]
     if oracle is not None:
         header += ["oracle_u", "abs_gap"]
+    rows = []
+    results: list[acc.CriterionResult] = []
+    for _, node in sorted(by_index.items()):
+        x = node.x.tolist()
+        # field.csv's v column is u: no flow is read at the nodes
+        row = [node.t, *x, node.u, node.se_u, node.u]
+        if oracle is not None:
+            o = oracle.interpolate(node.t, x[0])
+            gap = abs(node.u - o)
+            tol = 3.0 * (node.se_u + 2e-3)
+            row += [o, gap]
+            results.append(acc.CriterionResult(
+                f"field_vs_oracle_t{node.t:g}_x{x[0]:g}", gap, tol, gap <= tol))
+        rows.append(row)
     write_csv(config.out_dir / "field.csv", header, rows)
     return results
 
@@ -283,14 +285,6 @@ def run_acceptance(config: ExperimentConfig) -> list[acc.CriterionResult]:
     names = config.options.get("acceptance", {}).get("criteria")
     return acc.run_all(seed=config.seed, names=names)
 
-
-MAIN_CSV = {
-    "simulate-reflected": "reflected_paths.csv",
-    "solve-bdsde": "bdsde_solution.csv",
-    "verify-flow": "flow_identities.csv",
-    "field": "field.csv",
-    "acceptance": "acceptance_report.csv",
-}
 
 SUITE_RUNNERS = {
     "simulate-reflected": run_simulate_reflected,
@@ -302,9 +296,9 @@ SUITE_RUNNERS = {
 }
 
 
-def run_suite(config: ExperimentConfig) -> tuple[int, list[acc.CriterionResult]]:
-    """Execute the configured suite; returns (exit_code, criteria)."""
-    runner = SUITE_RUNNERS[config.suite]
-    results = runner(config)
+def run_suite(config: ExperimentConfig) -> tuple[int, list[str]]:
+    """Execute the configured suite and write its report; returns (exit code,
+    the report's text lines)."""
+    results = SUITE_RUNNERS[config.suite](config)
     overall = emit_report(results, config.out_dir / f"{config.suite}_report.csv")
-    return (0 if overall else 1), results
+    return (0 if overall else 1), _summary(results)

@@ -65,11 +65,31 @@ def test_parse_rejects_unknown_suite():
         parse_config(bad)
 
 
-def test_parse_enforces_scenario_headroom():
-    bad = dict(BASE_CONFIG)
-    bad["monte_carlo"] = {"scenarios": 20, "seed": 1}
-    with pytest.raises(ConfigError, match="10x basis size"):
-        parse_config(bad)
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_too_few_scenarios_for_the_basis_is_exit_2(tmp_path, capsys, workers):
+    # the projector owns the scenarios-per-basis-function rule; its error
+    # reaches the CLI as a config error, also from a worker process
+    out = tmp_path / "out"
+    code = main(["field", "--config", str(write_config(tmp_path)), "--scenarios", "20",
+                 "--workers", workers, "--out-dir", str(out)])
+    assert code == 2
+    assert ("config error: need >= 10x more scenarios than basis functions "
+            "(20 scenarios, 3 functions of polynomial(2))" in capsys.readouterr().err)
+    assert not (out / "field.csv").exists()
+
+
+def test_cli_field_regresses_on_x_alone_without_backward_noise(tmp_path, capsys):
+    # g = 0: the solver regresses on x alone, 4 cubic functions, so 60
+    # scenarios suffice even without a shared backward scenario
+    config = Path(__file__).resolve().parents[1] / "configs" / "neumann-heat.yaml"
+    cfg = yaml.safe_load(config.read_text())
+    cfg["monte_carlo"] = {"scenarios": 60, "shared_b": False}
+    cfg["grid"]["dt"] = 0.05
+    cfg["field"]["nodes"] = [[0.0, 0.5]]
+    out = tmp_path / "out"
+    code = main(["field", "--config", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert (out / "field.csv").is_file()
 
 
 def test_unknown_catalog_entry_is_config_error(tmp_path):
@@ -119,11 +139,15 @@ def test_cli_field_workers_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_cli_out_csv_names_main_table(tmp_path):
-    path = write_config(tmp_path)
-    target = tmp_path / "renamed" / "solution.csv"
-    assert main(["solve-bdsde", "--config", str(path), "--out", str(target)]) == 0
-    assert target.exists()
+@pytest.mark.parametrize("flag", ["--out", "--out-d"])
+def test_cli_rejects_out_and_abbreviated_flags(tmp_path, flag):
+    # --out-dir is the one output flag; argparse must not read --out x.csv
+    # as an abbreviation of it and create a directory named x.csv
+    target = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["solve-bdsde", "--config", str(write_config(tmp_path)), flag, str(target)])
+    assert info.value.code == 2
+    assert not target.exists()
 
 
 def test_cli_failing_criterion_exit_1(tmp_path):
@@ -333,12 +357,13 @@ def test_cli_field_global_mode_is_exit_2(tmp_path, capsys):
 def test_cli_non_numeric_config_number_is_exit_2(tmp_path, capsys, section, field, value):
     # a number that does not parse is a config error naming its field, not a traceback
     cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
-    cfg["monte_carlo"]["shared_b"] = False  # the headroom check then reads problem.d
     (cfg[section] if section else cfg)[field] = value
     code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    name = f"{section}.{field}" if section else field
+    # the problem's builder reads its sizes; its errors carry the section first
+    name = (f"problem: {field}" if section == "problem"
+            else f"{section}.{field}" if section else field)
     assert f"config error: {name}: {value!r} cannot be read as" in capsys.readouterr().err
 
 
@@ -350,13 +375,63 @@ def test_cli_non_numeric_config_number_is_exit_2(tmp_path, capsys, section, fiel
 def test_parse_rejects_truncated_integer_field(section, field, value):
     # int() would run 2.7 as seed 2 and true as 1; the error names the field
     cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
-    cfg["monte_carlo"]["shared_b"] = False  # the headroom check then reads problem.d
     (cfg[section] if section else cfg)[field] = value
-    # n is read by the problem's builder, whose errors carry the section first
-    name = "problem: n" if field == "n" else f"{section}.{field}" if section else field
+    # the problem's builder reads its sizes; its errors carry the section first
+    name = (f"problem: {field}" if section == "problem"
+            else f"{section}.{field}" if section else field)
     with pytest.raises(ConfigError) as info:
         parse_config(cfg)
     assert str(info.value).startswith(f"{name}: {value!r} cannot be read as int")
+
+
+@pytest.mark.parametrize("field, value", [("d", None), ("n", [1]), ("n", "one"),
+                                          ("x_dim", "one"), ("d", {"a": 1}), ("n", "1e3")])
+def test_parse_names_a_problem_size_that_is_not_a_number(field, value):
+    # int() raises TypeError on None or a list and an unnamed ValueError on "one"
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["problem"][field] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(cfg)
+    assert str(info.value) == f"problem: {field}: {value!r} cannot be read as int"
+
+
+@pytest.mark.parametrize("suite", ["verify-flow", "field"])
+def test_cli_null_problem_size_is_exit_2(tmp_path, capsys, suite):
+    config = Path(__file__).resolve().parents[1] / "configs" / "neumann-heat.yaml"
+    cfg = yaml.safe_load(config.read_text())
+    cfg["problem"]["d"] = None
+    code = main([suite, "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "config error: problem: d: None cannot be read as int" in capsys.readouterr().err
+
+
+def test_cli_unknown_top_level_key_is_exit_2(tmp_path, capsys):
+    # a misspelled section would otherwise run on the defaults: seed 0 instead of 7
+    config = Path(__file__).resolve().parents[1] / "configs" / "reflected-diffusion.yaml"
+    cfg = yaml.safe_load(config.read_text())
+    cfg["monte-carlo"] = cfg.pop("monte_carlo")
+    out = tmp_path / "out"
+    code = main(["simulate-reflected", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert "config error: unknown top-level keys ['monte-carlo']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shipped_configs_parse_and_every_suite_has_a_runner():
+    # the parser rejects unknown keys, so every shipped config must still pass it
+    from gbdsde.acceptance import _DETERMINISM_CONFIG
+    from gbdsde.config import SUITES
+    from gbdsde.suites import SUITE_RUNNERS
+
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    assert paths
+    for path in paths:
+        assert load_config(path).suite in SUITES
+    assert parse_config(yaml.safe_load(_DETERMINISM_CONFIG)).suite == "solve-bdsde"
+    # the CLI's suite choices come from SUITES, its dispatch from SUITE_RUNNERS
+    assert tuple(SUITE_RUNNERS) == SUITES
 
 
 def test_parse_keeps_integral_numbers_and_numeric_strings():

@@ -428,6 +428,15 @@ def test_sweep_bit_identical_to_reference_loop(case):
     assert np.array_equal(got, _reference_solve(flow, t_idx, x, y, lipschitz_hint=hint))
 
 
+@pytest.mark.parametrize("case", ["plain", "substepped", "d2", "x_none"])
+def test_sweep_scalar_index_is_one_distinct_index(case):
+    # a scalar index, a numpy integer and a full array of it read off alike
+    flow, _, x, y = _sweep_case(case)
+    expect = flow.solve(57, x, y).tobytes()
+    assert flow.solve(np.int64(57), x, y).tobytes() == expect
+    assert flow.solve(np.full(y.shape, 57), x, y).tobytes() == expect
+
+
 def test_sweep_empty_batch_returns_empty():
     flow, _, _, _ = _sweep_case("plain")
     x, y = np.zeros((0, 1)), np.zeros(0)
