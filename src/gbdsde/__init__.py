@@ -8,7 +8,6 @@ from .problems import CoefficientSet, HypothesisReport, SamplingPlan, validate_h
 from .geometry import SmoothDomain, ball_domain, interval_domain, make_domain
 from .reflection import (
     ReflectedPath,
-    moment_diagnostics,
     simulate_reflected,
     skorokhod_bridge_exact,
     skorokhod_oracle_1d,
@@ -63,7 +62,6 @@ __all__ = [
     "simulate_reflected",
     "skorokhod_oracle_1d",
     "skorokhod_bridge_exact",
-    "moment_diagnostics",
     "BrownianFlow",
     "FlowTable",
     "spde_noise_coefficient",

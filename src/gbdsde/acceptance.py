@@ -32,7 +32,7 @@ from .flows import (
 from .grids import TimeGrid
 from .paths import PathBundle, philox, sample_paths
 from .problems import CoefficientSet
-from .reflection import moment_diagnostics, simulate_reflected, skorokhod_bridge_exact, skorokhod_oracle_1d
+from .reflection import simulate_reflected, skorokhod_bridge_exact, skorokhod_oracle_1d
 from .regression import PolynomialBasis
 from .residuals import (
     DriftField,
@@ -578,22 +578,6 @@ def criterion_estimate_stability(seed: int = 2024) -> list[CriterionResult]:
     spread = max(scalings) / min(scalings)
     results.append(_le("stability_quadratic_scaling", spread, 2.0,
                        scalings=scalings))
-
-    # flow regularity of the reflected pair under common random numbers
-    domain = interval_domain(0.0, 2.0)
-    coeffs_refl = _bm_coeffs()
-    sep_ratios = {}
-    for count in (1000, 10_000):
-        bundle_r = sample_paths(TimeGrid(0.0, 1.0, 200), d=1,
-                                seed=seed + 900, count=count)
-        starts = [np.array([0.5]), np.array([0.7]), np.array([0.6]),
-                  np.array([0.55])]
-        diag = moment_diagnostics(domain, coeffs_refl, starts, mu=1.0,
-                                  bundle=bundle_r)
-        sep_ratios[count] = max(diag["worst_x_ratio"], diag["worst_k_ratio"])
-    results.append(_le("flow_moment_ratio_trend",
-                       sep_ratios[10_000] / max(sep_ratios[1000], 1e-12), 1.5,
-                       ratios=sep_ratios))
     return results
 
 

@@ -2,7 +2,8 @@
 
 A config file has named sections (problem, domain, grid, monte_carlo, basis,
 suite, output plus per-suite options).  Parsing is strict about the fields
-the suites rely on and reports the offending section/field on error.
+the suites rely on and reports the offending section/field on error; a
+section may hold only the keys `SECTION_KEYS` lists for it.
 """
 
 from __future__ import annotations
@@ -28,9 +29,22 @@ SUITES = (
 )
 
 
-# the sections a config may hold, each a mapping: its own, then the suites' options
-SECTIONS = ("grid", "monte_carlo", "basis", "output", "problem", "domain")
-OPTION_SECTIONS = ("reflected", "solver", "flow", "calculus", "field", "acceptance")
+# the sections a config may hold, each a mapping, with the keys each may hold:
+# the parser's own sections, then the suites' options (read in suites.py)
+SECTION_KEYS = {
+    "grid": ("t_start", "t_end", "dt", "step_count"),
+    "monte_carlo": ("scenarios", "seed", "shared_b"),
+    "basis": ("kind", "degree", "count"),
+    "output": ("dir",),
+    "problem": ("n", "d", "x_dim", "f", "g", "h", "l", "b", "sigma", "constants"),
+    "domain": ("kind", "a", "b", "center", "r"),
+    "reflected": ("x0", "csv_scenarios"),
+    "solver": ("x0", "terminal", "tol", "max_iter"),
+    "flow": ("noise_amp", "x_mod", "fd_step", "samples", "tolerance"),
+    "calculus": ("ladder", "scenarios"),
+    "field": ("nodes", "mode"),
+    "acceptance": ("criteria",),
+}
 
 
 class ConfigError(ValueError):
@@ -51,6 +65,7 @@ class ExperimentConfig:
     workers: int = 1
     problem: dict | None = None
     domain_spec: dict | None = None
+    # every section's mapping as written; each suite reads its own
     options: dict = field(default_factory=dict)
 
     def coefficient_set(self) -> CoefficientSet:
@@ -109,13 +124,18 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
         raise ConfigError("config root must be a mapping")
     data = {k: v for k, v in mapping.items()}
     overrides = overrides or {}
-    known = SECTIONS + OPTION_SECTIONS + ("suite", "workers")
+    known = (*SECTION_KEYS, "suite", "workers")
     unknown = [k for k in data if k not in known]
     if unknown:
         raise ConfigError(f"unknown top-level keys {unknown}; pick from {known}")
-    for name in SECTIONS + OPTION_SECTIONS:
-        if name in data and not isinstance(data[name], dict):
+    for name, keys in SECTION_KEYS.items():
+        if name not in data:
+            continue
+        if not isinstance(data[name], dict):
             raise ConfigError(f"{name}: must be a mapping, not {data[name]!r}")
+        unknown = [k for k in data[name] if k not in keys]
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys {unknown}; pick from {keys}")
 
     suite = overrides.get("suite") or data.get("suite")
     if suite not in SUITES:
@@ -161,7 +181,7 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
         workers=workers,
         problem=data.get("problem"),
         domain_spec=data.get("domain"),
-        options={k: v for k, v in data.items() if k not in SECTIONS + ("suite", "workers")},
+        options={k: v for k, v in data.items() if k in SECTION_KEYS},
     )
     # building the problem and the domain validates their sections
     if config.problem is not None:

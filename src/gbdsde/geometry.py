@@ -148,10 +148,20 @@ def ball_domain(center, radius: float) -> SmoothDomain:
 
 
 def make_domain(spec: dict) -> SmoothDomain:
-    """Build a named built-in domain from a config mapping."""
+    """Build a named built-in domain from a config mapping; a missing or
+    non-numeric size is a ValueError naming its field."""
     kind = spec.get("kind")
+
+    def size(name: str) -> float:
+        if name not in spec:
+            raise ValueError(f"{kind} domain needs field {name!r}")
+        try:
+            return float(spec[name])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {spec[name]!r} cannot be read as float") from exc
+
     if kind == "interval":
-        return interval_domain(float(spec["a"]), float(spec["b"]))
+        return interval_domain(size("a"), size("b"))
     if kind == "ball":
-        return ball_domain(spec.get("center", [0.0]), float(spec["r"]))
+        return ball_domain(spec.get("center", [0.0]), size("r"))
     raise ValueError(f"unknown domain kind: {kind!r} (supported: interval, ball)")

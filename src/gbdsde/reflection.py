@@ -191,66 +191,3 @@ def skorokhod_bridge_exact(
     x = x0 + w + k
     return x, k
 
-
-def moment_diagnostics(
-    domain: SmoothDomain,
-    coeffs: CoefficientSet,
-    starts: list[np.ndarray],
-    mu: float,
-    bundle: PathBundle,
-) -> dict:
-    """Empirical fourth-moment flow regularity and exponential k moments.
-
-    Every start is simulated from the grid's start time.  With common random
-    numbers across starts, estimates the ratios
-    E sup |X^x - X^x'|^4 / |x - x'|^4 and the analogue for k, plus
-    E exp(mu k_T) per start.  Returns worst ratios, per-pair tables and
-    standard errors.
-    """
-    pts = [np.atleast_1d(np.asarray(s, dtype=float)) for s in starts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.allclose(pts[i], pts[j]):
-                raise ValueError("starts must be pairwise distinct")
-    # only X and k are read: each start's boundary flags are dropped before
-    # the next start is simulated
-    sims = []
-    for p in pts:
-        sim = simulate_reflected(coeffs, domain, bundle.grid.t_start, p, bundle)
-        sims.append((sim.X, sim.k))
-        del sim
-
-    pair_rows = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            gap = np.linalg.norm(pts[i] - pts[j])
-            sup_x4 = np.max(np.linalg.norm(sims[i][0] - sims[j][0], axis=-1), axis=1) ** 4
-            sup_k4 = np.max(np.abs(sims[i][1] - sims[j][1]), axis=1) ** 4
-            n = sup_x4.shape[0]
-            pair_rows.append(
-                {
-                    "x": pts[i].tolist(),
-                    "x_prime": pts[j].tolist(),
-                    "separation": gap,
-                    "x_ratio": float(np.mean(sup_x4) / gap**4),
-                    "x_ratio_se": float(np.std(sup_x4, ddof=1) / np.sqrt(n) / gap**4),
-                    "k_ratio": float(np.mean(sup_k4) / gap**4),
-                    "k_ratio_se": float(np.std(sup_k4, ddof=1) / np.sqrt(n) / gap**4),
-                }
-            )
-    exp_rows = []
-    for p, (_, k) in zip(pts, sims):
-        vals = np.exp(mu * k[:, -1])
-        exp_rows.append(
-            {
-                "x": p.tolist(),
-                "exp_moment": float(np.mean(vals)),
-                "exp_moment_se": float(np.std(vals, ddof=1) / np.sqrt(vals.shape[0])),
-            }
-        )
-    return {
-        "pairs": pair_rows,
-        "exp_moments": exp_rows,
-        "worst_x_ratio": max((r["x_ratio"] for r in pair_rows), default=0.0),
-        "worst_k_ratio": max((r["k_ratio"] for r in pair_rows), default=0.0),
-    }

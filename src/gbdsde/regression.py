@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import whole_number
+
 RCOND = 1e-8
 # every fit needs at least this many scenarios per basis function
 MIN_SCENARIO_RATIO = 10
@@ -105,12 +107,13 @@ class PiecewiseBinBasis:
 
 
 def make_basis(spec: dict):
-    """Basis from a config fragment like {kind: polynomial, degree: 3}."""
+    """Basis from a config fragment like {kind: polynomial, degree: 3}; a size
+    that is not a whole number is a ValueError naming its field."""
     kind = spec.get("kind", "polynomial")
     if kind == "polynomial":
-        return PolynomialBasis(int(spec.get("degree", 3)))
+        return PolynomialBasis(whole_number(spec.get("degree", 3), "degree"))
     if kind == "piecewise_bins":
-        return PiecewiseBinBasis(int(spec.get("count", 10)))
+        return PiecewiseBinBasis(whole_number(spec.get("count", 10), "count"))
     raise ValueError(f"unknown regression basis kind {kind!r}")
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance as acc
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _number
 from .fields import FieldNode, evaluate_u, field_blocks, pde_oracle_g0
 from .flows import flow_derivative_identities
 from .grids import TimeGrid
@@ -79,7 +79,8 @@ def run_simulate_reflected(config: ExperimentConfig) -> list[acc.CriterionResult
     x0 = _start_point(opts, domain)
     refl = simulate_reflected(coeffs, domain, config.grid.t_start, x0, bundle)
 
-    keep = min(int(opts.get("csv_scenarios", 10)), config.scenarios)
+    keep = min(_number(int, opts.get("csv_scenarios", 10), "reflected.csv_scenarios"),
+               config.scenarios)
     rows = []
     for s in range(keep):
         for i, t in enumerate(config.grid.points):
@@ -130,8 +131,9 @@ def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
         else:
             raise ValueError(f"unknown terminal spec {terminal!r}")
         solution = picard_solve(coeffs, xi, None, bundle, basis,
-                                tol=float(opts.get("tol", 1e-10)),
-                                max_iter=int(opts.get("max_iter", 10)))
+                                tol=_number(float, opts.get("tol", 1e-10), "solver.tol"),
+                                max_iter=_number(int, opts.get("max_iter", 10),
+                                                 "solver.max_iter"))
         terminal = xi
         trace = solution.picard_trace
 
@@ -154,15 +156,15 @@ def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
 
 def run_verify_flow(config: ExperimentConfig) -> list[acc.CriterionResult]:
     opts = config.options.get("flow", {})
-    noise = acc.SinNoise(amp=float(opts.get("noise_amp", 1.0)),
-                         x_mod=float(opts.get("x_mod", 0.25)))
-    fd_step = float(opts.get("fd_step", 1e-4))
-    n_samples = int(opts.get("samples", 100))
+    noise = acc.SinNoise(amp=_number(float, opts.get("noise_amp", 1.0), "flow.noise_amp"),
+                         x_mod=_number(float, opts.get("x_mod", 0.25), "flow.x_mod"))
+    fd_step = _number(float, opts.get("fd_step", 1e-4), "flow.fd_step")
+    n_samples = _number(int, opts.get("samples", 100), "flow.samples")
     flow = acc.noise_flow(noise, config.grid, config.seed, fd_step)
     samples = acc.flow_samples(config.seed, 77, config.grid.step_count, n_samples)
     viol = flow_derivative_identities(flow, samples)
 
-    tol = float(opts.get("tolerance", 1e-3))
+    tol = _number(float, opts.get("tolerance", 1e-3), "flow.tolerance")
     rows = [[name, value, n_samples, fd_step, config.grid.dt]
             for name, value in viol.items()]
     write_csv(config.out_dir / "flow_identities.csv",
@@ -173,8 +175,8 @@ def run_verify_flow(config: ExperimentConfig) -> list[acc.CriterionResult]:
 
 def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
     opts = config.options.get("calculus", {})
-    ladder = [int(v) for v in opts.get("ladder", [100, 1000])]
-    scenarios = int(opts.get("scenarios", 128))
+    ladder = [_number(int, v, "calculus.ladder") for v in opts.get("ladder", [100, 1000])]
+    scenarios = _number(int, opts.get("scenarios", 128), "calculus.scenarios")
     results: list[acc.CriterionResult] = []
 
     per_case: dict[str, list[tuple[float, float, float]]] = {}

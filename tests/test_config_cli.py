@@ -476,3 +476,69 @@ def test_determinism_creates_a_fresh_out_root(tmp_path, monkeypatch):
     [result] = criterion_determinism(seed=5, out_root=root)
     assert result.passed, result.details
     assert (root / "determinism.yaml").is_file()
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("domain", {"kind": "interval", "a": 0.0}, "domain: interval domain needs field 'b'"),
+    ("domain", {"kind": "ball", "center": [0.5]}, "domain: ball domain needs field 'r'"),
+    ("basis", {"kind": "polynomial", "degree": 2.7}, "basis: degree: 2.7 cannot be read as int"),
+    ("basis", {"kind": "piecewise_bins", "count": 4.5},
+     "basis: count: 4.5 cannot be read as int"),
+], ids=["interval-without-b", "ball-without-r", "fractional-degree", "fractional-count"])
+def test_cli_missing_domain_field_or_fractional_basis_size_is_exit_2(
+        tmp_path, capsys, section, value, message):
+    # a missing size was a KeyError traceback; int() ran degree 2.7 as 2
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg[section] = value
+    out = tmp_path / "out"
+    code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite, section, field, value, kind", [
+    ("verify-flow", "flow", "samples", 2.7, "int"),
+    ("verify-flow", "flow", "samples", "many", "int"),
+    ("verify-flow", "flow", "noise_amp", "loud", "float"),
+    ("verify-flow", "flow", "x_mod", None, "float"),
+    ("verify-flow", "flow", "fd_step", "tiny", "float"),
+    ("verify-flow", "flow", "tolerance", [1e-3], "float"),
+    ("verify-calculus", "calculus", "scenarios", 64.5, "int"),
+    ("verify-calculus", "calculus", "ladder", [50, 100.5], "int"),
+    ("simulate-reflected", "reflected", "csv_scenarios", 2.5, "int"),
+    ("solve-bdsde", "solver", "max_iter", 3.5, "int"),
+    ("solve-bdsde", "solver", "tol", "small", "float"),
+])
+def test_cli_suite_option_that_is_not_a_number_is_exit_2(
+        tmp_path, capsys, suite, section, field, value, kind):
+    # int() ran samples 2.7 as 2; a non-number's error did not name its field
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg.setdefault(section, {})[field] = value
+    if section == "solver":
+        del cfg["domain"]  # the Picard path, which reads tol and max_iter
+    if section == "reflected":
+        cfg["reflected"]["x0"] = [0.5]
+    code = main([suite, "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    shown = value[-1] if field == "ladder" else value
+    assert (f"config error: {section}.{field}: {shown!r} cannot be read as {kind}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("monte_carlo", "scenario"), ("grid", "t_ned"), ("basis", "degre"), ("field", "mdoe"),
+    ("output", "dri"), ("flow", "sample"), ("problem", "constant"), ("domain", "radius"),
+])
+def test_cli_unknown_key_in_a_section_is_exit_2(tmp_path, capsys, section, key):
+    # a misspelled key ran on its default: monte_carlo.scenario ran 1 000 scenarios
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg.setdefault(section, {})[key] = 3
+    out = tmp_path / "out"
+    code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert f"config error: {section}: unknown keys [{key!r}]; pick from" in capsys.readouterr().err
+    assert not out.exists()

@@ -85,13 +85,6 @@ def test_nonfinite_coefficient_is_hard_failure():
     assert any(c.witness is not None for c in failed)
 
 
-def test_integrability_checked_for_each_mu():
-    report = validate_hypotheses(make_coeffs(), SamplingPlan(count=100))
-    names = [c.name for c in report.checks]
-    for mu in (1.0, 5.0, 10.0):
-        assert f"H1_integrability_mu_{mu:g}" in names
-
-
 def test_spatial_hypotheses_checked_when_x_present():
     coeffs = make_coeffs(
         b=lambda x: 0.5 * x,

@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gbdsde import (
     PathBundle,
     TimeGrid,
     interval_domain,
-    moment_diagnostics,
     sample_paths,
     simulate_reflected,
     skorokhod_bridge_exact,
@@ -167,22 +166,6 @@ def test_start_time_convention():
     assert np.all(refl.k[:, : mid + 1] == 0.0)
 
 
-def test_moment_diagnostics_structure():
-    grid = TimeGrid(0.0, 1.0, 100)
-    bundle = sample_paths(grid, d=1, seed=27, count=500)
-    dom = interval_domain(0.0, 2.0)
-    out = moment_diagnostics(dom, _bm_coeffs(),
-                             [np.array([0.5]), np.array([0.7]), np.array([0.6])],
-                             mu=1.0, bundle=bundle)
-    assert len(out["pairs"]) == 3
-    assert np.isfinite(out["worst_x_ratio"])
-    for row in out["exp_moments"]:
-        assert np.isfinite(row["exp_moment"])
-    with pytest.raises(ValueError):
-        moment_diagnostics(dom, _bm_coeffs(),
-                           [np.array([0.5]), np.array([0.5])], 1.0, bundle)
-
-
 def test_exp_moment_stable_in_scenarios():
     dom = interval_domain(0.0, 10.0)
     estimates = []
@@ -309,3 +292,44 @@ def test_ball_skorokhod_push_nondecreasing(seed, radius, frac, angle, vol, start
     refl = simulate_reflected(coeffs, dom, grid.points[start], x0, bundle)
     assert np.all(refl.k[:, : start + 1] == 0.0)
     assert np.all(np.diff(refl.k, axis=1) >= 0.0)
+
+
+def _assert_nonexpansive(domain, x, x_prime, seed):
+    # b = 0, sigma = I and one W for both starts: each Euler step moves both
+    # states by the same increment and then projects onto a convex set, which
+    # is 1-Lipschitz, so no scenario's reflected states ever move apart
+    grid = TimeGrid(0.0, 1.0, 50)
+    bundle = sample_paths(grid, d=domain.dim, seed=seed, count=64)
+    coeffs = _bm_coeffs(x_dim=domain.dim, d=domain.dim)
+    X, X_prime = (simulate_reflected(coeffs, domain, 0.0, p, bundle).X for p in (x, x_prime))
+    sup_gap = np.max(np.linalg.norm(X - X_prime, axis=-1), axis=1)
+    assert np.all(sup_gap <= np.linalg.norm(x - x_prime) * (1 + 1e-12))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       a=st.floats(min_value=-2.0, max_value=2.0),
+       width=st.floats(min_value=0.5, max_value=3.0),
+       u=st.floats(min_value=0.0, max_value=1.0),
+       v=st.floats(min_value=0.0, max_value=1.0))
+def test_reflected_interval_flow_is_nonexpansive(seed, a, width, u, v):
+    # starts a twentieth of the width apart or more: round-off stays far below
+    # 1e-12 of their distance
+    assume(abs(u - v) >= 0.05)
+    _assert_nonexpansive(interval_domain(a, a + width), np.array([a + u * width]),
+                         np.array([a + v * width]), seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       radius=st.floats(min_value=0.5, max_value=2.0),
+       fracs=st.tuples(*[st.floats(min_value=0.0, max_value=0.999)] * 2),
+       angles=st.tuples(*[st.floats(min_value=0.0, max_value=2.0 * math.pi)] * 2))
+def test_reflected_ball_flow_is_nonexpansive(seed, radius, fracs, angles):
+    from gbdsde import ball_domain
+
+    center = np.array([0.3, -0.2])
+    x, x_prime = (center + f * radius * np.array([math.cos(t), math.sin(t)])
+                  for f, t in zip(fracs, angles))
+    assume(np.linalg.norm(x - x_prime) >= 0.05 * radius)
+    _assert_nonexpansive(ball_domain(center, radius), x, x_prime, seed)
