@@ -551,14 +551,12 @@ def criterion_estimate_stability(seed: int = 2024) -> list[CriterionResult]:
                                tol=1e-12, max_iter=9)
             rep = apriori_ratio(sol, inst["coeffs"], xi, k_path)
             ratios[count].append(rep["ratio"])
-    all_finite = all(np.isfinite(r) for rs in ratios.values() for r in rs)
-    results.append(CriterionResult(
-        "apriori_ratios_finite", float(max(max(rs) for rs in ratios.values())),
-        math.inf, all_finite, "<", {"mean_1e3": float(np.mean(ratios[1000])),
-                                    "mean_1e4": float(np.mean(ratios[10_000]))}))
-    trend = float(np.mean(ratios[10_000]) / np.mean(ratios[1000]))
-    results.append(_le("apriori_ratio_trend", trend, 1.25,
-                       note="mean ratio growth from 1e3 to 1e4 scenarios"))
+    # every ratio is finite: picard_solve raises on a non-finite iterate, and
+    # the right side is at least 2 (unit weights, twice the unit envelope)
+    mean_1e3, mean_1e4 = (float(np.mean(ratios[count])) for count in (1000, 10_000))
+    results.append(_le("apriori_ratio_trend", mean_1e4 / mean_1e3, 1.25,
+                       note="mean ratio growth from 1e3 to 1e4 scenarios",
+                       mean_1e3=mean_1e3, mean_1e4=mean_1e4))
 
     # two-data stability: perturb the driver by delta cos(y)
     coeffs = _random_linear_instance(philox(seed, 43))["coeffs"]

@@ -28,6 +28,9 @@ from .problems import CoefficientSet
 
 _FUNCS = {"sin": np.sin, "cos": np.cos}
 
+# the constants a problem may set, with their defaults
+_CONSTANTS = {"K": 1.0, "c": 1.0, "alpha": 0.5, "beta1": 1.0}
+
 # role: (argument names, trailing shape of the value, the x term's index)
 _ROLES = {
     "f": (("t", "x", "y", "z"), ("n",), np.s_[..., :1]),
@@ -136,21 +139,22 @@ def _compile(spec: dict, role: str, d: int, x_dim: int) -> Callable:
     raise KeyError(f"unknown catalog entry {kind!r} for role {role!r}")
 
 
-def whole_number(value, name: str) -> int:
-    """``int(value)`` for an integral number or a numeric string; anything
-    else, including a bool or a fraction that int() would truncate, is a
-    ValueError naming ``name``."""
-    truncated = isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+def number(kind, value, name: str):
+    """``kind(value)`` for kind int or float; anything else, including for
+    int a bool or a fraction that int() would truncate, is a ValueError
+    naming ``name``."""
+    truncated = kind is int and (
+        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()))
     if not truncated:
         with suppress(TypeError, ValueError, OverflowError):
-            return int(value)
-    raise ValueError(f"{name}: {value!r} cannot be read as int")
+            return kind(value)
+    raise ValueError(f"{name}: {value!r} cannot be read as {kind.__name__}")
 
 
 def build_coefficient_set(problem: dict) -> CoefficientSet:
     """Assemble a CoefficientSet from a config 'problem' section."""
-    n, d = whole_number(problem.get("n", 1), "n"), whole_number(problem.get("d", 1), "d")
-    x_dim = None if problem.get("x_dim") is None else whole_number(problem["x_dim"], "x_dim")
+    n, d = number(int, problem.get("n", 1), "n"), number(int, problem.get("d", 1), "d")
+    x_dim = None if problem.get("x_dim") is None else number(int, problem["x_dim"], "x_dim")
     built = {}
     for role in _ROLES:
         spec = problem.get(role)
@@ -163,7 +167,11 @@ def build_coefficient_set(problem: dict) -> CoefficientSet:
         except KeyError as exc:
             raise ValueError(f"unknown catalog entry in {role!r}: {exc}") from exc
     constants = problem.get("constants", {})
-    return CoefficientSet(
-        n=n, d=d, x_dim=x_dim, **built,
-        **{k: float(constants.get(k, default))
-           for k, default in (("K", 1.0), ("c", 1.0), ("alpha", 0.5), ("beta1", 1.0))})
+    if not isinstance(constants, dict):
+        raise ValueError(f"constants: must be a mapping, not {constants!r}")
+    unknown = [k for k in constants if k not in _CONSTANTS]
+    if unknown:
+        raise ValueError(f"constants: unknown keys {unknown}; pick from {tuple(_CONSTANTS)}")
+    values = {k: number(float, constants.get(k, default), f"constants.{k}")
+              for k, default in _CONSTANTS.items()}
+    return CoefficientSet(n=n, d=d, x_dim=x_dim, **built, **values)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import yaml
 
-from .catalog import build_coefficient_set, whole_number
+from .catalog import build_coefficient_set, number
 from .geometry import SmoothDomain, make_domain
 from .grids import TimeGrid
 from .problems import CoefficientSet
@@ -89,11 +89,11 @@ class ExperimentConfig:
 
 
 def _number(kind, value, name: str):
-    """``kind(value)`` (`whole_number` for int), or a ConfigError naming the field."""
+    """`catalog.number`, its error a ConfigError naming the field."""
     try:
-        return whole_number(value, name) if kind is int else kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: {value!r} cannot be read as {kind.__name__}") from exc
+        return number(kind, value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _grid_from(section: dict) -> TimeGrid:

@@ -181,13 +181,13 @@ def _oracle_pass(
         """Solve  v - dt/2 (Lv + f(t, v)) = const_part  by banded Newton."""
         v = u_guess.copy()
         for _ in range(30):
-            resid = v - half_dt * rhs_operator(t, v) - const_part
+            base = v - half_dt * rhs_operator(t, v)
+            resid = base - const_part
             if np.max(np.abs(resid)) <= 1e-11 * (1.0 + np.max(np.abs(v))):
                 return v
             # tridiagonal Jacobian by column-group finite differences:
             # perturb every third node so the stencil responses do not overlap
             jac = np.zeros((3, j_max + 1))  # banded rows: upper, diag, lower
-            base = v - half_dt * rhs_operator(t, v)
             for group in range(3):
                 vp = v.copy()
                 sel = np.arange(group, j_max + 1, 3)

@@ -751,7 +751,7 @@ def operator_identity_violations(
     # transformed side: -L phi - f_tilde(t, x, phi, sigma* Dx phi)
     sig = coeffs.sigma(x)
     sig_t_dphi = np.einsum("...md,...m->...d", sig, dphi)
-    f_tilde = transformed_generator(coeffs, flow, t_idx, t, x, phi, sig_t_dphi)
+    f_tilde = _generator_from_derivs(coeffs, dv, t, x, phi, sig_t_dphi)
     l_phi = _diffusion_operator(sig, coeffs.b(x), dphi, hphi)
     rhs = -l_phi - f_tilde
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import whole_number
+from .catalog import number
 
 RCOND = 1e-8
 # every fit needs at least this many scenarios per basis function
@@ -111,9 +111,9 @@ def make_basis(spec: dict):
     that is not a whole number is a ValueError naming its field."""
     kind = spec.get("kind", "polynomial")
     if kind == "polynomial":
-        return PolynomialBasis(whole_number(spec.get("degree", 3), "degree"))
+        return PolynomialBasis(number(int, spec.get("degree", 3), "degree"))
     if kind == "piecewise_bins":
-        return PiecewiseBinBasis(whole_number(spec.get("count", 10), "count"))
+        return PiecewiseBinBasis(number(int, spec.get("count", 10), "count"))
     raise ValueError(f"unknown regression basis kind {kind!r}")
 
 

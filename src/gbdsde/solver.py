@@ -17,9 +17,11 @@
 The last two run one backward-induction kernel, `_backward_induction`: per
 step it regresses the control on the centred one-step target times dW / dt
 and the value on base + f dt + h dk, the bracket of driver and boundary
-terms evaluated at the current value for ``INNER_SWEEPS`` sweeps.  The
-direct solver adds the backward-noise term g dB to the base; the
-transformed one has none and brackets the transformed coefficients.
+terms evaluated at the current value for ``INNER_SWEEPS`` sweeps.  The base
+is Y_{i+1} plus the backward-noise term g dB of the direct solver (zero for
+g = 0 and for the transformed solver, which brackets the transformed
+coefficients).  Its rows are time-major views of scenario-major storage,
+which both solvers return as is.
 
 The kernel's rows carry a node axis: N blocks of the bundle's S scenarios,
 started from N points at one time and driven by the same increments.  The
@@ -30,18 +32,18 @@ estimator (`fields.evaluate_u`) solves its nodes N at a time through
 `_markov_start_values`, keeping only the rows of the current and the next
 step.
 
-``solve_simple`` and the Picard iteration work on time-major rows too: the
-targets of every step are built before the loop, each step fits one
-contiguous [target | control target] buffer, and the results are
-transposed once at the end.
+``solve_simple`` and the Picard iteration run the multi-step estimator
+`_simple_induction` on time-major rows: the targets of every step are built
+before the loop, each step fits one contiguous [target | control target]
+buffer, and the results are transposed once at the end.
 
 The a-priori and stability estimates and the Picard energy norm weigh
 sup |Y|^2, int |Y|^2 dk and int |Z|^2 dt (`_squares`) by e^{MU t + LAM k}
 (`_energy_weight`, with the constants ``MU`` = ``LAM`` = 1).
 
 Measurability note: values at time t are regressed only on functionals
-available at t -- the forward state (W or X) and, when the backward driver
-varies across scenarios, the tail increment B_T - B_t.
+available at t -- the forward state (W or X) and, when the backward noise
+enters and varies across scenarios, the tail B_T - B_t (`_points_of`).
 """
 
 from __future__ import annotations
@@ -82,9 +84,9 @@ class BdsdeSolution:
     (the control is left-continuous).  ``pathwise_totals`` carries the
     per-scenario unsmoothed estimator of the initial value, whose mean equals
     Y at the start time by construction (every projection preserves means).
-    Y and Z are C-contiguous and scenario-major; the backward-induction
-    kernel and the Picard coefficient loop step on time-major rows and
-    transpose once at the end.
+    Y and Z are C-contiguous and scenario-major: the backward-induction
+    kernel steps through time-major views of scenario-major storage, and
+    `_simple_induction` steps on time-major rows transposed once at the end.
     """
 
     grid: TimeGrid
@@ -125,15 +127,16 @@ def _as_columns(values: np.ndarray) -> np.ndarray:
     return values[:, None] if values.ndim == 1 else values
 
 
-def _points_of(bundle: PathBundle, with_backward_tail: bool, state: np.ndarray | None = None):
+def _points_of(bundle: PathBundle, noise_enters: bool, state: np.ndarray | None = None):
     """``points_of`` for `projector_walk`: the time-major (T+1, N S, m) state,
     W by default, plus B_T - B_t (the same for each of the N node blocks)
-    when ``with_backward_tail``."""
+    when the backward noise enters and B varies across scenarios."""
     state = np.swapaxes(bundle.W, 0, 1) if state is None else state
     nodes = state.shape[1] // bundle.scenario_count
+    with_tail = noise_enters and not bundle.shared_b
 
     def points_of(lo: int, hi: int) -> np.ndarray:
-        if not with_backward_tail:
+        if not with_tail:
             return state[lo:hi]
         tail = np.swapaxes(bundle.B[:, -1:, :] - bundle.B[:, lo:hi, :], 0, 1)
         return np.concatenate([state[lo:hi], np.tile(tail, (1, nodes, 1))], axis=2)
@@ -163,8 +166,8 @@ def solve_simple(
     S, n_pts = bundle.scenario_count, len(grid)
     xi = _as_columns(xi)
     k = _as_k(k_path, S, n_pts)
-    walk = projector_walk(_points_of(bundle, not bundle.shared_b and g_path is not None),
-                          basis, range(grid.step_count - 1, -1, -1))
+    walk = projector_walk(_points_of(bundle, g_path is not None), basis,
+                          range(grid.step_count - 1, -1, -1))
 
     def rows(path):
         return None if path is None else np.swapaxes(path, 0, 1)
@@ -292,8 +295,8 @@ def picard_solve(
     times = grid.points
     backward = range(grid.step_count - 1, -1, -1)
 
-    projectors = [proj for _, proj in projector_walk(_points_of(bundle, not bundle.shared_b),
-                                                     basis, range(grid.step_count))]
+    projectors = [proj for _, proj in projector_walk(_points_of(bundle, True), basis,
+                                                     range(grid.step_count))]
     y_rows = np.zeros((n_pts, S, n))
     z_rows = np.zeros((n_pts, S, n, coeffs.d))
     f_rows = np.empty((n_pts, S, n))
@@ -452,14 +455,12 @@ def solve_bdsde_markov(
     grid = bundle.grid
     start_idx = grid.index_of(start_time)
     *buffers, excluded, dW = _euler_projection(coeffs, domain, start_time, x0, bundle)
-    terminal, (Y, Z, increments) = _markov_induction(
+    Y, Z, totals = _markov_induction(
         coeffs, buffers[0], np.diff(buffers[1], axis=0), dW, bundle, basis, start_idx, g_is_zero)
     del dW
     Y[:start_idx] = Y[start_idx]
     reflected = _reflected_path(grid, buffers, excluded)
-    Y = swap_scenario_time(Y)
-    Z = swap_scenario_time(Z)
-    return _solution(grid, Y, Z, terminal + increments), reflected
+    return _solution(grid, swap_scenario_time(Y), swap_scenario_time(Z), totals), reflected
 
 
 def _markov_start_values(
@@ -490,11 +491,10 @@ def _markov_start_values(
     for i in range(len(k) - 1, start_idx, -1):
         np.subtract(k[i], k[i - 1], out=k[i])
     dk = k[1:]
-    terminal, (Y, _, increments) = _markov_induction(
+    Y, _, totals = _markov_induction(
         coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero, history=False)
     S = bundle.scenario_count
-    return (Y[start_idx % len(Y), :, 0].reshape(-1, S),
-            (terminal + increments).reshape(-1, S))
+    return Y[start_idx % len(Y), :, 0].reshape(-1, S), totals.reshape(-1, S)
 
 
 def _require_markov(coeffs: CoefficientSet) -> None:
@@ -507,23 +507,17 @@ def _require_markov(coeffs: CoefficientSet) -> None:
 def _markov_induction(coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero, history=True):
     """The Markovian induction from the terminal map down to ``start_idx``.
 
-    Binds the backward-noise term (g at the right endpoint against dB) and
-    the driver and boundary bracket to `_backward_induction` on node-major
-    rows X (T+1, N S, m), dk (T, N S); returns the terminal values and the
-    kernel's (Y, Z, increments).
+    Binds the backward-noise term (g at the right endpoint against dB; none
+    when ``g_is_zero``) and the driver and boundary bracket to
+    `_backward_induction` on node-major rows X (T+1, N S, m), dk (T, N S);
+    returns the kernel's (Y, Z, totals).
     """
     grid = bundle.grid
     times, dt = grid.points, grid.dt
     S = bundle.scenario_count
-    terminal = coeffs.l(X[-1])
     dB = None if g_is_zero else time_major_increments(bundle.B)
-    g_zero = np.zeros((len(terminal), 1))
 
     def noise(i, y_next, z_next):
-        # g = 0 still adds a zero term: the base stays a fresh array, and the
-        # kernel keeps its rows contiguous (see `_backward_induction`)
-        if dB is None:
-            return g_zero
         g_right = coeffs.g(times[i + 1], X[i + 1], y_next, z_next)
         nodes_g = g_right.reshape(-1, S, *g_right.shape[1:])
         return np.einsum("nskd,sd->nsk", nodes_g, dB[i]).reshape(len(y_next), -1)
@@ -531,10 +525,10 @@ def _markov_induction(coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero, hi
     def bracket(i, x_i, dk_i, y, z):
         return coeffs.f(times[i], x_i, y, z) * dt, coeffs.h(times[i], x_i, y) * dk_i[:, None]
 
-    return terminal, _backward_induction(
+    return _backward_induction(
         "solve_bdsde_markov", X, dk, dW, bundle, basis,
-        range(grid.step_count - 1, start_idx - 1, -1),
-        not bundle.shared_b and not g_is_zero, terminal, noise, bracket, history)
+        range(grid.step_count - 1, start_idx - 1, -1), coeffs.l(X[-1]),
+        None if g_is_zero else noise, bracket, history)
 
 
 def solve_transformed_gbsde(
@@ -561,7 +555,6 @@ def solve_transformed_gbsde(
     X = np.swapaxes(reflected.X, 0, 1)
     dk = time_major_increments(reflected.k)
     dW = time_major_increments(bundle.W)
-    terminal = coeffs.l(X[-1])
 
     def bracket(i, x_i, dk_i, y, z):
         # one derivative lookup per sweep serves the generator and, sliced,
@@ -577,11 +570,10 @@ def solve_transformed_gbsde(
             )
         return f_val[:, None] * dt, (h_val * dk_i)[:, None]
 
-    Y, Z, increments = _backward_induction(
+    Y, Z, totals = _backward_induction(
         "solve_transformed_gbsde", X, dk, dW, bundle, basis,
-        range(grid.step_count - 1, -1, -1), False, terminal, None, bracket)
-    # views of scenario-major buffers: no copies
-    return _solution(grid, swap_scenario_time(Y), swap_scenario_time(Z), terminal + increments)
+        range(grid.step_count - 1, -1, -1), coeffs.l(X[-1]), None, bracket)
+    return _solution(grid, swap_scenario_time(Y), swap_scenario_time(Z), totals)
 
 
 def _backward_induction(
@@ -592,7 +584,6 @@ def _backward_induction(
     bundle: PathBundle,
     basis,
     steps: range,
-    with_backward_tail: bool,
     terminal: np.ndarray,
     noise,
     bracket,
@@ -602,16 +593,17 @@ def _backward_induction(
 
     Walks `projector_walk` over the descending ``steps`` on time-major X
     (T+1, N S, m), dk (T, N S) and dW (T, S, d), with the state (plus
-    B_T - B_t when ``with_backward_tail``) as features.  The rows are
+    B_T - B_t as `_points_of` decides) as features.  The rows are
     node-major, N blocks of the bundle's S scenarios that share dW; each
     node has its own projectors, fitted on its own rows, while ``noise``
-    and ``bracket`` see all N S rows at once.  The base at step i is
-    Y_{i+1} plus ``noise(i, Y_{i+1}, Z_{i+1})`` (Y_{i+1} itself when
-    ``noise`` is None); ``bracket(i, X_i, dk_i, y, Z_i)`` returns
+    and ``bracket`` see all N S rows at once.  The base at step i is the
+    fresh array Y_{i+1} + ``noise(i, Y_{i+1}, Z_{i+1})``, the noise term
+    zero when ``noise`` is None; ``bracket(i, X_i, dk_i, y, Z_i)`` returns
     (f dt, h dk) at the value y.
 
-    Returns time-major Y (T+1, N S, 1) and Z (T+1, N S, 1, d), set from the
-    first of ``steps`` on, and the per-row sum of the driver, boundary and
+    Returns Y (T+1, N S, 1) and Z (T+1, N S, 1, d), time-major views of
+    scenario-major storage set from the first of ``steps`` on, and the
+    per-row pathwise totals: ``terminal`` plus the driver, boundary and
     backward-noise terms.  Without ``history`` only two time rows are kept,
     step i at row i % 2.  Raises FloatingPointError, naming ``solver``, at
     the first non-finite Y or Z row.
@@ -620,15 +612,8 @@ def _backward_induction(
     S, d = dW.shape[1:]
     rows = X.shape[1]
     slots = len(grid) if history else 2
-    if noise is None:
-        # the base is the stored Y_{i+1}, which the transformed solver has
-        # always fitted from scenario-major storage: a rank-1 fit of a strided
-        # row rounds unlike one of a contiguous row.  Fresh bases allow the
-        # faster contiguous rows.
-        y_rows = np.swapaxes(np.empty((rows, slots, 1)), 0, 1)
-        z_rows = np.swapaxes(np.zeros((rows, slots, 1, d)), 0, 1)
-    else:
-        y_rows, z_rows = np.empty((slots, rows, 1)), np.zeros((slots, rows, 1, d))
+    y_rows = np.swapaxes(np.empty((rows, slots, 1)), 0, 1)
+    z_rows = np.swapaxes(np.zeros((rows, slots, 1, d)), 0, 1)
 
     def require_finite(*arrays):
         if not all(np.isfinite(a).all() for a in arrays):
@@ -638,14 +623,12 @@ def _backward_induction(
     y_rows[(len(grid) - 1) % slots, :, 0] = terminal
     increments = np.zeros(rows)
     g_term = np.zeros((rows, 1))
-    points_of = _points_of(bundle, with_backward_tail, X)
+    points_of = _points_of(bundle, noise is not None, X)
     for i, proj in projector_walk(points_of, basis, steps, rows // S):
         here, after = i % slots, (i + 1) % slots
-        if noise is None:
-            base = y_rows[after]
-        else:
+        if noise is not None:
             g_term = noise(i, y_rows[after], z_rows[after])
-            base = y_rows[after] + g_term
+        base = y_rows[after] + g_term
         y_guess = proj.fit(base)
         # centred increment regression: subtracting the fitted conditional
         # mean leaves the estimator unbiased and kills the level noise, so a
@@ -658,4 +641,4 @@ def _backward_induction(
         y_rows[here] = y_guess
         require_finite(y_guess, z_rows[here])
         increments += (f_dt + h_dk + g_term)[:, 0]
-    return y_rows, z_rows, increments
+    return y_rows, z_rows, terminal + increments

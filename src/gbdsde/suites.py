@@ -76,7 +76,7 @@ def run_simulate_reflected(config: ExperimentConfig) -> list[acc.CriterionResult
     bundle = sample_paths(config.grid, coeffs.d, config.seed, config.scenarios,
                           config.shared_b)
     opts = config.options.get("reflected", {})
-    x0 = _start_point(opts, domain)
+    x0 = _start_point(opts, domain, "reflected")
     refl = simulate_reflected(coeffs, domain, config.grid.t_start, x0, bundle)
 
     keep = min(_number(int, opts.get("csv_scenarios", 10), "reflected.csv_scenarios"),
@@ -95,10 +95,13 @@ def run_simulate_reflected(config: ExperimentConfig) -> list[acc.CriterionResult
             acc._ge("boundary_process_monotone", float(monotone), 1.0)]
 
 
-def _start_point(opts: dict, domain) -> np.ndarray:
-    """``x0`` from the suite options; by default the projection of the origin."""
+def _start_point(opts: dict, domain, section: str) -> np.ndarray:
+    """``x0`` from the ``section`` options; by default the projection of the origin."""
     center, _ = domain.project(np.zeros(domain.dim))
-    return np.atleast_1d(np.asarray(opts.get("x0", center), dtype=float))
+    try:
+        return np.atleast_1d(np.asarray(opts.get("x0", center), dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}.x0: {opts['x0']!r} cannot be read as float") from exc
 
 
 def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
@@ -110,7 +113,7 @@ def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
 
     if config.domain_spec is not None and coeffs.l is not None:
         domain = config.domain()
-        x0 = _start_point(opts, domain)
+        x0 = _start_point(opts, domain, "solver")
         if (isinstance(basis, PiecewiseBinBasis) and basis.count > 1
                 and np.any(domain.classify(x0) == "boundary")):
             # the scenarios reflected back onto the start point tie on one
@@ -175,7 +178,10 @@ def run_verify_flow(config: ExperimentConfig) -> list[acc.CriterionResult]:
 
 def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
     opts = config.options.get("calculus", {})
-    ladder = [_number(int, v, "calculus.ladder") for v in opts.get("ladder", [100, 1000])]
+    ladder = opts.get("ladder", [100, 1000])
+    if not isinstance(ladder, list) or len(ladder) < 2:  # an order needs two rungs
+        raise ConfigError(f"calculus.ladder: {ladder!r} is not a list of two or more step counts")
+    ladder = [_number(int, v, "calculus.ladder") for v in ladder]
     scenarios = _number(int, opts.get("scenarios", 128), "calculus.scenarios")
     results: list[acc.CriterionResult] = []
 

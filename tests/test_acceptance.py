@@ -70,10 +70,10 @@ def test_criterion_8_residual_convergence_and_mutations():
 
 
 def test_criterion_9_estimate_stability():
-    # a-priori and two-data estimates: finite a-priori ratios, no upward
-    # trend of their mean from 1e3 to 1e4 scenarios, quadratic perturbation
-    # scaling within a factor 2 (the reflected pair's dependence on its start
-    # point is tested in test_reflection.py)
+    # a-priori and two-data estimates: no upward trend of the mean a-priori
+    # ratio from 1e3 to 1e4 scenarios, quadratic perturbation scaling within
+    # a factor 2 (the reflected pair's dependence on its start point is
+    # tested in test_reflection.py)
     _run("estimate_stability")
 
 

@@ -542,3 +542,50 @@ def test_cli_unknown_key_in_a_section_is_exit_2(tmp_path, capsys, section, key):
     assert code == 2
     assert f"config error: {section}: unknown keys [{key!r}]; pick from" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("constants, message", [
+    ({"K": 2.0, "c": 1.0, "aplha": 2.0, "beta1": 1.0},
+     "problem: constants: unknown keys ['aplha']; pick from ('K', 'c', 'alpha', 'beta1')"),
+    ({"K": "abc"}, "problem: constants.K: 'abc' cannot be read as float"),
+    ([2.0, 1.0], "problem: constants: must be a mapping, not [2.0, 1.0]"),
+], ids=["misspelled-key", "non-numeric-value", "list"])
+def test_cli_bad_problem_constant_is_exit_2(tmp_path, capsys, constants, message):
+    # a misspelled constant ran on its default with OVERALL: PASS; a list
+    # ended in AttributeError
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["problem"]["constants"] = constants
+    out = tmp_path / "out"
+    code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite, section", [("simulate-reflected", "reflected"),
+                                            ("solve-bdsde", "solver")])
+def test_cli_non_numeric_start_point_names_its_field(tmp_path, capsys, suite, section):
+    # the error said only "could not convert string to float: 'a'"
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg[section] = {"x0": "a"}
+    out = tmp_path / "out"
+    code = main([suite, "--config", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
+    assert code == 2
+    assert f"config error: {section}.x0: 'a' cannot be read as float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ladder", [5, []], ids=["int", "empty"])
+def test_cli_calculus_ladder_that_is_not_a_list_of_rungs_is_exit_2(tmp_path, capsys, ladder):
+    # 5 ended in "TypeError: 'int' object is not iterable"; [] checked no
+    # criterion and printed OVERALL: PASS
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["calculus"]["ladder"] = ladder
+    out = tmp_path / "out"
+    code = main(["verify-calculus", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert (f"config error: calculus.ladder: {ladder!r} is not a list of two or more step "
+            "counts" in capsys.readouterr().err)
+    assert not out.exists()

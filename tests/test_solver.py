@@ -510,7 +510,7 @@ def _reference_transformed(coeffs, domain, flow_like, reflected, bundle, basis,
     increments = np.zeros(S)
     for i in range(grid.step_count - 1, -1, -1):
         proj = DesignProjector(X[:, i, :], basis)
-        base = U[:, i + 1, :]
+        base = U[:, i + 1, :].copy()
         u_guess = proj.fit(base)
         z_target = (base - u_guess)[:, :, None] * dW[:, i, None, :] / dt
         V[:, i, :, :] = proj.fit(z_target.reshape(S, -1)).reshape(S, 1, d)
