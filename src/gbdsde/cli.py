@@ -4,7 +4,7 @@
                  [--out-dir DIR] [--workers N]
 
 Exit codes: 0 all criteria pass, 1 criteria failure, 2 configuration error,
-3 numerical failure.
+3 numerical failure, 4 no criterion evaluated.
 """
 
 from __future__ import annotations

@@ -14,17 +14,14 @@ Two evaluators are provided: `BrownianFlow` integrates every request from
 scratch (exact up to the time step; used by all verification routines), and
 `FlowTable` tabulates one backward sweep on a (x, y) grid and interpolates
 with quintic splines (used inside backward inductions where the flow is
-queried at every time step for every scenario).  The splines are fitted by
-FITPACK; `FlowTable.derivs` evaluates the value and its five partials in one
-pass from per-span Taylor matrices of the B-spline basis (piecewise
-polynomial form, de Boor, *A Practical Guide to Splines*), which agrees with
-FITPACK's own evaluation up to rounding: a relative drift of a few 1e-15 in
-the value and up to ~1e-11 in the second x-derivative.
-
-FITPACK comes from `scipy.interpolate`, which is imported where the splines
-are fitted (`_SplineAxis` and the two `FlowTable` fit sites), not here: it
-is a quarter of the package's import footprint, and only runs that build a
-`FlowTable` need it.
+queried at every time step for every scenario).  The splines are numpy
+alone: the knots are FITPACK's interpolation knots, every time slice is
+fitted in one batched collocation solve, and evaluation runs through
+per-span Taylor matrices of the B-spline basis built by the Cox-de Boor
+recursion (piecewise polynomial form, de Boor, *A Practical Guide to
+Splines*).  The interpolant is unique once the knots are fixed, so this is
+FITPACK's spline up to rounding, without `scipy.interpolate` and its import
+footprint.
 
 `BrownianFlow` differentiates on one stencil table (`_stencil_offsets`); the
 operator check evaluates its direct side through `_direct_operator`.
@@ -34,16 +31,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import factorial
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .geometry import SmoothDomain
 from .problems import CoefficientSet
-
-if TYPE_CHECKING:
-    from scipy.interpolate import RectBivariateSpline
 
 
 class FlowBlowup(RuntimeError):
@@ -332,34 +325,66 @@ class BrownianFlow:
 
 
 class _SplineAxis:
-    """One axis of a tensor B-spline in per-span Taylor form.
+    """One axis of an interpolating tensor B-spline of degree k on a grid.
 
-    On the span [b_s, b_s + w_s] the k+1 B-splines that live there are
-    polynomials in u = (x - b_s) / w_s; ``taylor[s]`` maps their
-    coefficients to the coefficients of u^0, ..., u^k (row p holds the p-th
-    right derivatives at b_s times w_s^p / p!).  Points are assigned to spans
-    as FITPACK does: a point on an inner knot belongs to the span on its
-    right, the right end to the last span.
+    The knots are FITPACK's for interpolation (s = 0): k+1 copies of each
+    end, and between them the grid points ``grid[(k+1)//2 : n-(k+1)//2]`` for
+    odd k or the midpoints of the central grid intervals for even k, so the
+    spline has one coefficient per grid point.  On the span [b_s, b_s + w_s]
+    the k+1 B-splines that live there are polynomials in u = (x - b_s) / w_s;
+    ``taylor[s]`` maps their coefficients to the coefficients of u^0, ..., u^k,
+    built by the Cox-de Boor recursion run on those polynomials for every
+    span at once (de Boor, *A Practical Guide to Splines*, 1978).  ``fit`` is
+    the inverse of the collocation matrix on the grid: it maps values on the
+    grid to the coefficients of their interpolant.  Points are assigned to
+    spans as FITPACK does: a point on an inner knot belongs to the span on
+    its right, the right end to the last span.
     """
 
-    def __init__(self, knots: np.ndarray, k: int) -> None:
-        from scipy.interpolate import BSpline
-
-        n = knots.size - k - 1
+    def __init__(self, grid: np.ndarray, k: int) -> None:
+        n = grid.size
+        half = (k + 1) // 2
+        if k % 2:
+            inner = grid[half:n - half]
+        else:
+            inner = 0.5 * (grid[half:n - half - 1] + grid[half + 1:n - half])
+        self.knots = np.concatenate([np.repeat(grid[0], k + 1), inner,
+                                     np.repeat(grid[-1], k + 1)])
         self.k = k
         self.coeff_count = n
-        self.breaks = knots[k:n + 1]
+        self.breaks = self.knots[k:n + 1]
         self.width = np.diff(self.breaks)
-        spans = self.width.size
-        local = np.arange(spans)[:, None] + np.arange(k + 1)
-        basis = BSpline(knots, np.eye(n), k)
-        self.taylor = np.empty((spans, k + 1, k + 1))
-        for p in range(k + 1):
-            scale = self.width**p / factorial(p)
-            self.taylor[:, p, :] = np.take_along_axis(
-                basis(self.breaks[:-1], nu=p), local, axis=1) * scale[:, None]
+        self.taylor = self._taylor()
         self._d1 = np.arange(1, k + 1, dtype=float)
         self._d2 = self._d1[:-1] * self._d1[1:]
+        self.fit = np.linalg.inv(self.matrix(grid))
+
+    def _taylor(self) -> np.ndarray:
+        """(spans, k+1, k+1): [s, p, r] is the u^p coefficient of the r-th
+        B-spline alive on span s, the one of coefficient index s + r."""
+        t, k = self.knots, self.k
+        left = np.arange(self.width.size) + k       # knot index of each span's start
+        b, w = t[left], self.width
+        poly = np.zeros((left.size, k + 1, k + 1))
+        poly[:, 0, 0] = 1.0
+        for p in range(1, k + 1):
+            # N_{i,p} = (x - t_i) / (t_{i+p} - t_i) N_{i,p-1}
+            #         + (t_{i+p+1} - x) / (t_{i+p+1} - t_{i+1}) N_{i+1,p-1},
+            # with x = b + w u and i = left - p + r; column r of poly holds
+            # N_{left-p+1+r, p-1}, so N_{i,p-1} is column r-1 and N_{i+1,p-1} r
+            new = np.zeros_like(poly)
+            for r in range(p + 1):
+                i = left - p + r
+                if r >= 1:
+                    d = t[i + p] - t[i]
+                    new[:, :, r] += ((b - t[i]) / d)[:, None] * poly[:, :, r - 1]
+                    new[:, 1:, r] += (w / d)[:, None] * poly[:, :-1, r - 1]
+                if r < p:
+                    d = t[i + p + 1] - t[i + 1]
+                    new[:, :, r] += ((t[i + p + 1] - b) / d)[:, None] * poly[:, :, r]
+                    new[:, 1:, r] -= (w / d)[:, None] * poly[:, :-1, r]
+            poly = new
+        return poly
 
     def basis(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Span index (N,) and the 0th-2nd derivatives (N, 3, k+1) of the
@@ -378,6 +403,29 @@ class _SplineAxis:
         rows[:, 2, 2:] = rows[:, 0, :k - 1] * (self._d2 / (width * width)[:, None])
         return span, rows @ self.taylor[span]
 
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """(N, coeff_count): the value of every B-spline at the points x (N,)."""
+        span, rows = self.basis(x)
+        out = np.zeros((x.size, self.coeff_count))
+        np.put_along_axis(out, span[:, None] + np.arange(self.k + 1), rows[:, 0], axis=1)
+        return out
+
+
+def _tensor_partials(coeffs: np.ndarray, ax: _SplineAxis, ay: _SplineAxis,
+                     x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(N, 3, 3): [:, p, q] is d^(p+q) s / dx^p dy^q at the points (x, y) of
+    the tensor spline with coefficients (ax.coeff_count, ay.coeff_count).
+
+    One span search per axis, one gather of each point's (kx+1) x (ky+1)
+    coefficient patch and one batched contraction with the Taylor rows.
+    """
+    span_x, basis_x = ax.basis(x)
+    span_y, basis_y = ay.basis(y)
+    offsets = (np.arange(ax.k + 1)[:, None] * ay.coeff_count + np.arange(ay.k + 1)).ravel()
+    patch = coeffs.take((span_x * ay.coeff_count + span_y)[:, None] + offsets)
+    patch = patch.reshape(-1, ax.k + 1, ay.k + 1)
+    return basis_x @ patch @ np.swapaxes(basis_y, 1, 2)
+
 
 class FlowTable:
     """Tabulated flow on a (x, y) grid with quintic-spline evaluation.
@@ -388,21 +436,19 @@ class FlowTable:
     domains are tabulated; higher dimensions fall back to `BrownianFlow`.
     A non-finite tabulated value raises `FlowBlowup`.
 
-    Each time slice is fitted by FITPACK (degree min(5, points - 1) per
-    axis) on first use.  Every slice interpolates on the same grids, so all
-    share one pair of knot vectors; `derivs` evaluates the value and its five
-    partials from the slice's coefficients through the shared per-span
-    Taylor matrices (`_SplineAxis`): one span search per axis, one gather of
-    the (kx+1) x (ky+1) coefficient patch and one batched contraction.  It
-    differs from FITPACK's evaluation (`value`) by rounding only: relative
-    drift of a few 1e-15 in the value and up to ~1e-11 in the second
-    x-derivative, whose Taylor rows scale with the inverse squared span
-    width.  It also returns the second derivatives that FITPACK refuses
-    below degree 3 (zero for a linear axis).
+    Every slice is interpolated by a tensor spline of degree min(5, points -
+    1) per axis on the same grids, so all slices share one pair of axes
+    (`_SplineAxis`) and are fitted together at construction: the
+    coefficients are ``Ax^-1 @ values @ Ay^-T`` for the collocation matrices
+    Ax, Ay.  The result is FITPACK's interpolant up to rounding.  `derivs`
+    evaluates the value and its five partials in one pass through the
+    per-span Taylor form (`_tensor_partials`); a linear axis gives zero
+    second derivatives.
 
     The y-inverse is tabulated per time slice, on first use, by monotone
-    re-gridding: one grid evaluation of the value spline on the x grid times
-    a 4x oversampled y grid, then a piecewise-linear inversion per x column.
+    re-gridding: the slice's spline evaluated on the x grid times a 4x
+    oversampled y grid, a piecewise-linear inversion per x column onto
+    ``u_grid``, then an interpolating spline on x_grid x u_grid.
     """
 
     def __init__(self, flow: BrownianFlow, x_grid: np.ndarray, y_grid: np.ndarray) -> None:
@@ -422,12 +468,9 @@ class FlowTable:
             raise FlowBlowup(f"flow table has {bad} non-finite tabulated values")
         if np.any(np.diff(self.values, axis=2) <= 0):
             raise InversionError("tabulated flow is not strictly increasing in y")
-        self._kx = min(5, x_grid.size - 1)
-        self._ky = min(5, y_grid.size - 1)
-        self._splines: dict[int, RectBivariateSpline] = {}
-        self._inv_splines: dict[int, RectBivariateSpline] = {}
-        self._axes: tuple[_SplineAxis, _SplineAxis] | None = None
-        self._patch_offsets = None
+        self._x_axis = _SplineAxis(x_grid, min(5, x_grid.size - 1))
+        self._y_axis = _SplineAxis(y_grid, min(5, y_grid.size - 1))
+        self.coeffs = self._x_axis.fit @ self.values @ self._y_axis.fit.T
         # common inverse range across x columns, slightly shrunk for safety
         lo = float(self.values[:, :, 0].max())
         hi = float(self.values[:, :, -1].min())
@@ -435,34 +478,24 @@ class FlowTable:
             raise InversionError("flow table has no common invertible range")
         pad = 1e-9 * (hi - lo)
         self.u_grid = np.linspace(lo + pad, hi - pad, y_grid.size)
+        self._u_axis = _SplineAxis(self.u_grid, self._y_axis.k)
+        # re-grid through a 4x oversampled monotone value table so the
+        # piecewise-linear inversion error stays below the spline's own
+        self._fine_y = np.linspace(y_grid[0], y_grid[-1], 4 * y_grid.size)
+        self._fine_basis = (self._x_axis.matrix(x_grid), self._y_axis.matrix(self._fine_y).T)
+        self._inverse_coeffs: dict[int, np.ndarray] = {}
 
-    def _spline(self, t_index: int) -> RectBivariateSpline:
-        sp = self._splines.get(t_index)
-        if sp is None:
-            from scipy.interpolate import RectBivariateSpline
-
-            sp = RectBivariateSpline(
-                self.x_grid, self.y_grid, self.values[t_index], kx=self._kx, ky=self._ky
-            )
-            self._splines[t_index] = sp
-        return sp
-
-    def _inv_spline(self, t_index: int) -> RectBivariateSpline:
-        sp = self._inv_splines.get(t_index)
-        if sp is None:
-            # re-grid through a 4x oversampled monotone value table so the
-            # piecewise-linear inversion error stays below the spline's own
-            fine_y = np.linspace(self.y_grid[0], self.y_grid[-1],
-                                 4 * self.y_grid.size)
-            fine_vals = self._spline(t_index)(self.x_grid, fine_y)
-            inv = np.array([np.interp(self.u_grid, column, fine_y)
+    def _inverse(self, t_index: int) -> np.ndarray:
+        """The coefficients of the slice's y-inverse on x_grid x u_grid."""
+        coeffs = self._inverse_coeffs.get(t_index)
+        if coeffs is None:
+            on_x, on_fine_y = self._fine_basis
+            fine_vals = on_x @ self.coeffs[t_index] @ on_fine_y
+            inv = np.array([np.interp(self.u_grid, column, self._fine_y)
                             for column in fine_vals])
-            from scipy.interpolate import RectBivariateSpline
-
-            sp = RectBivariateSpline(self.x_grid, self.u_grid, inv,
-                                     kx=self._kx, ky=self._ky)
-            self._inv_splines[t_index] = sp
-        return sp
+            coeffs = self._x_axis.fit @ inv @ self._u_axis.fit.T
+            self._inverse_coeffs[t_index] = coeffs
+        return coeffs
 
     def _clipped(self, x: np.ndarray, y: np.ndarray,
                  y_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -470,37 +503,15 @@ class FlowTable:
         return (np.clip(np.asarray(x, dtype=float).reshape(-1), self.x_grid[0], self.x_grid[-1]),
                 np.clip(np.asarray(y, dtype=float).reshape(-1), y_grid[0], y_grid[-1]))
 
-    def value(self, t_index: int, x: np.ndarray, y: np.ndarray,
-              dx: int = 0, dy: int = 0) -> np.ndarray:
-        x1, y1 = self._clipped(x, y, self.y_grid)
-        out = self._spline(t_index).ev(x1, y1, dx=dx, dy=dy)
-        return out.reshape(np.asarray(y).shape)
-
     def derivs(self, t_index: int, x: np.ndarray, y: np.ndarray) -> dict:
         """Spline derivatives matching BrownianFlow.derivs for 1-D x.
 
-        Points are clipped to the grid like `value`; x has shape (..., 1)
-        and y the batch shape (...).  One pass through the Taylor form (see
-        the class docstring) gives all six entries.
+        Points are clipped to the grid; x has shape (..., 1) and y the batch
+        shape (...).  One pass through the Taylor form gives all six entries.
         """
-        sp = self._spline(t_index)
-        if self._axes is None:
-            # every slice shares the knots, so the first fit fixes the axes
-            ax, ay = _SplineAxis(sp.tck[0], self._kx), _SplineAxis(sp.tck[1], self._ky)
-            self._axes = ax, ay
-            # flat offsets of a span's coefficient patch from its first entry
-            self._patch_offsets = (np.arange(self._kx + 1)[:, None] * ay.coeff_count
-                                   + np.arange(self._ky + 1)).ravel()
-        ax, ay = self._axes
         shape = np.asarray(y).shape
         x1, y1 = self._clipped(np.asarray(x)[..., 0], y, self.y_grid)
-        span_x, basis_x = ax.basis(x1)
-        span_y, basis_y = ay.basis(y1)
-        first = span_x * ay.coeff_count + span_y
-        patch = sp.tck[2].take(first[:, None] + self._patch_offsets)
-        patch = patch.reshape(-1, self._kx + 1, self._ky + 1)
-        # d[:, p, q] = d^(p+q) s / dx^p dy^q
-        d = basis_x @ patch @ np.swapaxes(basis_y, 1, 2)
+        d = _tensor_partials(self.coeffs[t_index], self._x_axis, self._y_axis, x1, y1)
         return {
             "value": d[:, 0, 0].reshape(shape),
             "dx": d[:, 1, 0].reshape(shape + (1,)),
@@ -512,10 +523,13 @@ class FlowTable:
 
     def invert(self, t_index: int, x: np.ndarray, target: np.ndarray,
                dx: int = 0, dy: int = 0) -> np.ndarray:
+        """The y-inverse at (t_index, x, target), or its partial of order dx in
+        x and dy in the target (each at most 2); points are clipped to
+        x_grid x u_grid."""
         x = np.asarray(x)
         x1, u1 = self._clipped(x[..., 0] if x.ndim >= 2 else x, target, self.u_grid)
-        out = self._inv_spline(t_index).ev(x1, u1, dx=dx, dy=dy)
-        return out.reshape(np.asarray(target).shape)
+        d = _tensor_partials(self._inverse(t_index), self._x_axis, self._u_axis, x1, u1)
+        return d[:, dx, dy].reshape(np.asarray(target).shape)
 
 
 # ---------------------------------------------------------------------------

@@ -49,20 +49,31 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     return path
 
 
+# the exit code of each overall verdict
+VERDICT_CODES = {"PASS": 0, "FAIL": 1, "NO CHECKS": 4}
+
+
+def _verdict(results: list[acc.CriterionResult]) -> str:
+    """PASS or FAIL, or NO CHECKS when the run evaluated no criterion."""
+    if not results:
+        return "NO CHECKS"
+    return "PASS" if all(r.passed for r in results) else "FAIL"
+
+
 def _summary(results: list[acc.CriterionResult]) -> list[str]:
     """The report's text: one line per criterion, then the overall verdict."""
-    overall = all(r.passed for r in results)
-    return [r.line() for r in results] + [f"OVERALL: {'PASS' if overall else 'FAIL'}"]
+    return [r.line() for r in results] + [f"OVERALL: {_verdict(results)}"]
 
 
-def emit_report(results: list[acc.CriterionResult], path: Path) -> bool:
-    """The criteria as CSV at ``path``, their `_summary` beside it as .txt; returns overall pass."""
+def emit_report(results: list[acc.CriterionResult], path: Path) -> str:
+    """The criteria as CSV at ``path``, their `_summary` beside it as .txt;
+    returns the overall verdict."""
     rows = [[r.name, r.measured, r.comparator, r.threshold,
              "PASS" if r.passed else "FAIL"] for r in results]
     write_csv(path, ["criterion", "measured", "comparator", "threshold", "status"],
               rows)
     path.with_suffix(".txt").write_text("".join(f"{line}\n" for line in _summary(results)))
-    return all(r.passed for r in results)
+    return _verdict(results)
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +107,19 @@ def run_simulate_reflected(config: ExperimentConfig) -> list[acc.CriterionResult
 
 
 def _start_point(opts: dict, domain, section: str) -> np.ndarray:
-    """``x0`` from the ``section`` options; by default the projection of the origin."""
+    """``x0`` from the ``section`` options, one point of the closed domain; by
+    default the projection of the origin."""
     center, _ = domain.project(np.zeros(domain.dim))
+    raw = opts.get("x0", center)
     try:
-        return np.atleast_1d(np.asarray(opts.get("x0", center), dtype=float))
+        x0 = np.atleast_1d(np.asarray(raw, dtype=float))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.x0: {opts['x0']!r} cannot be read as float") from exc
+        raise ConfigError(f"{section}.x0: {raw!r} cannot be read as float") from exc
+    # null reads as NaN, which no domain contains
+    if x0.shape != (domain.dim,) or not np.all(domain.contains(x0)):
+        raise ConfigError(f"{section}.x0: {raw!r} is not a point of the closed "
+                          f"{domain.dim}-dimensional domain")
+    return x0
 
 
 def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
@@ -308,5 +326,5 @@ def run_suite(config: ExperimentConfig) -> tuple[int, list[str]]:
     """Execute the configured suite and write its report; returns (exit code,
     the report's text lines)."""
     results = SUITE_RUNNERS[config.suite](config)
-    overall = emit_report(results, config.out_dir / f"{config.suite}_report.csv")
-    return (0 if overall else 1), _summary(results)
+    verdict = emit_report(results, config.out_dir / f"{config.suite}_report.csv")
+    return VERDICT_CODES[verdict], _summary(results)

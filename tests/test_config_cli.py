@@ -161,12 +161,13 @@ def test_cli_failing_criterion_exit_1(tmp_path):
 
 def test_emit_report_empty_and_failing(tmp_path):
     path = tmp_path / "report.csv"
-    assert emit_report([], path) is True
+    assert emit_report([], path) == "NO CHECKS"
     assert path.read_text().splitlines()[0].startswith("criterion")
+    assert "OVERALL: NO CHECKS" in path.with_suffix(".txt").read_text()
 
     results = [CriterionResult("a", 1.0, 2.0, True),
                CriterionResult("b", 3.0, 2.0, False)]
-    assert emit_report(results, path) is False
+    assert emit_report(results, path) == "FAIL"
     text = path.with_suffix(".txt").read_text()
     assert "OVERALL: FAIL" in text
 
@@ -574,6 +575,38 @@ def test_cli_non_numeric_start_point_names_its_field(tmp_path, capsys, suite, se
     assert code == 2
     assert f"config error: {section}.x0: 'a' cannot be read as float" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("x0", [None, [2.0], [0.5, 0.5]],
+                         ids=["null", "outside", "two-coordinates"])
+@pytest.mark.parametrize("suite, section", [("simulate-reflected", "reflected"),
+                                            ("solve-bdsde", "solver")])
+def test_cli_start_point_off_the_domain_names_its_field(tmp_path, capsys, suite, section,
+                                                        x0):
+    # null read as NaN; the errors said only "start point must lie in the
+    # closed domain" or "start point dimension 2 != domain dim 1"
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg[section] = {"x0": x0}
+    out = tmp_path / "out"
+    code = main([suite, "--config", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
+    assert code == 2
+    assert (f"config error: {section}.x0: {x0!r} is not a point of the closed "
+            "1-dimensional domain" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_field_run_that_checks_nothing_is_not_a_pass(tmp_path, capsys):
+    # with backward noise the field suite has no oracle and evaluates no
+    # criterion; it printed OVERALL: PASS and exited 0
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["problem"]["g"] = {"kind": "constant", "value": 0.3}
+    cfg["monte_carlo"]["scenarios"] = 100
+    out = tmp_path / "out"
+    code = main(["field", "--config", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
+    assert code == 4
+    assert capsys.readouterr().out.splitlines() == ["OVERALL: NO CHECKS"]
+    assert (out / "field_report.txt").read_text() == "OVERALL: NO CHECKS\n"
+    assert len((out / "field.csv").read_text().splitlines()) == 3
 
 
 @pytest.mark.parametrize("ladder", [5, []], ids=["int", "empty"])

@@ -24,7 +24,13 @@ from gbdsde import (
     transformed_generator,
 )
 from gbdsde.acceptance import SinNoise
-from gbdsde.flows import AnalyticField, FlowBlowup, InversionError, _direct_operator
+from gbdsde.flows import (
+    AnalyticField,
+    FlowBlowup,
+    InversionError,
+    _direct_operator,
+    _SplineAxis,
+)
 
 
 def _grid_and_path(steps=1000, seed=5):
@@ -311,7 +317,7 @@ def test_flow_table_matches_direct_solver():
     ys = rng.uniform(-1.5, 1.5, 50)
     for ti in (0, 137, 499):
         direct = flow.solve(ti, xs, ys)
-        tabled = table.value(ti, xs[:, 0], ys)
+        tabled = table.derivs(ti, xs, ys)["value"]
         assert np.max(np.abs(direct - tabled)) <= 1e-6
         dv_direct = flow.derivs(ti, xs, ys)
         dv_table = table.derivs(ti, xs, ys)
@@ -472,22 +478,32 @@ def test_flow_guard_skips_nan_but_not_a_finite_overflow_beside_it():
 
 
 def test_flow_table_inverse_slice_matches_per_column_ev():
+    # the inverse table against FITPACK's construction: per-column `ev` of the
+    # slice's value spline on the 4x oversampled y grid, `np.interp` onto
+    # u_grid, then a FITPACK fit on x_grid x u_grid
     grid, bp = _grid_and_path(steps=100, seed=21)
     noise = SinNoise(amp=0.5, x_mod=0.2)
     flow = BrownianFlow(noise, bp, grid, lipschitz_hint=noise.lipschitz)
     table = FlowTable(flow, np.linspace(0, 1, 41), np.linspace(-3, 3, 96))
+    rng = np.random.default_rng(45)
+    x = np.concatenate([rng.uniform(0.0, 1.0, 200), table.x_grid, [-0.2, 1.2]])
+    u = np.concatenate([rng.uniform(table.u_grid[0], table.u_grid[-1], 200),
+                        np.resize(table.u_grid, table.x_grid.size),
+                        [table.u_grid[0] - 1.0, table.u_grid[-1] + 1.0]])
     for ti in (0, 37, 100):
         fine_y = np.linspace(table.y_grid[0], table.y_grid[-1], 4 * table.y_grid.size)
-        value_sp = table._spline(ti)
+        value_sp = _fitpack_slice(table, ti)
         inv = np.empty((table.x_grid.size, table.u_grid.size))
         for ix, xv in enumerate(table.x_grid):
             fine_vals = value_sp.ev(np.full_like(fine_y, xv), fine_y)
             inv[ix] = np.interp(table.u_grid, fine_vals, fine_y)
         expect = RectBivariateSpline(table.x_grid, table.u_grid, inv,
-                                     kx=table._kx, ky=table._ky)
-        got = table._inv_spline(ti)
-        for a, b in zip(got.tck, expect.tck):
-            assert np.array_equal(a, b)
+                                     kx=table._x_axis.k, ky=table._u_axis.k)
+        for dx in (0, 1):
+            for dy in (0, 1):
+                got = table.invert(ti, x[:, None], u, dx=dx, dy=dy)
+                ref = _fitpack_ev(expect, table, x, u, table.u_grid, dx, dy)
+                _assert_close({"inv": got}, {"inv": ref}, ["inv"])
 
 
 @pytest.mark.parametrize("t_index", [-1, 14, [-3, 2], [0, 11]])
@@ -517,18 +533,28 @@ def _table(x_count, y_count, steps=30):
     return FlowTable(flow, np.linspace(0.0, 1.0, x_count), np.linspace(-2.0, 3.0, y_count))
 
 
+def _fitpack_slice(table, t_index):
+    """FITPACK's interpolant of one tabulated slice, the oracle of the table's fit."""
+    return RectBivariateSpline(table.x_grid, table.y_grid, table.values[t_index],
+                               kx=table._x_axis.k, ky=table._y_axis.k)
+
+
+def _fitpack_ev(spline, table, x, y, y_grid, dx=0, dy=0):
+    """``spline.ev`` at (x, y) clipped to x_grid x y_grid, in the batch shape of y."""
+    x1 = np.clip(np.asarray(x, dtype=float).reshape(-1), table.x_grid[0], table.x_grid[-1])
+    y1 = np.clip(np.asarray(y, dtype=float).reshape(-1), y_grid[0], y_grid[-1])
+    return spline.ev(x1, y1, dx=dx, dy=dy).reshape(np.shape(y))
+
+
 def _reference_table_derivs(table, t_index, x, y):
-    """The six per-partial FITPACK `ev` calls the Taylor form replaced."""
+    """The six per-partial FITPACK `ev` calls on the slice's FITPACK fit."""
+    sp = _fitpack_slice(table, t_index)
     x_flat = np.asarray(x, dtype=float)[..., 0]
-    shape = np.asarray(y).shape
-    out = {
-        "value": table.value(t_index, x_flat, y),
-        "dy": table.value(t_index, x_flat, y, dy=1),
-        "dyy": table.value(t_index, x_flat, y, dy=2),
-    }
-    out["dx"] = table.value(t_index, x_flat, y, dx=1).reshape(shape + (1,))
-    out["dxy"] = table.value(t_index, x_flat, y, dx=1, dy=1).reshape(shape + (1,))
-    out["dxx"] = table.value(t_index, x_flat, y, dx=2).reshape(shape + (1, 1))
+    out = {key: _fitpack_ev(sp, table, x_flat, y, table.y_grid, px, py)
+           for key, (px, py) in PARTIALS.items()}
+    for key in ("dx", "dxy"):
+        out[key] = out[key][..., None]
+    out["dxx"] = out["dxx"][..., None, None]
     return out
 
 
@@ -556,7 +582,7 @@ def _assert_close(got, ref, keys):
 @pytest.mark.parametrize("x_count, y_count", [(41, 96), (4, 30), (5, 4)])
 def test_flow_table_derivs_match_per_partial_ev(x_count, y_count):
     table = _table(x_count, y_count)
-    assert (table._kx, table._ky) == (min(5, x_count - 1), min(5, y_count - 1))
+    assert (table._x_axis.k, table._y_axis.k) == (min(5, x_count - 1), min(5, y_count - 1))
     rng = np.random.default_rng(42)
     x, y = _edge_points(table, rng)
     for ti in (0, 11, 30):
@@ -568,13 +594,23 @@ def test_flow_table_derivs_match_per_partial_ev(x_count, y_count):
         x2, y2 = x[:60].reshape(5, 12, 1), y[:60].reshape(5, 12)
         _assert_close(table.derivs(ti, x2, y2), _reference_table_derivs(table, ti, x2, y2),
                       PARTIALS)
-    # the Taylor matrices are built from one slice's knots: all slices share them
-    tx, ty = table._spline(0).tck[:2]
-    for ti in (11, 30):
-        assert np.array_equal(table._spline(ti).tck[0], tx)
-        assert np.array_equal(table._spline(ti).tck[1], ty)
     empty = table.derivs(5, np.zeros((0, 1)), np.zeros(0))
     assert empty["dxx"].shape == (0, 1, 1) and empty["value"].shape == (0,)
+
+
+@pytest.mark.parametrize("points", [2, 3, 4, 5, 6, 7, 11, 41, 96])
+def test_spline_axis_knots_match_fitpack(points):
+    # FITPACK's interpolation knots on either axis, for every degree the grid
+    # admits: grid points for odd degree, interval midpoints for even degree
+    rng = np.random.default_rng(points)
+    grid = np.cumsum(rng.uniform(0.5, 1.5, points))
+    other = np.linspace(0.0, 1.0, 7)
+    for k in range(1, min(5, points - 1) + 1):
+        knots = _SplineAxis(grid, k).knots
+        along_x = RectBivariateSpline(grid, other, rng.normal(size=(points, 7)), kx=k, ky=5)
+        along_y = RectBivariateSpline(other, grid, rng.normal(size=(7, points)), kx=5, ky=k)
+        assert np.array_equal(knots, along_x.tck[0]), k
+        assert np.array_equal(knots, along_y.tck[1]), k
 
 
 @pytest.mark.parametrize("x_count", [2, 3])
@@ -582,25 +618,27 @@ def test_flow_table_derivs_below_cubic_in_x(x_count):
     # FITPACK refuses x-derivatives of order >= kx; the Taylor form returns
     # them, checked by central differences of the next lower FITPACK partial
     table = _table(x_count, 30)
-    kx = table._kx
+    kx = table._x_axis.k
     rng = np.random.default_rng(43)
     x = rng.uniform(0.1, 0.9, (50, 1))
     y = rng.uniform(-1.5, 2.5, 50)
     ti = 7
     got = table.derivs(ti, x, y)
+    sp = _fitpack_slice(table, ti)
+
+    def ev(x_flat, dx=0, dy=0):
+        return _fitpack_ev(sp, table, x_flat, y, table.y_grid, dx, dy)
+
     allowed = [key for key, (px, _) in PARTIALS.items() if px < kx]
-    ref = {key: table.value(ti, x[:, 0], y, dx=PARTIALS[key][0], dy=PARTIALS[key][1])
-           for key in allowed}
+    ref = {key: ev(x[:, 0], *PARTIALS[key]) for key in allowed}
     _assert_close({key: got[key].reshape(y.shape) for key in allowed}, ref, allowed)
     h = 1e-3
     if kx == 1:
         assert np.all(got["dxx"] == 0.0)
-        fd_xy = (table.value(ti, x[:, 0] + h, y, dy=1)
-                 - table.value(ti, x[:, 0] - h, y, dy=1)) / (2 * h)
+        fd_xy = (ev(x[:, 0] + h, dy=1) - ev(x[:, 0] - h, dy=1)) / (2 * h)
         assert np.allclose(got["dxy"][:, 0], fd_xy, rtol=1e-6, atol=1e-8)
     else:
-        fd_xx = (table.value(ti, x[:, 0] + h, y, dx=1)
-                 - table.value(ti, x[:, 0] - h, y, dx=1)) / (2 * h)
+        fd_xx = (ev(x[:, 0] + h, dx=1) - ev(x[:, 0] - h, dx=1)) / (2 * h)
         assert np.allclose(got["dxx"][:, 0, 0], fd_xx, rtol=1e-6, atol=1e-8)
 
 
@@ -626,17 +664,19 @@ b_path = sample_paths(grid, d=1, seed=3, count=1).B[0]
 flow = BrownianFlow(lambda t, x, y: 0.3 * np.sin(y)[..., None], b_path, grid)
 table = FlowTable(flow, np.linspace(0.0, 1.0, 11), np.linspace(-2.0, 2.0, 12))
 table.derivs(0, np.array([0.5]), np.array([0.1]))
+table.invert(0, np.array([0.5]), np.array([0.1]))
 print("scipy.interpolate" in sys.modules)
 """
 
 
-def test_scipy_interpolate_loads_only_with_a_flow_table():
-    # scipy.interpolate is a quarter of the package's import footprint; only
-    # fitting a FlowTable needs it, so neither the package nor the CLI loads it
+def test_scipy_interpolate_is_not_loaded_even_by_a_flow_table():
+    # scipy.interpolate is a quarter of the package's import footprint; the
+    # FlowTable splines are fitted and evaluated with numpy alone, so neither
+    # the package, the CLI nor a table's build, derivs and invert loads it
     env = dict(os.environ, PYTHONPATH=str(Path(gbdsde.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert out == ["False", "True"]
+    assert out == ["False", "False"]
 
 
 class _StubDerivs:
