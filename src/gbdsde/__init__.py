@@ -4,7 +4,7 @@ conditions."""
 
 from .grids import TimeGrid
 from .paths import PathBundle, sample_paths
-from .problems import CoefficientSet, HypothesisReport, SamplingPlan, validate_hypotheses
+from .problems import CoefficientSet
 from .geometry import SmoothDomain, ball_domain, interval_domain, make_domain
 from .reflection import (
     ReflectedPath,
@@ -28,11 +28,7 @@ from .residuals import (
     ito_formula_residual,
     ito_ventzell_residual,
 )
-from .regression import (
-    PiecewiseBinBasis,
-    PolynomialBasis,
-    make_basis,
-)
+from .regression import PolynomialBasis, make_basis
 from .solver import (
     BdsdeSolution,
     apriori_ratio,
@@ -51,9 +47,6 @@ __all__ = [
     "PathBundle",
     "sample_paths",
     "CoefficientSet",
-    "SamplingPlan",
-    "HypothesisReport",
-    "validate_hypotheses",
     "SmoothDomain",
     "interval_domain",
     "ball_domain",
@@ -75,7 +68,6 @@ __all__ = [
     "ito_formula_residual",
     "ito_ventzell_residual",
     "PolynomialBasis",
-    "PiecewiseBinBasis",
     "make_basis",
     "BdsdeSolution",
     "solve_simple",

@@ -34,7 +34,7 @@ SUITES = (
 SECTION_KEYS = {
     "grid": ("t_start", "t_end", "dt", "step_count"),
     "monte_carlo": ("scenarios", "seed", "shared_b"),
-    "basis": ("kind", "degree", "count"),
+    "basis": ("kind", "degree"),
     "output": ("dir",),
     "problem": ("n", "d", "x_dim", "f", "g", "h", "l", "b", "sigma", "constants"),
     "domain": ("kind", "a", "b", "center", "r"),

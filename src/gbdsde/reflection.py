@@ -18,6 +18,10 @@ from .grids import TimeGrid
 from .paths import PathBundle, philox, swap_scenario_time, time_major_increments
 from .problems import CoefficientSet
 
+# the largest share of scenarios (per start point) whose Euler proposals may
+# turn non-finite before a run fails
+MAX_EXCLUDED_FRACTION = 1e-3
+
 
 class SimulationBlowup(RuntimeError):
     """Raised when too many scenarios produce non-finite Euler proposals."""
@@ -53,7 +57,6 @@ def simulate_reflected(
     start_time: float,
     x0: np.ndarray,
     bundle: PathBundle,
-    max_excluded_fraction: float = 1e-3,
 ) -> ReflectedPath:
     """Euler-projection scheme for the reflected flow started at (start_time, x0).
 
@@ -61,10 +64,10 @@ def simulate_reflected(
     book the displacement as the k increment.  Before start_time the path sits
     at x0 with k frozen at 0.  Scenarios producing non-finite proposals are
     excluded (path frozen); the run fails if more than
-    ``max_excluded_fraction`` of scenarios are lost.
+    `MAX_EXCLUDED_FRACTION` of scenarios are lost.
     """
     *buffers, excluded, dW = _euler_projection(
-        coeffs, domain, start_time, x0, bundle, max_excluded_fraction)
+        coeffs, domain, start_time, x0, bundle)
     del dW
     return _reflected_path(bundle.grid, buffers, excluded)
 
@@ -82,7 +85,6 @@ def _euler_projection(
     start_time: float,
     x0: np.ndarray,
     bundle: PathBundle,
-    max_excluded_fraction: float = 1e-3,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The loop of `simulate_reflected` on time-major buffers.
 
@@ -137,7 +139,7 @@ def _euler_projection(
         current = projected
 
     lost = excluded.reshape(nodes, n_scen).sum(axis=1)
-    if np.any(lost / n_scen > max_excluded_fraction):
+    if np.any(lost / n_scen > MAX_EXCLUDED_FRACTION):
         raise SimulationBlowup(
             f"{int(lost.max())} of {n_scen} scenarios produced non-finite proposals"
         )

@@ -72,48 +72,12 @@ class PolynomialBasis:
         return design
 
 
-@dataclass(frozen=True)
-class PiecewiseBinBasis:
-    """Indicator functions of quantile bins of the first feature coordinate."""
-
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("bin count must be >= 1")
-
-    @property
-    def name(self) -> str:
-        return f"piecewise_bins({self.count})"
-
-    def feature_count(self, point_dim: int) -> int:
-        return self.count
-
-    def features(self, points: np.ndarray) -> np.ndarray:
-        """Bin indicators of the first coordinate against its quantile edges.
-
-        Every bin must hold mass, unless the coordinate is constant: its one
-        full bin is a constant column, which the projector drops to the
-        intercept.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))[:, 0]
-        edges = np.quantile(pts, np.linspace(0.0, 1.0, self.count + 1))
-        idx = np.clip(np.searchsorted(edges, pts, side="right") - 1, 0, self.count - 1)
-        design = np.zeros((pts.shape[0], self.count))
-        design[np.arange(pts.shape[0]), idx] = 1.0
-        if np.ptp(pts) != 0 and np.any(design.sum(axis=0) == 0):
-            raise RegressionRankError(f"empty bin in basis {self.name}")
-        return design
-
-
 def make_basis(spec: dict):
     """Basis from a config fragment like {kind: polynomial, degree: 3}; a size
     that is not a whole number is a ValueError naming its field."""
     kind = spec.get("kind", "polynomial")
     if kind == "polynomial":
         return PolynomialBasis(number(int, spec.get("degree", 3), "degree"))
-    if kind == "piecewise_bins":
-        return PiecewiseBinBasis(number(int, spec.get("count", 10), "count"))
     raise ValueError(f"unknown regression basis kind {kind!r}")
 
 
@@ -137,11 +101,10 @@ class DesignProjector:
     monomials are the same products, the column sums run over the
     scenarios in row order as in the per-step (S, p) reduction, and one
     stacked SVD runs the same LAPACK routine on each step's design.  It
-    leaves a step to the per-step build (a ``None`` entry) where the bits
-    or the semantics would differ: a single feature column (numpy sums a
-    lone column pairwise), a basis other than `PolynomialBasis` (bin edges
-    depend on each step's own points), and any step whose build would
-    raise, so the error comes from the per-step build at that step.
+    leaves to the per-step build (a ``None`` entry) a single feature column,
+    whose bits would differ (numpy sums a lone column pairwise), and any
+    step whose build would raise, so the error comes from the per-step
+    build at that step.
     """
 
     def __init__(self, feature_points: np.ndarray, basis) -> None:
@@ -184,7 +147,7 @@ class DesignProjector:
         points = np.asarray(points, dtype=float)
         c_steps, s, m = points.shape
         p = basis.feature_count(m)
-        if not isinstance(basis, PolynomialBasis) or p == 1 or s < MIN_SCENARIO_RATIO * p:
+        if p == 1 or s < MIN_SCENARIO_RATIO * p:
             return [None] * c_steps
         per = max(1, BLOCK_BYTES // (8 * s * p))
         if per < c_steps:

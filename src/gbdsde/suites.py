@@ -22,7 +22,6 @@ from .flows import flow_derivative_identities
 from .grids import TimeGrid
 from .paths import sample_paths
 from .reflection import simulate_reflected
-from .regression import PiecewiseBinBasis
 from .residuals import ito_formula_residual, ito_ventzell_residual
 from .solver import picard_solve, solve_bdsde_markov
 
@@ -132,13 +131,6 @@ def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
     if config.domain_spec is not None and coeffs.l is not None:
         domain = config.domain()
         x0 = _start_point(opts, domain, "solver")
-        if (isinstance(basis, PiecewiseBinBasis) and basis.count > 1
-                and np.any(domain.classify(x0) == "boundary")):
-            # the scenarios reflected back onto the start point tie on one
-            # value, and the tied mass empties quantile bins
-            raise ConfigError(
-                f"solver.x0: {x0.tolist()} lies on the domain boundary; basis "
-                f"{basis.name} needs an interior start point (set solver.x0)")
         solution, reflected = solve_bdsde_markov(coeffs, domain, config.grid.t_start, x0,
                                                  bundle, basis)
         terminal = coeffs.l(reflected.X[:, -1, :])[:, None]
@@ -180,6 +172,8 @@ def run_verify_flow(config: ExperimentConfig) -> list[acc.CriterionResult]:
     noise = acc.SinNoise(amp=_number(float, opts.get("noise_amp", 1.0), "flow.noise_amp"),
                          x_mod=_number(float, opts.get("x_mod", 0.25), "flow.x_mod"))
     fd_step = _number(float, opts.get("fd_step", 1e-4), "flow.fd_step")
+    if not (np.isfinite(fd_step) and fd_step > 0):  # the stencils divide by it
+        raise ConfigError(f"flow.fd_step: {fd_step!r} is not a positive finite step")
     n_samples = _number(int, opts.get("samples", 100), "flow.samples")
     flow = acc.noise_flow(noise, config.grid, config.seed, fd_step)
     samples = acc.flow_samples(config.seed, 77, config.grid.step_count, n_samples)
@@ -309,6 +303,11 @@ def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
 
 def run_acceptance(config: ExperimentConfig) -> list[acc.CriterionResult]:
     names = config.options.get("acceptance", {}).get("criteria")
+    choices = list(acc.ALL_CRITERIA)
+    if names is not None and (not isinstance(names, list)
+                              or not all(name in choices for name in names)):
+        raise ConfigError(f"acceptance.criteria: {names!r} is not a list of criterion "
+                          f"names; pick from {choices}")
     return acc.run_all(seed=config.seed, names=names)
 
 

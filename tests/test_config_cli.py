@@ -215,22 +215,6 @@ def test_cli_field_nodes_honour_scenarios_and_dt(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
-@pytest.mark.parametrize("markov", [True, False])
-def test_cli_bin_basis_runs_solver_suite(tmp_path, capsys, markov):
-    # the start step's features are constant, one full bin: the intercept
-    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
-    cfg["basis"] = {"kind": "piecewise_bins", "count": 5}
-    if markov:
-        cfg["solver"] = {"x0": [0.5]}  # an interior start point
-    else:
-        del cfg["domain"]  # no domain: the suite runs the Picard solver
-    path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    assert main(["solve-bdsde", "--config", str(path), "--out-dir", str(out)]) == 0
-    assert (out / "bdsde_solution.csv").exists()
-    assert "OVERALL: PASS" in capsys.readouterr().out
-
-
 @pytest.mark.parametrize("suite, markov", [("solve-bdsde", True), ("solve-bdsde", False),
                                            ("field", True)])
 def test_cli_non_finite_solution_is_exit_3(tmp_path, capsys, suite, markov):
@@ -272,19 +256,6 @@ def test_cli_non_finite_flow_table_is_exit_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "numerical failure" in captured.err and "non-finite tabulated" in captured.err
     assert "OVERALL: PASS" not in captured.out
-
-
-def test_cli_bin_basis_boundary_start_is_exit_2(tmp_path, capsys):
-    # the default start, the projection of the origin, is the boundary point
-    # 0 of [0, 1]: the reflected scenarios tie there and empty quantile bins
-    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
-    cfg["basis"] = {"kind": "piecewise_bins", "count": 5}
-    path = write_config(tmp_path, cfg)
-    code = main(["solve-bdsde", "--config", str(path), "--out-dir", str(tmp_path / "out")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "config error: solver.x0: [0.0] lies on the domain boundary" in captured.err
-    assert "OVERALL" not in captured.out
 
 
 def test_cli_non_finite_oracle_is_exit_3(tmp_path, capsys, monkeypatch):
@@ -483,9 +454,7 @@ def test_determinism_creates_a_fresh_out_root(tmp_path, monkeypatch):
     ("domain", {"kind": "interval", "a": 0.0}, "domain: interval domain needs field 'b'"),
     ("domain", {"kind": "ball", "center": [0.5]}, "domain: ball domain needs field 'r'"),
     ("basis", {"kind": "polynomial", "degree": 2.7}, "basis: degree: 2.7 cannot be read as int"),
-    ("basis", {"kind": "piecewise_bins", "count": 4.5},
-     "basis: count: 4.5 cannot be read as int"),
-], ids=["interval-without-b", "ball-without-r", "fractional-degree", "fractional-count"])
+], ids=["interval-without-b", "ball-without-r", "fractional-degree"])
 def test_cli_missing_domain_field_or_fractional_basis_size_is_exit_2(
         tmp_path, capsys, section, value, message):
     # a missing size was a KeyError traceback; int() ran degree 2.7 as 2
@@ -532,6 +501,7 @@ def test_cli_suite_option_that_is_not_a_number_is_exit_2(
 @pytest.mark.parametrize("section, key", [
     ("monte_carlo", "scenario"), ("grid", "t_ned"), ("basis", "degre"), ("field", "mdoe"),
     ("output", "dri"), ("flow", "sample"), ("problem", "constant"), ("domain", "radius"),
+    ("basis", "count"),
 ])
 def test_cli_unknown_key_in_a_section_is_exit_2(tmp_path, capsys, section, key):
     # a misspelled key ran on its default: monte_carlo.scenario ran 1 000 scenarios
@@ -621,4 +591,51 @@ def test_cli_calculus_ladder_that_is_not_a_list_of_rungs_is_exit_2(tmp_path, cap
     assert code == 2
     assert (f"config error: calculus.ladder: {ladder!r} is not a list of two or more step "
             "counts" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_bin_basis_kind_is_exit_2(tmp_path, capsys):
+    # polynomials are the one regression basis
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["basis"] = {"kind": "piecewise_bins"}
+    out = tmp_path / "out"
+    code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert ("config error: basis: unknown regression basis kind 'piecewise_bins'"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("criteria", [["picard_contraction", "determinsm"],
+                                      "picard_contraction", [["picard_contraction"]]],
+                         ids=["misspelt-name", "bare-string", "nested-list"])
+def test_cli_acceptance_criteria_that_are_not_criterion_names_is_exit_2(
+        tmp_path, capsys, criteria):
+    # the misspelt name was skipped and the string matched by substring: both
+    # ran picard_contraction alone and printed OVERALL: PASS; the nested list
+    # matched nothing
+    cfg = {"suite": "acceptance", "grid": {"dt": 0.01}, "acceptance": {"criteria": criteria}}
+    out = tmp_path / "out"
+    code = main(["acceptance", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (f"config error: acceptance.criteria: {criteria!r} is not a list of criterion "
+            "names; pick from ['reflection_oracle', " in captured.err)
+    assert "OVERALL" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fd_step", [0.0, -1e-4, float("inf"), float("nan")])
+def test_cli_flow_fd_step_that_is_not_positive_and_finite_is_exit_2(tmp_path, capsys, fd_step):
+    # a zero step divided by zero: nan in every row of flow_identities.csv, exit 1
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["flow"] = {"fd_step": fd_step, "samples": 5}
+    out = tmp_path / "out"
+    code = main(["verify-flow", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert (f"config error: flow.fd_step: {fd_step!r} is not a positive finite step"
+            in capsys.readouterr().err)
     assert not out.exists()

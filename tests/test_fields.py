@@ -241,12 +241,13 @@ def test_field_blocks_match_per_node_solves(case, g_is_zero, monkeypatch):
     assert len({node.u for node in est}) == len(nodes)
 
 
-def test_field_block_judges_lost_scenarios_per_node():
+def test_field_block_judges_lost_scenarios_per_node(monkeypatch):
     # every scenario started at 0.75 blows up and none started at 0.25 does:
     # half of the block is lost, under a 0.6 bound, but the bad node alone
     # is over it, so the block must raise
     from dataclasses import replace
 
+    from gbdsde import reflection
     from gbdsde.acceptance import _bm_coeffs
     from gbdsde.reflection import SimulationBlowup, _euler_projection
 
@@ -254,11 +255,12 @@ def test_field_block_judges_lost_scenarios_per_node():
     dom = interval_domain(0.0, 1.0)
     bundle = sample_paths(TimeGrid(0.0, 1.0, 10), d=1, seed=40, count=200, shared_b=True)
     good, bad = np.array([[0.25]]), np.array([[0.75]])
-    excluded = _euler_projection(coeffs, dom, 0.0, good, bundle, 0.6)[3]
+    monkeypatch.setattr(reflection, "MAX_EXCLUDED_FRACTION", 0.6)
+    excluded = _euler_projection(coeffs, dom, 0.0, good, bundle)[3]
     assert not excluded.any()
     for starts in (bad, np.concatenate([good, bad]), np.concatenate([bad, good, good])):
         with pytest.raises(SimulationBlowup, match="200 of 200 scenarios"):
-            _euler_projection(coeffs, dom, 0.0, starts, bundle, 0.6)
+            _euler_projection(coeffs, dom, 0.0, starts, bundle)
     with pytest.raises(SimulationBlowup):
         evaluate_u(coeffs, dom, [(0.0, np.array([0.25])), (0.0, np.array([0.75]))],
                    bundle, BASIS, g_is_zero=True)

@@ -179,7 +179,7 @@ def test_exp_moment_stable_in_scenarios():
 
 
 def _reference_simulate_reflected(coeffs, domain, start_time, x0, bundle,
-                                  max_excluded_fraction=1e-3):
+                                  max_excluded_fraction):
     """The scenario-major Euler-projection loop, kept as the bit-for-bit reference."""
     from gbdsde.reflection import ReflectedPath, SimulationBlowup
 
@@ -241,12 +241,11 @@ def _mixing_coeffs_2d():
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", ["interval", "ball_2d", "late_start", "excluded"])
-def test_simulate_reflected_matches_scenario_major_reference(case):
-    from gbdsde import ball_domain
+def test_simulate_reflected_matches_scenario_major_reference(case, monkeypatch):
+    from gbdsde import ball_domain, reflection
 
     grid = TimeGrid(0.0, 1.0, 60)
     coeffs, dom, x0, t0 = _bm_coeffs(), interval_domain(0.0, 0.4), np.array([0.1]), 0.0
-    kwargs = {}
     if case == "ball_2d":
         coeffs, dom, x0 = _mixing_coeffs_2d(), ball_domain([0.0, 0.0], 0.5), np.array([0.2, -0.1])
     bundle = sample_paths(grid, d=coeffs.d, seed=41, count=300)
@@ -256,9 +255,10 @@ def test_simulate_reflected_matches_scenario_major_reference(case):
         w = bundle.W.copy()
         w[7, 20:, 0] = np.inf  # an infinite increment at step 19, NaN after
         bundle = PathBundle(grid=grid, W=w, B=bundle.B, seed=41, scenario_count=300)
-        kwargs["max_excluded_fraction"] = 0.01
-    got = simulate_reflected(coeffs, dom, t0, x0, bundle, **kwargs)
-    ref = _reference_simulate_reflected(coeffs, dom, t0, x0, bundle, **kwargs)
+        monkeypatch.setattr(reflection, "MAX_EXCLUDED_FRACTION", 0.01)  # 1 of 300
+    got = simulate_reflected(coeffs, dom, t0, x0, bundle)
+    ref = _reference_simulate_reflected(coeffs, dom, t0, x0, bundle,
+                                        reflection.MAX_EXCLUDED_FRACTION)
     if case == "excluded":
         assert np.flatnonzero(got.excluded).tolist() == [7]
     assert np.any(got.boundary_flags)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbdsde import PiecewiseBinBasis, PolynomialBasis
+from gbdsde import PolynomialBasis
 from gbdsde.regression import DesignProjector, RegressionRankError
 
 
@@ -83,25 +83,6 @@ def test_nonfinite_features_error_names_basis():
         DesignProjector(points, PolynomialBasis(2)).fit(np.ones(100))
 
 
-def test_piecewise_bins_fit_step_function():
-    rng = np.random.default_rng(5)
-    x = rng.uniform(0, 1, size=2000)
-    y = np.where(x > 0.5, 2.0, -1.0) + 0.01 * rng.normal(size=2000)
-    fitted = DesignProjector(x[:, None], PiecewiseBinBasis(10)).fit(y)
-    # the bin containing the jump mixes both levels; elsewhere the fit is tight
-    away = (x < 0.38) | (x > 0.62)
-    truth = np.where(x > 0.5, 2.0, -1.0)
-    assert np.max(np.abs(fitted[away] - truth[away])) < 0.05
-    assert np.sqrt(np.mean((fitted - truth) ** 2)) < 0.6
-
-
-def test_empty_bin_error_names_basis():
-    x = np.concatenate([np.zeros(50), np.ones(50)])  # two point masses
-    with pytest.raises(RegressionRankError, match="piecewise_bins"):
-        # quantile edges collapse: middle bins are empty
-        DesignProjector(x[:, None], PiecewiseBinBasis(4)).fit(np.ones(100))
-
-
 def test_multi_column_targets():
     rng = np.random.default_rng(6)
     points = rng.normal(size=(1000, 1))
@@ -122,13 +103,6 @@ def test_projector_reuse_matches_one_shot():
     assert np.allclose(a, b, atol=1e-12)
 
 
-def test_bin_basis_constant_points_reduce_to_the_mean():
-    y = np.random.default_rng(13).normal(size=200)
-    proj = DesignProjector(np.full((200, 1), 0.5), PiecewiseBinBasis(5))
-    assert proj.rank == 1
-    assert np.allclose(proj.fit(y), y.mean(), atol=1e-12)
-
-
 def _reference_projector(feature_points, basis):
     """The two-pass build (numpy mean/std, column_stack, copied u): (u, rank)."""
     from gbdsde.regression import RCOND
@@ -145,7 +119,7 @@ def _reference_projector(feature_points, basis):
     return np.ascontiguousarray(u[:, retain]), int(np.count_nonzero(retain))
 
 
-@pytest.mark.parametrize("case", ["poly3_1d", "poly2_2d", "poly0", "bins",
+@pytest.mark.parametrize("case", ["poly3_1d", "poly2_2d", "poly0",
                                   "rank_deficient", "constant_column"])
 def test_projector_build_matches_two_pass_reference(case):
     rng = np.random.default_rng(9)
@@ -155,8 +129,6 @@ def test_projector_build_matches_two_pass_reference(case):
         points, basis = rng.normal(size=(600, 2)), PolynomialBasis(2)
     elif case == "poly0":
         basis = PolynomialBasis(0)  # p = 1: the intercept alone
-    elif case == "bins":
-        basis = PiecewiseBinBasis(8)  # indicators sum to the intercept
     elif case == "rank_deficient":
         points = np.column_stack([points[:, 0], 2.0 * points[:, 0]])
         basis = PolynomialBasis(1)
@@ -166,9 +138,8 @@ def test_projector_build_matches_two_pass_reference(case):
     proj = DesignProjector(points, basis)
     assert proj.rank == rank_ref
     # one dependent column survives standardization: the truncated-u branch
-    expected_rank = {"bins": 8, "rank_deficient": 2}
-    if case in expected_rank:
-        assert proj.rank == expected_rank[case]
+    if case == "rank_deficient":
+        assert proj.rank == 2
     assert proj._u.flags.c_contiguous
     assert np.array_equal(proj._u, u_ref)
     targets = rng.normal(size=(600, 3))
@@ -190,7 +161,7 @@ def _walk_points(steps=37, count=400, dim=1, seed=10):
 
 
 @pytest.mark.parametrize("case", ["poly3_1d", "poly2_2d", "poly3_2d", "rank_deficient",
-                                  "constant_column", "poly0", "bins", "over_budget"])
+                                  "constant_column", "poly0", "over_budget"])
 def test_stack_matches_per_step_build(case, monkeypatch):
     from gbdsde import regression
 
@@ -207,14 +178,12 @@ def test_stack_matches_per_step_build(case, monkeypatch):
         points = np.concatenate([points, np.full(points.shape, 0.7)], axis=2)
     elif case == "poly0":
         basis = PolynomialBasis(0)
-    elif case == "bins":
-        basis = PiecewiseBinBasis(6)
     elif case == "over_budget":
         # a block larger than one stacked design may hold is split, not cut
         monkeypatch.setattr(regression, "BLOCK_BYTES", 3 * 8 * 400 * 4)
     block = DesignProjector.stack(points, basis)
     assert len(block) == points.shape[0]
-    if case in ("poly0", "bins"):
+    if case == "poly0":
         assert block == [None] * points.shape[0]  # left to the per-step build
         return
     # only the constant start step keeps a different set of columns; it is
@@ -257,12 +226,11 @@ def test_projector_walk_matches_per_step_builds(dim, order, monkeypatch):
         assert _same_projector(proj, DesignProjector(points[i], basis)), i
 
 
-@pytest.mark.parametrize("basis", [PolynomialBasis(0), PiecewiseBinBasis(5)])
+@pytest.mark.parametrize("basis", [PolynomialBasis(0)])
 def test_projector_walk_per_step_fallbacks(basis):
     from gbdsde.regression import projector_walk
 
     points = _walk_points(steps=20)
-    points[0] += np.linspace(0.0, 1.0, points.shape[1])[:, None]  # bins need spread
     got = list(projector_walk(lambda lo, hi: points[lo:hi], basis, range(19, -1, -1)))
     assert [i for i, _ in got] == list(range(19, -1, -1))
     for i, proj in got:
@@ -270,7 +238,7 @@ def test_projector_walk_per_step_fallbacks(basis):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("case", ["nan", "inf", "empty_bin", "too_few_scenarios"])
+@pytest.mark.parametrize("case", ["nan", "inf", "too_few_scenarios"])
 def test_projector_walk_raises_at_the_per_step_step(case):
     from gbdsde.regression import projector_walk
 
@@ -278,9 +246,6 @@ def test_projector_walk_raises_at_the_per_step_step(case):
     if case in ("nan", "inf"):
         points[bad, 7, 0] = np.nan if case == "nan" else np.inf
         points[bad, 9, 0] = -np.inf  # inf - inf: no warning from the block build
-    elif case == "empty_bin":
-        basis = PiecewiseBinBasis(4)
-        points[bad, :, 0] = np.repeat([0.0, 1.0], points.shape[1] // 2)
     else:
         points, bad = points[:, :20], 29  # 20 scenarios for 6 functions
     walk = range(29, -1, -1)
