@@ -17,10 +17,14 @@ problems with a sine backward noise (criteria 6 and 7).
 from __future__ import annotations
 
 import math
+import tempfile
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
+import yaml
 
+from .config import parse_config
 from .fields import evaluate_u, pde_oracle_g0
 from .flows import (
     BrownianFlow,
@@ -184,9 +188,8 @@ def criterion_reflection_oracle(seed: int = 2024) -> list[CriterionResult]:
             w_coarse = w_fine[:, ::stride]
             n_steps = t_ref_steps // stride
             grid = TimeGrid(0.0, 1.0, n_steps)
-            bundle = PathBundle(
-                grid=grid, W=w_coarse[:, :, None], B=np.zeros_like(w_coarse)[:, :, None],
-                seed=seed, scenario_count=rows)
+            bundle = PathBundle(grid=grid, W=w_coarse[:, :, None],
+                                B=np.zeros_like(w_coarse)[:, :, None])
             refl = simulate_reflected(coeffs, domain, 0.0, np.array([0.0]), bundle)
             gap = np.max(np.abs(refl.X[:, :, 0] - x_ref[:, ::stride]), axis=1)
             sq_sums[dt] += float(np.sum(gap**2))
@@ -308,7 +311,7 @@ def criterion_heat_benchmark(seed: int = 2024) -> list[CriterionResult]:
     xs = np.linspace(0.0, 1.0, 11)
     closed = HEAT_AMPLITUDE * np.cos(math.pi * xs)
 
-    oracle = pde_oracle_g0(coeffs, domain, space_points=100, time_points=100)
+    oracle = pde_oracle_g0(coeffs, domain)
     oracle_vals = np.array([oracle.interpolate(0.0, x) for x in xs])
     oracle_err = float(np.max(np.abs(oracle_vals - closed)))
     results = [_le("heat_oracle_error", oracle_err, 2e-3,
@@ -584,51 +587,51 @@ def criterion_estimate_stability(seed: int = 2024) -> list[CriterionResult]:
 # ---------------------------------------------------------------------------
 
 
-def criterion_determinism(seed: int = 2024, out_root=None) -> list[CriterionResult]:
-    """Byte-identical CSVs when suites rerun with identical config and seed."""
-    import tempfile
-    from pathlib import Path
+def criterion_determinism(seed: int = 2024) -> list[CriterionResult]:
+    """Byte-identical CSVs when suites rerun with identical config and seed.
 
-    from .cli import main as cli_main
+    `_DETERMINISM_CONFIG` is parsed once; each suite runs twice through
+    `suites.run_suite`, the field suite once more on two workers, all in
+    one temporary directory removed on return.  A suite that exits non-zero
+    is recorded with its exit code; one that raises propagates its error.
+    """
+    from .suites import run_suite  # suites imports this module
 
-    root = Path(out_root) if out_root is not None else Path(tempfile.mkdtemp())
-    root.mkdir(parents=True, exist_ok=True)
-    config_path = root / "determinism.yaml"
-    config_path.write_text(_DETERMINISM_CONFIG)
-
-    suites = ["simulate-reflected", "solve-bdsde", "verify-flow",
-              "verify-calculus", "field"]
+    config = parse_config(yaml.safe_load(_DETERMINISM_CONFIG), {"seed": seed})
     all_ok = True
     details = {}
-    for suite in suites:
-        outputs = []
-        for run in (0, 1):
-            out_dir = root / f"{suite}-{run}"
-            code = cli_main([suite, "--config", str(config_path),
-                             "--seed", str(seed), "--out-dir", str(out_dir)])
-            if code not in (0,):
-                all_ok = False
-                details[suite] = f"exit code {code}"
-                break
-            outputs.append(sorted(out_dir.glob("*.csv")))
-        else:
-            match = len(outputs[0]) > 0 and all(
-                a.name == b.name and a.read_bytes() == b.read_bytes()
-                for a, b in zip(outputs[0], outputs[1]))
-            details[suite] = "identical" if match else "MISMATCH"
-            all_ok = all_ok and match
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
 
-    # worker count must not change the field suite output
-    for workers in (2,):
-        out_dir = root / f"field-workers{workers}"
-        code = cli_main(["field", "--config", str(config_path),
-                         "--seed", str(seed), "--out-dir", str(out_dir),
-                         "--workers", str(workers)])
+        def run(suite: str, name: str, workers: int = 1) -> tuple[int, list[Path]]:
+            out_dir = root / name
+            code, _ = run_suite(replace(config, suite=suite, out_dir=out_dir,
+                                        workers=workers))
+            return code, sorted(out_dir.glob("*.csv"))
+
+        for suite in ("simulate-reflected", "solve-bdsde", "verify-flow",
+                      "verify-calculus", "field"):
+            outputs = []
+            for attempt in (0, 1):
+                code, csvs = run(suite, f"{suite}-{attempt}")
+                if code != 0:
+                    all_ok = False
+                    details[suite] = f"exit code {code}"
+                    break
+                outputs.append(csvs)
+            else:
+                match = len(outputs[0]) > 0 and all(
+                    a.name == b.name and a.read_bytes() == b.read_bytes()
+                    for a, b in zip(outputs[0], outputs[1]))
+                details[suite] = "identical" if match else "MISMATCH"
+                all_ok = all_ok and match
+
+        # worker count must not change the field suite output
+        code, alt = run("field", "field-workers2", workers=2)
         base = sorted((root / "field-0").glob("*.csv"))
-        alt = sorted(out_dir.glob("*.csv"))
         match = code == 0 and len(base) == len(alt) > 0 and all(
             a.read_bytes() == b.read_bytes() for a, b in zip(base, alt))
-        details[f"field_workers_{workers}"] = "identical" if match else "MISMATCH"
+        details["field_workers_2"] = "identical" if match else "MISMATCH"
         all_ok = all_ok and match
 
     return [CriterionResult("suite_determinism", 1.0 if all_ok else 0.0, 1.0,

@@ -13,8 +13,9 @@ one preamble every callable shares (it names the role's arguments and takes
 the leading size from them) and the role's trailing shape from `_ROLES`, and
 each kind only fills in its values; sum and scale compile their terms
 recursively.  The result is a scenario-vectorized callable with the calling
-convention of its role (see problems.CoefficientSet).  An unknown role or a
-missing kind is a ValueError, an unknown kind or trig function a KeyError.
+convention of its role (see problems.CoefficientSet).  An unknown role, a
+missing kind or a key its kind does not know (`_KEYS`, nested terms
+included) is a ValueError, an unknown kind or trig function a KeyError.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ import numpy as np
 from .problems import CoefficientSet
 
 _FUNCS = {"sin": np.sin, "cos": np.cos}
+
+# the keys each kind may hold besides ``kind``
+_KEYS = {
+    "zero": (),
+    "constant": ("value",),
+    "linear": ("y", "z", "x"),
+    "affine": ("y", "z", "x", "const"),
+    "trig": ("of", "func", "freq", "phase", "amp", "x_mod_amp", "x_mod_freq"),
+    "sum": ("terms",),
+    "scale": ("term", "factor"),
+}
 
 # the constants a problem may set, with their defaults
 _CONSTANTS = {"K": 1.0, "c": 1.0, "alpha": 0.5, "beta1": 1.0}
@@ -67,6 +79,10 @@ def _compile(spec: dict, role: str, d: int, x_dim: int) -> Callable:
     kind = spec.get("kind")
     if kind is None:
         raise ValueError(f"coefficient spec for {role!r} lacks a 'kind'")
+    unknown = [k for k in spec if k not in ("kind", *_KEYS.get(kind, ()))]
+    if kind in _KEYS and unknown:  # an unknown kind raises its KeyError below
+        raise ValueError(f"{role}: unknown keys {unknown} for kind {kind!r}; "
+                         f"pick from {_KEYS[kind]}")
 
     if kind == "zero":
         return lambda a, shape: np.zeros(shape)

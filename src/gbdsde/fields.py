@@ -212,25 +212,22 @@ def _oracle_pass(
     return xs, ts, u_grid
 
 
-# the oracle doubles its grids until two passes agree to this on shared nodes
+# the oracle's first pass has this many space and time steps, and it doubles
+# both until two passes agree to ORACLE_REFINE_TOL on shared nodes
+ORACLE_POINTS = 100
 ORACLE_REFINE_TOL = 1e-4
 ORACLE_MAX_REFINEMENTS = 3
 
 
-def pde_oracle_g0(
-    coeffs: CoefficientSet,
-    domain: SmoothDomain,
-    space_points: int = 100,
-    time_points: int = 100,
-    t_start: float = 0.0,
-    t_end: float = 1.0,
-) -> OracleSolution:
+def pde_oracle_g0(coeffs: CoefficientSet, domain: SmoothDomain, *,
+                  t_start: float = 0.0, t_end: float = 1.0) -> OracleSolution:
     """Deterministic interval oracle for the vanishing-backward-noise case.
 
     Crank-Nicolson in time, nonlinear Neumann closure by ghost nodes with a
-    per-step Newton iteration; refines (doubling both grids) until two
-    successive solutions differ by less than ``ORACLE_REFINE_TOL`` on shared
-    nodes, at most ``ORACLE_MAX_REFINEMENTS`` times.
+    per-step Newton iteration, first on ``ORACLE_POINTS`` space and time
+    steps; refines (doubling both grids) until two successive solutions
+    differ by less than ``ORACLE_REFINE_TOL`` on shared nodes, at most
+    ``ORACLE_MAX_REFINEMENTS`` times.
     Raises FloatingPointError when a pass yields a non-finite value.
     """
     if domain.dim != 1:
@@ -239,21 +236,21 @@ def pde_oracle_g0(
     a = float(domain.project(np.array([-1e12]))[0][0])
     b = float(domain.project(np.array([1e12]))[0][0])
 
-    def finite_pass(space_points: int, time_points: int):
-        xs, ts, u = _oracle_pass(coeffs, a, b, space_points, time_points, t_start, t_end)
+    def finite_pass(points: int):
+        xs, ts, u = _oracle_pass(coeffs, a, b, points, points, t_start, t_end)
         if not np.isfinite(u).all():
             raise FloatingPointError(
-                f"pde_oracle_g0 produced non-finite values on the {space_points} x "
-                f"{time_points} grid")
+                f"pde_oracle_g0 produced non-finite values on the {points} x "
+                f"{points} grid")
         return xs, ts, u
 
-    xs, ts, u = finite_pass(space_points, time_points)
+    points = ORACLE_POINTS
+    xs, ts, u = finite_pass(points)
     gap = np.inf
     refinements = 0
     for r in range(1, ORACLE_MAX_REFINEMENTS + 1):
-        space_points *= 2
-        time_points *= 2
-        xs2, ts2, u2 = finite_pass(space_points, time_points)
+        points *= 2
+        xs2, ts2, u2 = finite_pass(points)
         gap = float(np.max(np.abs(u2[::2, ::2] - u)))
         xs, ts, u = xs2, ts2, u2
         refinements = r

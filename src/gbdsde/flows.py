@@ -39,6 +39,15 @@ from .geometry import SmoothDomain
 from .problems import CoefficientSet
 
 
+# a flow state above this in absolute value is a blow-up (`BrownianFlow.solve`)
+OVERFLOW_GUARD = 1e12
+# `BrownianFlow.invert`: the initial bracket's half-width, the number of times
+# it may double, and the Illinois iterations within it
+BRACKET_PAD = 1.0
+MAX_EXPAND = 60
+MAX_ILLINOIS = 80
+
+
 class FlowBlowup(RuntimeError):
     """Raised when the flow integration exceeds the overflow guard."""
 
@@ -94,15 +103,8 @@ class BrownianFlow:
         |dB| * hint > 0.5 are substepped along the straight line.
     """
 
-    def __init__(
-        self,
-        g: Callable,
-        b_path: np.ndarray,
-        grid,
-        fd_step: float = 1e-4,
-        lipschitz_hint: float | None = None,
-        overflow_guard: float = 1e12,
-    ) -> None:
+    def __init__(self, g: Callable, b_path: np.ndarray, grid, fd_step: float = 1e-4,
+                 lipschitz_hint: float | None = None) -> None:
         b_path = np.asarray(b_path, dtype=float)
         if b_path.ndim == 1:
             b_path = b_path[:, None]
@@ -112,7 +114,6 @@ class BrownianFlow:
         self.b_path = b_path
         self.grid = grid
         self.fd_step = fd_step
-        self.overflow_guard = overflow_guard
         db = np.diff(b_path, axis=0)
         if lipschitz_hint is not None and lipschitz_hint > 0:
             db_norm = np.linalg.norm(db, axis=1)
@@ -147,13 +148,12 @@ class BrownianFlow:
         counts m_i are fixed by the backward path and precomputed at
         construction; a step only runs its Heun updates.  After every step
         the overflow guard raises `FlowBlowup`, naming the step index, if
-        any |state| entry (inf included) exceeds ``overflow_guard``; NaN
+        any |state| entry (inf included) exceeds ``OVERFLOW_GUARD``; NaN
         entries are skipped by the guard, so a NaN state does not trip it.
         """
         state = np.array(y, dtype=float)
         g = self._g_bound(x)
         step_count = self.grid.step_count
-        guard = self.overflow_guard
         t_index = np.asarray(t_index, dtype=int)
         if store and t_index.ndim:
             raise ValueError("store is not supported with per-element time indices")
@@ -179,7 +179,7 @@ class BrownianFlow:
                 g_left = g(t_left, pred)
                 state = state + 0.5 * (g_right + g_left) @ db_sub
             # fmax skips NaN, so NaN entries neither trip nor mask the guard
-            if state.size and np.fmax.reduce(np.abs(state), axis=None) > guard:
+            if state.size and np.fmax.reduce(np.abs(state), axis=None) > OVERFLOW_GUARD:
                 raise FlowBlowup(f"flow exceeded overflow guard at step {i}")
             if i in hit_steps:
                 out = np.where(t_arr == i, state, out)
@@ -249,16 +249,8 @@ class BrownianFlow:
             x = np.broadcast_to(x, batch + x.shape[-1:]).copy()
         return [v - target for v in self.solve(t_index, x, np.stack(seeds))]
 
-    def invert(
-        self,
-        t_index,
-        x: np.ndarray | None,
-        target: np.ndarray,
-        guess: np.ndarray | None = None,
-        bracket_pad: float = 1.0,
-        max_expand: int = 60,
-        max_iter: int = 80,
-    ) -> np.ndarray:
+    def invert(self, t_index, x: np.ndarray | None, target: np.ndarray,
+               guess: np.ndarray | None = None) -> np.ndarray:
         """Solve flow(t, x, .) = target by bracketing plus Illinois iteration.
 
         The flow is strictly increasing in y, so a sign-changing bracket
@@ -268,11 +260,11 @@ class BrownianFlow:
         """
         target = np.asarray(target, dtype=float)
         center = target.copy() if guess is None else np.asarray(guess, dtype=float).copy()
-        lo = center - bracket_pad
-        hi = center + bracket_pad
+        lo = center - BRACKET_PAD
+        hi = center + BRACKET_PAD
         f_lo, f_hi = self._residuals(t_index, x, target, lo, hi)
-        width = np.full(target.shape, float(bracket_pad))
-        for _ in range(max_expand):
+        width = np.full(target.shape, float(BRACKET_PAD))
+        for _ in range(MAX_EXPAND):
             need_lo = f_lo > 0
             need_hi = f_hi < 0
             if not (np.any(need_lo) or np.any(need_hi)):
@@ -290,7 +282,7 @@ class BrownianFlow:
         tol = 1e-10 * (1.0 + np.abs(target))
         side = np.zeros(target.shape, dtype=int)
         root = 0.5 * (lo + hi)
-        for _ in range(max_iter):
+        for _ in range(MAX_ILLINOIS):
             denom = f_hi - f_lo
             safe = np.abs(denom) > 1e-300
             cand = np.where(
@@ -445,7 +437,7 @@ class FlowTable:
     per-span Taylor form (`_tensor_partials`); a linear axis gives zero
     second derivatives.
 
-    The y-inverse is tabulated per time slice, on first use, by monotone
+    The y-inverse is tabulated per time slice, at each `invert`, by monotone
     re-gridding: the slice's spline evaluated on the x grid times a 4x
     oversampled y grid, a piecewise-linear inversion per x column onto
     ``u_grid``, then an interpolating spline on x_grid x u_grid.
@@ -483,19 +475,13 @@ class FlowTable:
         # piecewise-linear inversion error stays below the spline's own
         self._fine_y = np.linspace(y_grid[0], y_grid[-1], 4 * y_grid.size)
         self._fine_basis = (self._x_axis.matrix(x_grid), self._y_axis.matrix(self._fine_y).T)
-        self._inverse_coeffs: dict[int, np.ndarray] = {}
 
     def _inverse(self, t_index: int) -> np.ndarray:
         """The coefficients of the slice's y-inverse on x_grid x u_grid."""
-        coeffs = self._inverse_coeffs.get(t_index)
-        if coeffs is None:
-            on_x, on_fine_y = self._fine_basis
-            fine_vals = on_x @ self.coeffs[t_index] @ on_fine_y
-            inv = np.array([np.interp(self.u_grid, column, self._fine_y)
-                            for column in fine_vals])
-            coeffs = self._x_axis.fit @ inv @ self._u_axis.fit.T
-            self._inverse_coeffs[t_index] = coeffs
-        return coeffs
+        on_x, on_fine_y = self._fine_basis
+        fine_vals = on_x @ self.coeffs[t_index] @ on_fine_y
+        inv = np.array([np.interp(self.u_grid, column, self._fine_y) for column in fine_vals])
+        return self._x_axis.fit @ inv @ self._u_axis.fit.T
 
     def _clipped(self, x: np.ndarray, y: np.ndarray,
                  y_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,8 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-Region = str  # "interior" | "boundary" | "exterior"
-
 # a built-in domain's boundary band: |phi| <= BOUNDARY_TOL times its diameter
 BOUNDARY_TOL = 1e-9
 
@@ -35,7 +33,6 @@ class SmoothDomain:
     grad_phi: Callable[[np.ndarray], np.ndarray]
     project_fn: Callable[[np.ndarray], np.ndarray]
     boundary_tol: float
-    name: str = "domain"
 
     def classify(self, x: np.ndarray) -> np.ndarray:
         """Classify points as interior / boundary / exterior by the sign of phi."""
@@ -99,10 +96,8 @@ def interval_domain(a: float, b: float) -> SmoothDomain:
     def project(x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), a, b)
 
-    return SmoothDomain(
-        dim=1, phi=phi, grad_phi=grad, project_fn=project,
-        boundary_tol=BOUNDARY_TOL * (b - a), name=f"interval({a},{b})",
-    )
+    return SmoothDomain(dim=1, phi=phi, grad_phi=grad, project_fn=project,
+                        boundary_tol=BOUNDARY_TOL * (b - a))
 
 
 def ball_domain(center, radius: float) -> SmoothDomain:
@@ -141,10 +136,8 @@ def ball_domain(center, radius: float) -> SmoothDomain:
         scale = np.where(outside, radius / np.where(r > 0, r, 1.0), 1.0)
         return c + scale[..., None] * diff
 
-    return SmoothDomain(
-        dim=dim, phi=phi, grad_phi=grad, project_fn=project,
-        boundary_tol=BOUNDARY_TOL * (2 * radius), name=f"ball({tuple(c)},{radius})",
-    )
+    return SmoothDomain(dim=dim, phi=phi, grad_phi=grad, project_fn=project,
+                        boundary_tol=BOUNDARY_TOL * (2 * radius))
 
 
 def make_domain(spec: dict) -> SmoothDomain:

@@ -38,10 +38,6 @@ class TimeGrid:
     def dt(self) -> float:
         return (self.t_end - self.t_start) / self.step_count
 
-    @property
-    def horizon(self) -> float:
-        return self.t_end - self.t_start
-
     def __len__(self) -> int:
         return self.step_count + 1
 

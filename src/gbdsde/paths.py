@@ -34,8 +34,6 @@ class PathBundle:
     grid: TimeGrid
     W: np.ndarray
     B: np.ndarray
-    seed: int
-    scenario_count: int
     shared_b: bool = False
 
     def __post_init__(self) -> None:
@@ -44,8 +42,12 @@ class PathBundle:
                 raise ValueError(f"{name} must have shape (scenarios, times, d)")
             if path.shape[1] != len(self.grid):
                 raise ValueError(f"{name} has {path.shape[1]} time points, grid has {len(self.grid)}")
-        if self.W.shape[0] != self.scenario_count or self.B.shape[0] != self.scenario_count:
-            raise ValueError("scenario_count does not match path arrays")
+        if self.B.shape[0] != self.W.shape[0]:
+            raise ValueError("W and B have different scenario counts")
+
+    @property
+    def scenario_count(self) -> int:
+        return self.W.shape[0]
 
     @property
     def d(self) -> int:
@@ -116,7 +118,7 @@ def sample_paths(
         b = np.broadcast_to(build(_STREAM_B, 1), w.shape)  # read-only, one row in memory
     else:
         b = build(_STREAM_B, count)
-    return PathBundle(grid=grid, W=w, B=b, seed=seed, scenario_count=count, shared_b=shared_b)
+    return PathBundle(grid=grid, W=w, B=b, shared_b=shared_b)
 
 
 def swap_scenario_time(arr: np.ndarray) -> np.ndarray:

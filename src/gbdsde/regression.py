@@ -101,10 +101,8 @@ class DesignProjector:
     monomials are the same products, the column sums run over the
     scenarios in row order as in the per-step (S, p) reduction, and one
     stacked SVD runs the same LAPACK routine on each step's design.  It
-    leaves to the per-step build (a ``None`` entry) a single feature column,
-    whose bits would differ (numpy sums a lone column pairwise), and any
-    step whose build would raise, so the error comes from the per-step
-    build at that step.
+    leaves to the per-step build (a ``None`` entry) any step whose build
+    would raise, so the error comes from the per-step build at that step.
     """
 
     def __init__(self, feature_points: np.ndarray, basis) -> None:
@@ -129,7 +127,6 @@ class DesignProjector:
         if rank == 0:
             raise RegressionRankError(
                 f"design matrix of basis {basis.name} has rank 0")
-        self.basis_name = basis.name
         self.scenario_count = u.shape[0]
         self.rank = rank
         # the thin SVD's u is C-contiguous already (per step, also in a stack)
@@ -147,7 +144,7 @@ class DesignProjector:
         points = np.asarray(points, dtype=float)
         c_steps, s, m = points.shape
         p = basis.feature_count(m)
-        if p == 1 or s < MIN_SCENARIO_RATIO * p:
+        if s < MIN_SCENARIO_RATIO * p:
             return [None] * c_steps
         per = max(1, BLOCK_BYTES // (8 * s * p))
         if per < c_steps:

@@ -92,12 +92,10 @@ class BdsdeSolution:
     grid: TimeGrid
     Y: np.ndarray
     Z: np.ndarray
+    pathwise_totals: np.ndarray
     picard_trace: list[float] = field(default_factory=list)
-    pathwise_totals: np.ndarray | None = None
 
     def initial_se(self) -> np.ndarray:
-        if self.pathwise_totals is None:
-            raise ValueError("solution carries no pathwise totals")
         return _standard_error(self.pathwise_totals)
 
 
@@ -109,16 +107,15 @@ def _standard_error(totals: np.ndarray) -> np.ndarray:
 def _solution(grid: TimeGrid, Y: np.ndarray, Z: np.ndarray, totals: np.ndarray,
               trace=()) -> BdsdeSolution:
     """A solution; 1-D pathwise totals become one column."""
-    return BdsdeSolution(grid=grid, Y=Y, Z=Z, picard_trace=list(trace),
-                         pathwise_totals=_as_columns(totals))
+    return BdsdeSolution(grid=grid, Y=Y, Z=Z, pathwise_totals=_as_columns(totals),
+                         picard_trace=list(trace))
 
 
 def _as_k(k_path: np.ndarray | None, n_scen: int, n_pts: int) -> np.ndarray:
     if k_path is None:
         return np.zeros((n_scen, n_pts))
-    k = np.asarray(k_path, dtype=float)
     # one path, 1-D or (1, T+1), serves every scenario
-    return np.broadcast_to(k, (n_scen, n_pts)) if k.ndim == 1 or k.shape[0] == 1 else k
+    return np.broadcast_to(np.asarray(k_path, dtype=float), (n_scen, n_pts))
 
 
 def _as_columns(values: np.ndarray) -> np.ndarray:

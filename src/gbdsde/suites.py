@@ -194,6 +194,8 @@ def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
     if not isinstance(ladder, list) or len(ladder) < 2:  # an order needs two rungs
         raise ConfigError(f"calculus.ladder: {ladder!r} is not a list of two or more step counts")
     ladder = [_number(int, v, "calculus.ladder") for v in ladder]
+    if any(lo >= hi for lo, hi in zip(ladder, ladder[1:])):  # each rung refines
+        raise ConfigError(f"calculus.ladder: {ladder!r} is not strictly increasing")
     scenarios = _number(int, opts.get("scenarios", 128), "calculus.scenarios")
     results: list[acc.CriterionResult] = []
 

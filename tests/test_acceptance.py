@@ -77,8 +77,12 @@ def test_criterion_9_estimate_stability():
     _run("estimate_stability")
 
 
-def test_criterion_10_suite_determinism(tmp_path):
-    results = acc.criterion_determinism(seed=SEED, out_root=tmp_path)
+def test_criterion_10_suite_determinism(tmp_path, monkeypatch):
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    results = acc.criterion_determinism(seed=SEED)
     for r in results:
         print(r.line())
     assert all(r.passed for r in results), results[0].details
+    assert list(tmp_path.iterdir()) == []  # its suites' outputs are removed

@@ -430,24 +430,36 @@ def test_cli_non_boolean_shared_b_is_exit_2(tmp_path, capsys, value):
     assert not out.exists()
 
 
-def test_determinism_creates_a_fresh_out_root(tmp_path, monkeypatch):
-    # the criterion writes its config into out_root first, so a nested path
-    # that does not exist yet must be created, not end in FileNotFoundError;
-    # the suites are stubbed to one fixed CSV each
-    import gbdsde.cli
+def test_determinism_criterion_leaves_no_directory_behind(tmp_path, monkeypatch):
+    # the criterion's tempfile.mkdtemp() directory outlived every call; the
+    # suites are stubbed to one fixed CSV each
+    import tempfile
+
+    from gbdsde import suites
     from gbdsde.acceptance import criterion_determinism
 
-    def stub_main(argv):
-        out_dir = Path(argv[argv.index("--out-dir") + 1])
-        out_dir.mkdir(parents=True)
-        (out_dir / "rows.csv").write_text("a,b\n1,2\n")
-        return 0
+    def stub_run_suite(config):
+        config.out_dir.mkdir(parents=True)
+        (config.out_dir / "rows.csv").write_text("a,b\n1,2\n")
+        return 0, ["OVERALL: PASS"]
 
-    monkeypatch.setattr(gbdsde.cli, "main", stub_main)
-    root = tmp_path / "fresh" / "nested"
-    [result] = criterion_determinism(seed=5, out_root=root)
+    monkeypatch.setattr(suites, "run_suite", stub_run_suite)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    [result] = criterion_determinism(seed=5)
     assert result.passed, result.details
-    assert (root / "determinism.yaml").is_file()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_determinism_criterion_prints_one_verdict(tmp_path, capsys):
+    # the criterion ran its eleven suites through the CLI, each printing its
+    # own report: twelve OVERALL lines, eleven of them before the criterion's row
+    cfg = {"suite": "acceptance", "grid": {"dt": 0.01},
+           "acceptance": {"criteria": ["determinism"]}}
+    code = main(["acceptance", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(tmp_path / "out")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines == ["suite_determinism: measured 1 >= 1 -> PASS", "OVERALL: PASS"]
 
 
 @pytest.mark.parametrize("section, value, message", [
@@ -637,5 +649,38 @@ def test_cli_flow_fd_step_that_is_not_positive_and_finite_is_exit_2(tmp_path, ca
                  "--out-dir", str(out)])
     assert code == 2
     assert (f"config error: flow.fd_step: {fd_step!r} is not a positive finite step"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("role, spec, key", [
+    ("l", {"kind": "trig", "amp": 1.0, "func": "cos", "of": "x", "frq": 3.0}, "frq"),
+    ("h", {"kind": "sum", "terms": [{"kind": "constant", "valu": 0.2}]}, "valu"),
+    ("f", {"kind": "scale", "factor": 2.0, "term": {"kind": "linear", "w": -0.5}}, "w"),
+    ("f", {"kind": "linear", "y": -0.5, "const": 1.0}, "const"),
+], ids=["trig", "in-sum", "in-scale", "affine-key-on-linear"])
+def test_cli_unknown_key_in_a_coefficient_is_exit_2(tmp_path, capsys, role, spec, key):
+    # l: {..., frq: 3.0} ran on the default frequency 1.0 and printed OVERALL: PASS
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["problem"][role] = spec
+    out = tmp_path / "out"
+    code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert (f"config error: problem: {role}: unknown keys [{key!r}] for kind"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ladder", [[50, 50], [100, 50]], ids=["repeated", "decreasing"])
+def test_cli_calculus_ladder_that_is_not_increasing_is_exit_2(tmp_path, capsys, ladder):
+    # a repeated rung divided log(1) by log(1): nan in every measured cell, exit 1
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["calculus"]["ladder"] = ladder
+    out = tmp_path / "out"
+    code = main(["verify-calculus", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert (f"config error: calculus.ladder: {ladder!r} is not strictly increasing"
             in capsys.readouterr().err)
     assert not out.exists()

@@ -30,16 +30,19 @@ def _coeffs_with(l, f=None, h=None):
     )
 
 
-def test_oracle_constant_terminal():
+def test_oracle_constant_terminal(monkeypatch):
+    from gbdsde import fields
+
+    monkeypatch.setattr(fields, "ORACLE_POINTS", 40)
     coeffs = _coeffs_with(lambda x: np.full(x.shape[:-1], 2.0))
-    oracle = pde_oracle_g0(coeffs, interval_domain(0.0, 1.0), 40, 40)
+    oracle = pde_oracle_g0(coeffs, interval_domain(0.0, 1.0))
     assert np.max(np.abs(oracle.u - 2.0)) <= 1e-12
 
 
 def test_oracle_heat_benchmark_closed_form():
     # cos(pi x) is a zero-flux mode of the half-Laplacian on (0, 1):
     # u(0, x) = exp(-pi^2/2) cos(pi x) at unit horizon
-    oracle = pde_oracle_g0(_heat_coeffs(), interval_domain(0.0, 1.0), 100, 100)
+    oracle = pde_oracle_g0(_heat_coeffs(), interval_domain(0.0, 1.0))
     xs = np.linspace(0, 1, 21)
     closed = HEAT_AMPLITUDE * np.cos(math.pi * xs)
     got = np.array([oracle.interpolate(0.0, x) for x in xs])
@@ -71,7 +74,7 @@ def test_oracle_robin_self_consistency():
         l=lambda x: x[..., 0] ** 2 - x[..., 0] + 1.0,
         h=lambda t, x, y: y,
     )
-    oracle = pde_oracle_g0(coeffs, interval_domain(0.0, 1.0), 100, 100)
+    oracle = pde_oracle_g0(coeffs, interval_domain(0.0, 1.0))
     assert boundary_residual(coeffs, oracle) <= 1e-4
 
 
@@ -277,5 +280,6 @@ def test_oracle_raises_on_non_finite_values(monkeypatch):
         return xs, ts, u
 
     monkeypatch.setattr(fields, "_oracle_pass", nan_pass)
+    monkeypatch.setattr(fields, "ORACLE_POINTS", 20)
     with pytest.raises(FloatingPointError, match="pde_oracle_g0 produced non-finite"):
-        pde_oracle_g0(_heat_coeffs(), interval_domain(0.0, 1.0), 20, 20)
+        pde_oracle_g0(_heat_coeffs(), interval_domain(0.0, 1.0))

@@ -24,6 +24,7 @@ from gbdsde import (
     transformed_generator,
 )
 from gbdsde.acceptance import SinNoise
+from gbdsde import flows
 from gbdsde.flows import (
     AnalyticField,
     FlowBlowup,
@@ -328,13 +329,14 @@ def test_flow_table_matches_direct_solver():
         assert np.max(np.abs(back - ys)) <= 2e-4
 
 
-def test_flow_blowup_guard():
+def test_flow_blowup_guard(monkeypatch):
     grid, bp = _grid_and_path(steps=100, seed=23)
 
     def explosive(t, x, y):
         return (1.0 + np.square(y))[..., None]
 
-    flow = BrownianFlow(explosive, bp, grid, overflow_guard=1e6)
+    monkeypatch.setattr(flows, "OVERFLOW_GUARD", 1e6)
+    flow = BrownianFlow(explosive, bp, grid)
     with pytest.raises(FlowBlowup):
         flow.solve(0, np.zeros((1, 1)), np.array([50.0]))
 
@@ -377,7 +379,7 @@ def _reference_solve(flow, t_index, x, y, store=False, lipschitz_hint=None):
             pred = state + g_right @ db_sub
             g_left = g(times[i], pred)
             state = state + 0.5 * (g_right + g_left) @ db_sub
-        if np.any(np.abs(state) > flow.overflow_guard):
+        if np.any(np.abs(state) > flows.OVERFLOW_GUARD):
             raise FlowBlowup(f"flow exceeded overflow guard at step {i}")
         if per_element:
             hit = t_arr == i
@@ -451,13 +453,14 @@ def test_sweep_empty_batch_returns_empty():
     assert flow.solve(np.zeros(0, dtype=int), x, y).shape == (0,)
 
 
-def test_flow_blowup_reports_reference_step():
+def test_flow_blowup_reports_reference_step(monkeypatch):
     grid, bp = _grid_and_path(steps=100, seed=23)
 
     def explosive(t, x, y):
         return (1.0 + np.square(y))[..., None]
 
-    flow = BrownianFlow(explosive, bp, grid, overflow_guard=1e6)
+    monkeypatch.setattr(flows, "OVERFLOW_GUARD", 1e6)
+    flow = BrownianFlow(explosive, bp, grid)
     x, y = np.zeros((2, 1)), np.array([0.5, 50.0])
     with pytest.raises(FlowBlowup) as expected:
         _reference_solve(flow, 0, x, y)
@@ -466,9 +469,10 @@ def test_flow_blowup_reports_reference_step():
     assert str(got.value) == str(expected.value)
 
 
-def test_flow_guard_skips_nan_but_not_a_finite_overflow_beside_it():
+def test_flow_guard_skips_nan_but_not_a_finite_overflow_beside_it(monkeypatch):
     grid, bp = _grid_and_path(steps=20, seed=23)
-    flow = BrownianFlow(_const_g(0.1), bp, grid, overflow_guard=1e6)
+    monkeypatch.setattr(flows, "OVERFLOW_GUARD", 1e6)
+    flow = BrownianFlow(_const_g(0.1), bp, grid)
     x = np.zeros((2, 1))
     nan_only = np.array([np.nan, 1.0])
     assert np.array_equal(flow.solve(0, x, nan_only), _reference_solve(flow, 0, x, nan_only),
@@ -714,17 +718,17 @@ def test_transformed_coefficients_reject_nan_slope():
 # ---------------------------------------------------------------------------
 
 
-def _reference_invert(flow, t_index, x, target, guess=None, bracket_pad=1.0,
-                      max_expand=60, max_iter=80):
-    """The bracket with one sweep per end, kept as the bit-for-bit reference."""
+def _reference_invert(flow, t_index, x, target, guess=None):
+    """The bracket with one sweep per end, kept as the bit-for-bit reference;
+    its budgets are the module constants in force."""
     target = np.asarray(target, dtype=float)
     center = target.copy() if guess is None else np.asarray(guess, dtype=float).copy()
-    lo = center - bracket_pad
-    hi = center + bracket_pad
+    lo = center - flows.BRACKET_PAD
+    hi = center + flows.BRACKET_PAD
     f_lo = flow.solve(t_index, x, lo) - target
     f_hi = flow.solve(t_index, x, hi) - target
-    width = np.full(target.shape, float(bracket_pad))
-    for _ in range(max_expand):
+    width = np.full(target.shape, float(flows.BRACKET_PAD))
+    for _ in range(flows.MAX_EXPAND):
         need_lo = f_lo > 0
         need_hi = f_hi < 0
         if not (np.any(need_lo) or np.any(need_hi)):
@@ -742,7 +746,7 @@ def _reference_invert(flow, t_index, x, target, guess=None, bracket_pad=1.0,
     tol = 1e-10 * (1.0 + np.abs(target))
     side = np.zeros(target.shape, dtype=int)
     root = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(flows.MAX_ILLINOIS):
         denom = f_hi - f_lo
         safe = np.abs(denom) > 1e-300
         cand = np.where(
@@ -793,8 +797,8 @@ def test_invert_bit_identical_to_two_sweep_bracket(case, size, monkeypatch):
     kwargs = {}
     if case == "expand":
         # a tiny bracket off to both sides forces expansion rounds on each
-        kwargs = {"guess": y + np.where(np.arange(size) % 2, 0.4, -0.4),
-                  "bracket_pad": 1e-3}
+        kwargs = {"guess": y + np.where(np.arange(size) % 2, 0.4, -0.4)}
+        monkeypatch.setattr(flows, "BRACKET_PAD", 1e-3)
     calls = _count_sweeps(flow, monkeypatch)
     expect = _reference_invert(flow, t_index, x, target, **kwargs)
     reference_sweeps = len(calls)
@@ -805,10 +809,12 @@ def test_invert_bit_identical_to_two_sweep_bracket(case, size, monkeypatch):
     assert len(calls) <= reference_sweeps - 1
 
 
-def test_invert_bracket_failure_matches_reference():
+def test_invert_bracket_failure_matches_reference(monkeypatch):
     flow, _, x, y = _sweep_case("plain")
     target = flow.solve(40, x, y)
-    kwargs = {"guess": y + 3.0, "bracket_pad": 1e-3, "max_expand": 2}
+    monkeypatch.setattr(flows, "BRACKET_PAD", 1e-3)
+    monkeypatch.setattr(flows, "MAX_EXPAND", 2)
+    kwargs = {"guess": y + 3.0}
     with pytest.raises(InversionError) as expected:
         _reference_invert(flow, 40, x, target, **kwargs)
     with pytest.raises(InversionError) as got:

@@ -38,7 +38,7 @@ def test_projection_step_arithmetic():
     # one step from 0.9 with increment +0.3 on (0,1): lands on 1.0, dk = 0.2
     grid = TimeGrid(0.0, 1.0, 1)
     w = np.array([[[0.0], [0.3]]])
-    bundle = PathBundle(grid=grid, W=w, B=np.zeros_like(w), seed=0, scenario_count=1)
+    bundle = PathBundle(grid=grid, W=w, B=np.zeros_like(w))
     refl = simulate_reflected(_bm_coeffs(), interval_domain(0.0, 1.0), 0.0,
                               np.array([0.9]), bundle)
     assert refl.X[0, 1, 0] == pytest.approx(1.0)
@@ -122,8 +122,7 @@ def test_scheme_converges_to_fine_oracle():
         steps = fine_steps // stride
         grid = TimeGrid(0.0, 1.0, steps)
         bundle = PathBundle(grid=grid, W=w_coarse[:, :, None],
-                            B=np.zeros_like(w_coarse)[:, :, None],
-                            seed=3, scenario_count=200)
+                            B=np.zeros_like(w_coarse)[:, :, None])
         refl = simulate_reflected(_bm_coeffs(), interval_domain(0.0, 10.0), 0.0,
                                   np.array([0.0]), bundle)
         gap = np.max(np.abs(refl.X[:, :, 0] - x_ref[:, ::stride]), axis=1)
@@ -254,7 +253,7 @@ def test_simulate_reflected_matches_scenario_major_reference(case, monkeypatch):
     elif case == "excluded":
         w = bundle.W.copy()
         w[7, 20:, 0] = np.inf  # an infinite increment at step 19, NaN after
-        bundle = PathBundle(grid=grid, W=w, B=bundle.B, seed=41, scenario_count=300)
+        bundle = PathBundle(grid=grid, W=w, B=bundle.B)
         monkeypatch.setattr(reflection, "MAX_EXCLUDED_FRACTION", 0.01)  # 1 of 300
     got = simulate_reflected(coeffs, dom, t0, x0, bundle)
     ref = _reference_simulate_reflected(coeffs, dom, t0, x0, bundle,

@@ -564,6 +564,8 @@ def test_residuals_share_the_solver_k_helper():
             for kp in (k, k[None, :], np.broadcast_to(k, (8, 31)))]
     assert np.array_equal(reps[0].residuals, reps[1].residuals)
     assert np.array_equal(reps[0].residuals, reps[2].residuals)
+    with pytest.raises(ValueError):  # a mis-shaped path was passed through
+        solver._as_k(np.zeros((3, 31)), 8, 31)
 
 
 @pytest.mark.parametrize("t0", [0.0, 0.25])
