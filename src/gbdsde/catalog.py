@@ -14,8 +14,10 @@ the leading size from them) and the role's trailing shape from `_ROLES`, and
 each kind only fills in its values; sum and scale compile their terms
 recursively.  The result is a scenario-vectorized callable with the calling
 convention of its role (see problems.CoefficientSet).  An unknown role, a
-missing kind or a key its kind does not know (`_KEYS`, nested terms
-included) is a ValueError, an unknown kind or trig function a KeyError.
+spec that is not a mapping, a missing kind, a key its kind does not know
+(`_KEYS`, nested terms included), a sum or scale without one of its keys or
+a sum whose terms are not a non-empty list is a ValueError, an unknown kind
+or trig function a KeyError.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ def build_coefficient(spec: dict, role: str, n: int, d: int, x_dim: int) -> Call
 
 def _compile(spec: dict, role: str, d: int, x_dim: int) -> Callable:
     """The values of one tree node: a function of (named arguments, shape)."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{role}: a coefficient spec is a mapping with a 'kind', "
+                         f"not {spec!r}")
     kind = spec.get("kind")
     if kind is None:
         raise ValueError(f"coefficient spec for {role!r} lacks a 'kind'")
@@ -83,6 +88,10 @@ def _compile(spec: dict, role: str, d: int, x_dim: int) -> Callable:
     if kind in _KEYS and unknown:  # an unknown kind raises its KeyError below
         raise ValueError(f"{role}: unknown keys {unknown} for kind {kind!r}; "
                          f"pick from {_KEYS[kind]}")
+    # sum and scale have no default for any of their keys
+    missing = [k for k in _KEYS[kind] if k not in spec] if kind in ("sum", "scale") else []
+    if missing:
+        raise ValueError(f"{role}: kind {kind!r} lacks the keys {missing}")
 
     if kind == "zero":
         return lambda a, shape: np.zeros(shape)
@@ -138,6 +147,9 @@ def _compile(spec: dict, role: str, d: int, x_dim: int) -> Callable:
         return trig
 
     if kind == "sum":
+        if not isinstance(spec["terms"], list) or not spec["terms"]:
+            raise ValueError(f"{role}: the terms of a sum are a non-empty list, "
+                             f"not {spec['terms']!r}")
         parts = [_compile(s, role, d, x_dim) for s in spec["terms"]]
 
         def total(a, shape):

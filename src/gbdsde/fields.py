@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .geometry import SmoothDomain
 from .grids import TimeGrid
@@ -143,6 +142,9 @@ def _oracle_pass(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Crank-Nicolson sweep of the terminal-value problem; each step is
     solved by Newton to a relative residual of 1e-11 within 30 iterations."""
+    # imported here, its one user, so a run that solves no oracle never loads it
+    from scipy.linalg import solve_banded
+
     xs = np.linspace(a, b, space_points + 1)
     ts = np.linspace(t_start, t_end, time_points + 1)
     dx = xs[1] - xs[0]

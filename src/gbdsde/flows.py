@@ -91,8 +91,10 @@ class BrownianFlow:
     ----------
     g : callable (t, x, y) -> (..., d)
         Noise coefficient; x has shape (..., m) or None, y shape (...,).
-        If the callable exposes ``bind_x(x)`` it is used to pre-reduce the
-        x-dependence once per request (worth it for trig-heavy g).
+        It returns a fresh writable array of shape y.shape + (d,), which the
+        sweep overwrites.  If the callable exposes ``bind_x(x)`` it is used
+        to pre-reduce the x-dependence once per live prefix of a request
+        (worth it for trig-heavy g).
     b_path : array (T+1, d)
         One scenario of the backward driver.
     grid : TimeGrid
@@ -144,48 +146,70 @@ class BrownianFlow:
         returned, ordered forward in time.  Every index must lie in
         [0, step_count]; others raise ValueError.
 
+        A step integrates only the elements still to be read out.  The batch
+        is stable-sorted by index once, so those elements form a prefix of
+        it (the live prefix), and g is bound to the prefix's x.  When a step
+        reaches some elements' index, they are copied out and the prefix
+        shrinks; the results go back to the caller's order at the end.  With
+        one noise component (d = 1) every operation is elementwise, so every
+        value has the bits of a sweep of its own.  With d > 1 the increment
+        is a BLAS matrix-vector product, which may round a row differently
+        by its position in the batch, by about an ulp.
+
         The step times, the (sub)increments dB_i / m_i and the substep
         counts m_i are fixed by the backward path and precomputed at
         construction; a step only runs its Heun updates.  After every step
         the overflow guard raises `FlowBlowup`, naming the step index, if
-        any |state| entry (inf included) exceeds ``OVERFLOW_GUARD``; NaN
-        entries are skipped by the guard, so a NaN state does not trip it.
+        any live |state| entry (inf included) exceeds ``OVERFLOW_GUARD``.  An
+        element is not integrated below its own index, so it cannot trip the
+        guard there.  NaN entries are skipped by the guard, so a NaN state
+        does not trip it.
         """
-        state = np.array(y, dtype=float)
-        g = self._g_bound(x)
+        y = np.asarray(y, dtype=float)
         step_count = self.grid.step_count
         t_index = np.asarray(t_index, dtype=int)
         if store and t_index.ndim:
             raise ValueError("store is not supported with per-element time indices")
-        # the distinct indices, from the index as given (np.unique would sort a
-        # broadcast batch); each one's mask is built when its step is reached
-        hit_steps = set(np.unique(t_index).tolist())
-        stop = min(hit_steps, default=step_count)
-        if stop < 0 or max(hit_steps, default=0) > step_count:
+        stop = int(t_index.min()) if t_index.size else step_count
+        if stop < 0 or (t_index.size and t_index.max() > step_count):
             raise ValueError(f"time indices must lie in [0, {step_count}]")
-        t_arr = np.broadcast_to(t_index, state.shape)
-        out = np.where(t_arr == step_count, state, np.nan)
-        traj = None
-        if store:
-            traj = np.empty((step_count + 1 - stop,) + state.shape)
-            traj[-1] = state
+        t_flat = np.broadcast_to(t_index, y.shape).ravel()
+        order = np.argsort(t_flat, kind="stable")
+        # the live prefix's length once the sweep has reached index stop + k
+        live_after = np.searchsorted(t_flat[order], np.arange(stop, step_count + 1)).tolist()
+        state = y.ravel()[order]
+        if x is not None:
+            x = np.asarray(x)
+            x = np.broadcast_to(x, y.shape + x.shape[-1:]).reshape(y.size, x.shape[-1])[order]
+        out = np.empty(y.size)
+        g = self._g_bound(x)
+        traj = np.empty((step_count + 1 - stop,) + y.shape) if store else None
         steps = self._steps
-        for i in range(step_count - 1, stop - 1, -1):
-            t_left, t_right, db_sub, m = steps[i]
-            # Heun predictor-corrector per (sub)increment, read backwards.
-            for _ in range(m):
-                g_right = g(t_right, state)
-                pred = state + g_right @ db_sub
-                g_left = g(t_left, pred)
-                state = state + 0.5 * (g_right + g_left) @ db_sub
-            # fmax skips NaN, so NaN entries neither trip nor mask the guard
-            if state.size and np.fmax.reduce(np.abs(state), axis=None) > OVERFLOW_GUARD:
-                raise FlowBlowup(f"flow exceeded overflow guard at step {i}")
-            if i in hit_steps:
-                out = np.where(t_arr == i, state, out)
-            if store:
-                traj[i - stop] = state
-        return traj if store else out
+        for i in range(step_count, stop - 1, -1):
+            if i < step_count:
+                t_left, t_right, db_sub, m = steps[i]
+                # Heun predictor-corrector per (sub)increment, read backwards;
+                # the slope average is formed in g_left's own storage, and
+                # .dot gives the bits of @ at a smaller per-call cost
+                for _ in range(m):
+                    g_right = g(t_right, state)
+                    pred = state + g_right.dot(db_sub)
+                    g_left = g(t_left, pred)
+                    g_left += g_right
+                    g_left *= 0.5
+                    state += g_left.dot(db_sub)
+                # fmax skips NaN, so NaN entries neither trip nor mask the guard
+                if state.size and np.fmax.reduce(np.abs(state)) > OVERFLOW_GUARD:
+                    raise FlowBlowup(f"flow exceeded overflow guard at step {i}")
+            if store:  # a scalar index: the stable sort kept the caller's order
+                traj[i - stop] = state.reshape(y.shape)
+            # the elements whose index is i are the live prefix's tail
+            live = live_after[i - stop]
+            if live < state.size:
+                out[order[live:state.size]] = state[live:]
+                state = state[:live]
+                g = self._g_bound(None if x is None else x[:live])
+        return traj if store else out.reshape(y.shape)
 
     # -- derivatives ------------------------------------------------------
 
@@ -241,7 +265,8 @@ class BrownianFlow:
 
         The seeds are stacked on a new leading axis, with x repeated
         alongside; the time indices broadcast against the stack.  The sweep
-        is elementwise, so each result equals that of a sweep of its own.
+        is elementwise (for d > 1 up to the rounding noted in `solve`), so
+        each result equals that of a sweep of its own.
         """
         batch = (len(seeds),) + target.shape
         if x is not None:

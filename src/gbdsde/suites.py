@@ -140,7 +140,8 @@ def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
         if terminal == "w_terminal":
             xi = bundle.W[:, -1, :coeffs.n]
         elif isinstance(terminal, dict) and terminal.get("kind") == "constant":
-            xi = np.full((config.scenarios, coeffs.n), float(terminal["value"]))
+            value = _number(float, terminal.get("value"), "solver.terminal.value")
+            xi = np.full((config.scenarios, coeffs.n), value)
         else:
             raise ValueError(f"unknown terminal spec {terminal!r}")
         solution = picard_solve(coeffs, xi, None, bundle, basis,

@@ -684,3 +684,60 @@ def test_cli_calculus_ladder_that_is_not_increasing_is_exit_2(tmp_path, capsys, 
     assert (f"config error: calculus.ladder: {ladder!r} is not strictly increasing"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("role, spec, shown", [
+    ("l", 5, "5"),
+    ("h", {"kind": "sum", "terms": [{"kind": "constant", "value": 0.2}, "zero"]}, "'zero'"),
+], ids=["top-level", "in-sum"])
+def test_cli_coefficient_spec_that_is_not_a_mapping_is_exit_2(tmp_path, capsys, role, spec,
+                                                               shown):
+    # l: 5 ended in AttributeError: 'int' object has no attribute 'get', exit 1
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["problem"][role] = spec
+    out = tmp_path / "out"
+    code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert (f"config error: problem: {role}: a coefficient spec is a mapping with a 'kind', "
+            f"not {shown}" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "sum"}, "kind 'sum' lacks the keys ['terms']"),
+    ({"kind": "scale", "factor": 2.0}, "kind 'scale' lacks the keys ['term']"),
+    ({"kind": "scale", "term": {"kind": "linear", "y": -0.5}},
+     "kind 'scale' lacks the keys ['factor']"),
+    ({"kind": "sum", "terms": []}, "the terms of a sum are a non-empty list, not []"),
+], ids=["sum-terms", "scale-term", "scale-factor", "sum-no-terms"])
+def test_cli_sum_or_scale_without_its_keys_is_exit_2(tmp_path, capsys, spec, message):
+    # a missing key used to read "unknown catalog entry in 'f': 'terms'"
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg["problem"]["f"] = spec
+    out = tmp_path / "out"
+    code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: problem: f: {message}" in err
+    assert "unknown catalog entry" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("terminal, shown", [
+    ({"kind": "constant"}, "None"),
+    ({"kind": "constant", "value": "one"}, "'one'"),
+], ids=["missing", "not-a-number"])
+def test_cli_constant_terminal_without_a_value_is_exit_2(tmp_path, capsys, terminal, shown):
+    # the Picard path read terminal["value"] unchecked: KeyError: 'value', exit 1
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    del cfg["domain"]
+    cfg["solver"] = {"terminal": terminal}
+    code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (f"config error: solver.terminal.value: {shown} cannot be read as float"
+            in captured.err)
+    assert "OVERALL" not in captured.out

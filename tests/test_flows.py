@@ -429,11 +429,18 @@ def test_sweep_bit_identical_to_reference_loop(case):
     # whole trajectory
     assert np.array_equal(flow.solve(13, x, y, store=True),
                           _reference_solve(flow, 13, x, y, store=True, lipschitz_hint=hint))
-    # per-element indices with repeats and t = step_count
+    # per-element indices, unsorted, with repeats and t = step_count
     t_idx = np.resize(np.array([steps, 0, 57, 57, 199, steps, 3]), y.shape)
     got = flow.solve(t_idx, x, y)
     assert not np.any(np.isnan(got))
     assert np.array_equal(got, _reference_solve(flow, t_idx, x, y, lipschitz_hint=hint))
+    # the bracket shape of `_residuals`: seeds stacked on a leading axis of 2,
+    # x repeated alongside, the (N,) indices broadcast against the stack
+    seeds = np.stack([y - 1.0, y + 1.0])
+    xs = None if x is None else np.broadcast_to(x, (2,) + x.shape).copy()
+    got = flow.solve(t_idx, xs, seeds)
+    assert got.shape == seeds.shape
+    assert np.array_equal(got, _reference_solve(flow, t_idx, xs, seeds, lipschitz_hint=hint))
 
 
 @pytest.mark.parametrize("case", ["plain", "substepped", "d2", "x_none"])
@@ -479,6 +486,62 @@ def test_flow_guard_skips_nan_but_not_a_finite_overflow_beside_it(monkeypatch):
                           equal_nan=True)
     with pytest.raises(FlowBlowup, match="at step 19"):
         flow.solve(0, x, np.array([np.nan, 1e7]))
+
+
+# ---------------------------------------------------------------------------
+# The live-prefix sweep: each element is stepped down to its own index only
+# ---------------------------------------------------------------------------
+
+
+def test_live_prefix_sweep_steps_each_element_down_to_its_own_index():
+    # rows of g over the sweep: two per element and (sub)step above its index,
+    # 2 sum_j sum_{i >= t_j} m_i; a full-batch sweep runs every element down to
+    # min t_j
+    flow, _, x, y = _sweep_case("substepped")
+    noise, rows = flow.g, []
+
+    def counting(t, x, y):
+        rows.append(y.shape[0])
+        return noise(t, x, y)
+
+    counted = BrownianFlow(counting, flow.b_path, flow.grid, lipschitz_hint=40.0)
+    m = np.array([sub for *_, sub in counted._steps])
+    t_idx = np.random.default_rng(48).integers(0, flow.grid.step_count + 1, y.size)
+    assert np.array_equal(counted.solve(t_idx, x, y), flow.solve(t_idx, x, y))
+    expect = 2 * sum(int(m[t:].sum()) for t in t_idx)
+    assert sum(rows) == expect
+    assert expect < 2 * int(m[t_idx.min():].sum()) * y.size
+
+
+def _explosive(t, x, y):
+    return (1.0 + np.square(y))[..., None]
+
+
+def test_element_read_out_above_its_blowup_returns_its_reference_value(monkeypatch):
+    # integrated on down to index 0, y = 50 blows up at step 87; read out at
+    # T - 1 it is never integrated there, so the guard does not see it
+    grid, bp = _grid_and_path(steps=100, seed=23)
+    monkeypatch.setattr(flows, "OVERFLOW_GUARD", 1e6)
+    flow = BrownianFlow(_explosive, bp, grid)
+    x, y, t_idx = np.zeros((2, 1)), np.array([50.0, 0.5]), np.array([99, 0])
+    with pytest.raises(FlowBlowup, match="at step 87"):
+        _reference_solve(flow, t_idx, x, y)
+    got = flow.solve(t_idx, x, y)
+    for j in range(2):
+        assert got[j] == _reference_solve(flow, t_idx[j], x[j:j + 1], y[j:j + 1])[0]
+
+
+def test_live_element_that_overflows_still_raises_naming_the_step(monkeypatch):
+    grid, bp = _grid_and_path(steps=100, seed=23)
+    monkeypatch.setattr(flows, "OVERFLOW_GUARD", 1e6)
+    flow = BrownianFlow(_explosive, bp, grid)
+    x, y, t_idx = np.zeros((2, 1)), np.array([0.5, 50.0]), np.array([99, 0])
+    with pytest.raises(FlowBlowup) as expected:
+        _reference_solve(flow, t_idx, x, y)
+    with pytest.raises(FlowBlowup) as got:
+        flow.solve(t_idx, x, y)
+    assert str(got.value) == str(expected.value) == (
+        "flow exceeded overflow guard at step 87")
 
 
 def test_flow_table_inverse_slice_matches_per_column_ev():
@@ -681,6 +744,37 @@ def test_scipy_interpolate_is_not_loaded_even_by_a_flow_table():
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["False", "False"]
+
+
+_LINALG_PROBE = """\
+import sys
+import numpy as np
+import gbdsde
+from gbdsde import (BrownianFlow, FlowTable, TimeGrid, fields, interval_domain,
+                    pde_oracle_g0, sample_paths)
+from gbdsde.acceptance import _heat_coeffs
+grid = TimeGrid(0.0, 1.0, 10)
+b_path = sample_paths(grid, d=1, seed=3, count=1).B[0]
+flow = BrownianFlow(lambda t, x, y: 0.3 * np.sin(y)[..., None], b_path, grid)
+x, y = np.array([[0.5], [0.2]]), np.array([0.1, -0.3])
+flow.invert(np.array([0, 4]), x, flow.solve(np.array([0, 4]), x, y))
+table = FlowTable(flow, np.linspace(0.0, 1.0, 11), np.linspace(-2.0, 2.0, 12))
+table.derivs(0, np.array([0.5]), np.array([0.1]))
+table.invert(0, np.array([0.5]), np.array([0.1]))
+print("scipy.linalg" in sys.modules)
+fields.ORACLE_POINTS = 20
+oracle = pde_oracle_g0(_heat_coeffs(), interval_domain(0.0, 1.0))
+print(bool(np.isfinite(oracle.u).all()), "scipy.linalg" in sys.modules)
+"""
+
+
+def test_scipy_linalg_is_loaded_only_by_the_oracle():
+    # solve_banded is the oracle's alone: a flow's solve and invert and a
+    # table's derivs and invert never load scipy.linalg; the oracle still runs
+    env = dict(os.environ, PYTHONPATH=str(Path(gbdsde.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _LINALG_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["False", "True", "True"]
 
 
 class _StubDerivs:
