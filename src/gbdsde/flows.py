@@ -48,6 +48,16 @@ MAX_EXPAND = 60
 MAX_ILLINOIS = 80
 
 
+def _increment(g: np.ndarray, db: list[float]) -> np.ndarray:
+    """<g, dB> of the (n, d) slopes g: g[:, 0] dB_0 + g[:, 1] dB_1 + ...,
+    summed in this order row by row.  A BLAS matrix-vector product could
+    round a row differently by its position in the batch when d > 1."""
+    inc = g[:, 0] * db[0]
+    for k in range(1, len(db)):
+        inc += g[:, k] * db[k]
+    return inc
+
+
 class FlowBlowup(RuntimeError):
     """Raised when the flow integration exceeds the overflow guard."""
 
@@ -122,9 +132,10 @@ class BrownianFlow:
             substeps = np.maximum(1, np.ceil(db_norm * lipschitz_hint / 0.5).astype(int))
         else:
             substeps = np.ones(grid.step_count, dtype=int)
-        # per-step invariants of the sweep: (t_i, t_{i+1}, dB_i / m_i, m_i)
+        # per-step invariants of the sweep: (t_i, t_{i+1}, dB_i / m_i, m_i),
+        # the subincrement as a list of its d components
         times = grid.points
-        self._steps = list(zip(times[:-1], times[1:], db / substeps[:, None],
+        self._steps = list(zip(times[:-1], times[1:], (db / substeps[:, None]).tolist(),
                                substeps.tolist()))
 
     # -- integration ------------------------------------------------------
@@ -150,11 +161,9 @@ class BrownianFlow:
         is stable-sorted by index once, so those elements form a prefix of
         it (the live prefix), and g is bound to the prefix's x.  When a step
         reaches some elements' index, they are copied out and the prefix
-        shrinks; the results go back to the caller's order at the end.  With
-        one noise component (d = 1) every operation is elementwise, so every
-        value has the bits of a sweep of its own.  With d > 1 the increment
-        is a BLAS matrix-vector product, which may round a row differently
-        by its position in the batch, by about an ulp.
+        shrinks; the results go back to the caller's order at the end.  Every
+        operation is elementwise, the increment <g, dB> included (see
+        `_increment`), so every value has the bits of a sweep of its own.
 
         The step times, the (sub)increments dB_i / m_i and the substep
         counts m_i are fixed by the backward path and precomputed at
@@ -189,15 +198,14 @@ class BrownianFlow:
             if i < step_count:
                 t_left, t_right, db_sub, m = steps[i]
                 # Heun predictor-corrector per (sub)increment, read backwards;
-                # the slope average is formed in g_left's own storage, and
-                # .dot gives the bits of @ at a smaller per-call cost
+                # the slope average is formed in g_left's own storage
                 for _ in range(m):
                     g_right = g(t_right, state)
-                    pred = state + g_right.dot(db_sub)
+                    pred = state + _increment(g_right, db_sub)
                     g_left = g(t_left, pred)
                     g_left += g_right
                     g_left *= 0.5
-                    state += g_left.dot(db_sub)
+                    state += _increment(g_left, db_sub)
                 # fmax skips NaN, so NaN entries neither trip nor mask the guard
                 if state.size and np.fmax.reduce(np.abs(state)) > OVERFLOW_GUARD:
                     raise FlowBlowup(f"flow exceeded overflow guard at step {i}")

@@ -242,14 +242,26 @@ class NodeProjectors:
     """The projectors of N nodes at one step, for node-major rows.
 
     ``fit`` takes N S rows, N blocks of S scenarios, and fits each block
-    with its own node's projector, on a contiguous (S, ...) slice.
+    with its own node's projector.  When every node's basis has the same
+    rank r, the bases are held as one (N, S, r) stack and a fit is two
+    stacked products, which run each node's products of
+    `DesignProjector.fit` and give its bits; otherwise each block is fitted
+    on its own contiguous (S, ...) slice.
     """
 
     def __init__(self, projectors: list[DesignProjector]) -> None:
         self.projectors = projectors
+        self._stack = None
+        if len({proj.rank for proj in projectors}) == 1:
+            self._stack = np.stack([proj._u for proj in projectors])
 
     def fit(self, targets: np.ndarray) -> np.ndarray:
         s = self.projectors[0].scenario_count
+        if self._stack is not None:
+            targets = np.asarray(targets, dtype=float)
+            blocks = targets.reshape(len(self.projectors), s, -1)
+            fitted = self._stack @ (np.swapaxes(self._stack, 1, 2) @ blocks)
+            return fitted.reshape(targets.shape)
         fitted = np.empty(np.shape(targets))
         for n, proj in enumerate(self.projectors):
             fitted[n * s:(n + 1) * s] = proj.fit(targets[n * s:(n + 1) * s])

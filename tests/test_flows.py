@@ -346,6 +346,14 @@ def test_flow_blowup_guard(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _dot(g, db):
+    """g @ db; with d > 1 summed per component in order, as the sweep does,
+    since a BLAS product may round a row by its position in the batch."""
+    if db.size == 1:
+        return g @ db
+    return sum((g[..., k] * db[k] for k in range(1, db.size)), g[..., 0] * db[0])
+
+
 def _reference_solve(flow, t_index, x, y, store=False, lipschitz_hint=None):
     """The pre-hoisting sweep: increments, substeps and read-out per step."""
     if lipschitz_hint is not None and lipschitz_hint > 0:
@@ -376,9 +384,9 @@ def _reference_solve(flow, t_index, x, y, store=False, lipschitz_hint=None):
         db_sub = db / m
         for _ in range(m):
             g_right = g(times[i + 1], state)
-            pred = state + g_right @ db_sub
+            pred = state + _dot(g_right, db_sub)
             g_left = g(times[i], pred)
-            state = state + 0.5 * (g_right + g_left) @ db_sub
+            state = state + _dot(0.5 * (g_right + g_left), db_sub)
         if np.any(np.abs(state) > flows.OVERFLOW_GUARD):
             raise FlowBlowup(f"flow exceeded overflow guard at step {i}")
         if per_element:
@@ -441,6 +449,18 @@ def test_sweep_bit_identical_to_reference_loop(case):
     got = flow.solve(t_idx, xs, seeds)
     assert got.shape == seeds.shape
     assert np.array_equal(got, _reference_solve(flow, t_idx, xs, seeds, lipschitz_hint=hint))
+
+
+@pytest.mark.parametrize("case", ["plain", "substepped", "d2", "x_none"])
+def test_sweep_value_does_not_depend_on_the_batch(case):
+    # each element of one sweep has the bits of a sweep of its own, with
+    # several noise components too
+    flow, _, x, y = _sweep_case(case)
+    t_idx = np.resize(np.array([0, 57, 3, 199, 57]), y.shape)
+    batch = flow.solve(t_idx, x, y)
+    alone = [flow.solve(t_idx[j], None if x is None else x[j:j + 1], y[j:j + 1])[0]
+             for j in range(y.size)]
+    assert batch.tobytes() == np.array(alone).tobytes()
 
 
 @pytest.mark.parametrize("case", ["plain", "substepped", "d2", "x_none"])
@@ -775,6 +795,24 @@ def test_scipy_linalg_is_loaded_only_by_the_oracle():
     out = subprocess.run([sys.executable, "-c", _LINALG_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["False", "True", "True"]
+
+
+_SCIPY_PROBE = """\
+import sys
+import gbdsde.cli
+from gbdsde import TimeGrid, sample_paths
+sample_paths(TimeGrid(0.0, 1.0, 10), d=2, seed=3, count=100)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_scipy_module_is_loaded_by_the_cli_import_and_a_sampling():
+    # the normals come from the package's own numpy ndtri, so neither the
+    # CLI import nor a path bundle loads any scipy module
+    env = dict(os.environ, PYTHONPATH=str(Path(gbdsde.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class _StubDerivs:

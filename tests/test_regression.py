@@ -283,3 +283,24 @@ def test_projection_idempotent_and_mean_preserving(seed, degree, dim, loc, scale
         tol = 1e-10 * (np.max(np.abs(y)) + 1.0)
         assert np.max(np.abs(proj.fit(once) - once)) <= tol
         assert np.max(np.abs(once.mean(axis=0) - y.mean(axis=0))) <= tol
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal_ranks", "mixed_ranks"])
+def test_node_projectors_fit_equals_per_node_fits(mixed):
+    # equal ranks take the stacked (N, S, r) products, mixed ranks the loop;
+    # either way each node block has the bits of its own projector's fit
+    from gbdsde.regression import NodeProjectors
+
+    rng = np.random.default_rng(12)
+    s, basis = 400, PolynomialBasis(3)
+    points = [rng.normal(size=(s, 1)) for _ in range(5)]
+    if mixed:
+        points[2] = np.zeros((s, 1))  # constant features: rank 1
+    projs = [DesignProjector(p, basis) for p in points]
+    nodes = NodeProjectors(projs)
+    assert (nodes._stack is None) == mixed
+    for shape in ((5 * s, 1), (5 * s, 3), (5 * s, 1, 2)):
+        targets = rng.normal(size=shape)
+        expect = np.concatenate([proj.fit(targets[n * s:(n + 1) * s])
+                                 for n, proj in enumerate(projs)])
+        assert np.array_equal(nodes.fit(targets), expect)

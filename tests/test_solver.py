@@ -192,14 +192,14 @@ def test_stability_quadratic_in_perturbation():
 # unequal boundary processes, pinned so that any change of the energy weight
 # or of the squared norms shows
 PINNED_ESTIMATES = {
-    (1, 1): (["2.240888436790923", "0.14125809617323182", "0.005398215941477157",
-              "0.00016486383889371479"],
-             ["3.5728647966641103", "7.420842215125326", "0.4814635176290122"],
-             ["0.0016742066090013321", "0.011289282454912446"]),
-    (2, 2): (["6.908959857049902", "0.5263500080683879", "0.030346063662642555",
-              "0.0013829639830112745"],
+    (1, 1): (["2.240888436790923", "0.14125809617323182", "0.005398215941477161",
+              "0.0001648638388937151"],
+             ["3.5728647966641107", "7.420842215125326", "0.48146351762901224"],
+             ["0.001674206609001328", "0.011289282454912446"]),
+    (2, 2): (["6.908959857049905", "0.5263500080683883", "0.030346063662642545",
+              "0.0013829639830112788"],
              ["9.107123671942183", "9.981468357988042", "0.9124032001417776"],
-             ["0.005280207642390853", "0.0225511468993766"]),
+             ["0.0052802076423908465", "0.0225511468993766"]),
 }
 
 
