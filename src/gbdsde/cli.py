@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from numpy.linalg import LinAlgError
+
 from .config import SUITES, ConfigError, load_config
 from .flows import FlowBlowup, InversionError
 from .fields import NewtonFailure
@@ -27,6 +29,8 @@ NUMERICAL_ERRORS = (
     RegressionRankError,
     PicardDivergence,
     FloatingPointError,
+    # a ValueError: `main` catches these before its config errors
+    LinAlgError,
 )
 
 
@@ -69,16 +73,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         code, report = run_suite(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # invalid suite inputs surface as config errors with their field
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # invalid suite inputs (a ConfigError among them) surface as config
+        # errors with their field
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
     print(*report, sep="\n")
     return code

@@ -96,6 +96,14 @@ def _number(kind, value, name: str):
         raise ConfigError(str(exc)) from exc
 
 
+def _count(value, name: str, floor: int) -> int:
+    """`_number` of a whole-number field that must be at least ``floor``."""
+    count = _number(int, value, name)
+    if count < floor:
+        raise ConfigError(f"{name}: must be >= {floor}")
+    return count
+
+
 def _grid_from(section: dict) -> TimeGrid:
     t_start = _number(float, section.get("t_start", 0.0), "grid.t_start")
     t_end = _number(float, section.get("t_end", 1.0), "grid.t_end")
@@ -148,15 +156,13 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
     grid = _grid_from(grid_sec)
 
     mc = dict(data.get("monte_carlo", {}))
-    scenarios = _number(int, overrides["scenarios"] if overrides.get("scenarios") is not None
-                        else mc.get("scenarios", 1000), "monte_carlo.scenarios")
+    scenarios = _count(overrides["scenarios"] if overrides.get("scenarios") is not None
+                       else mc.get("scenarios", 1000), "monte_carlo.scenarios", 1)
     seed = _number(int, overrides["seed"] if overrides.get("seed") is not None
                    else mc.get("seed", 0), "monte_carlo.seed")
     shared_b = mc.get("shared_b", False)
     if not isinstance(shared_b, bool):
         raise ConfigError(f"monte_carlo.shared_b: {shared_b!r} is not a boolean")
-    if scenarios < 1:
-        raise ConfigError("monte_carlo.scenarios: must be >= 1")
 
     basis_spec = dict(data.get("basis", {"kind": "polynomial", "degree": 3}))
     try:
@@ -165,10 +171,8 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
         raise ConfigError(f"basis: {exc}") from exc
 
     out_dir = Path(overrides.get("out_dir") or data.get("output", {}).get("dir", "out"))
-    workers = _number(int, overrides["workers"] if overrides.get("workers") is not None
-                      else data.get("workers", 1), "workers")
-    if workers < 1:
-        raise ConfigError("workers: must be >= 1")
+    workers = _count(overrides["workers"] if overrides.get("workers") is not None
+                     else data.get("workers", 1), "workers", 1)
 
     config = ExperimentConfig(
         suite=suite,

@@ -30,7 +30,6 @@ from .solver import _as_k
 class ResidualReport:
     """Per-time residuals of one identity over a scenario bundle."""
 
-    times: np.ndarray
     residuals: np.ndarray  # (S, T+1)
 
     @property
@@ -122,7 +121,7 @@ def ito_formula_residual(
         + delta_sq * dt
     )
     rhs = np.concatenate([np.zeros((S, 1)), np.cumsum(increments, axis=1)], axis=1)
-    return ResidualReport(times=bundle.grid.points.copy(), residuals=lhs - rhs)
+    return ResidualReport(residuals=lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -301,4 +300,4 @@ def ito_ventzell_residual(
             * dt
         )
     rhs = np.concatenate([np.zeros((S, 1)), np.cumsum(increments, axis=1)], axis=1)
-    return ResidualReport(times=times.copy(), residuals=lhs - rhs)
+    return ResidualReport(residuals=lhs - rhs)

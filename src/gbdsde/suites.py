@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance as acc
-from .config import ConfigError, ExperimentConfig, _number
+from .config import ConfigError, ExperimentConfig, _count, _number
 from .fields import FieldNode, evaluate_u, field_blocks, pde_oracle_g0
 from .flows import flow_derivative_identities
 from .grids import TimeGrid
@@ -87,10 +87,10 @@ def run_simulate_reflected(config: ExperimentConfig) -> list[acc.CriterionResult
                           config.shared_b)
     opts = config.options.get("reflected", {})
     x0 = _start_point(opts, domain, "reflected")
+    keep = min(_count(opts.get("csv_scenarios", 10), "reflected.csv_scenarios", 0),
+               config.scenarios)
     refl = simulate_reflected(coeffs, domain, config.grid.t_start, x0, bundle)
 
-    keep = min(_number(int, opts.get("csv_scenarios", 10), "reflected.csv_scenarios"),
-               config.scenarios)
     rows = []
     for s in range(keep):
         for i, t in enumerate(config.grid.points):
@@ -156,7 +156,9 @@ def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
     final_trace = trace[-1] if trace else 0.0
     for i, t in enumerate(config.grid.points):
         mean_y = solution.Y[:, i, 0].mean()
-        se_y = solution.Y[:, i, 0].std(ddof=1) / np.sqrt(S)
+        # the start row's error is that of the pathwise totals, whose mean is
+        # mean_Y there; from one start point Y's own spread there is round-off
+        se_y = solution.Y[:, i, 0].std(ddof=1) / np.sqrt(S) if i else solution.initial_se()[0]
         mean_z = solution.Z[:, i, 0, :].mean(axis=0)
         rows.append([t, mean_y, se_y, *mean_z.tolist(), len(trace), final_trace])
     header = (["t", "mean_Y", "se_Y"] + [f"mean_Z{j}" for j in range(coeffs.d)]
@@ -175,7 +177,7 @@ def run_verify_flow(config: ExperimentConfig) -> list[acc.CriterionResult]:
     fd_step = _number(float, opts.get("fd_step", 1e-4), "flow.fd_step")
     if not (np.isfinite(fd_step) and fd_step > 0):  # the stencils divide by it
         raise ConfigError(f"flow.fd_step: {fd_step!r} is not a positive finite step")
-    n_samples = _number(int, opts.get("samples", 100), "flow.samples")
+    n_samples = _count(opts.get("samples", 100), "flow.samples", 1)
     flow = acc.noise_flow(noise, config.grid, config.seed, fd_step)
     samples = acc.flow_samples(config.seed, 77, config.grid.step_count, n_samples)
     viol = flow_derivative_identities(flow, samples)
@@ -197,7 +199,7 @@ def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
     ladder = [_number(int, v, "calculus.ladder") for v in ladder]
     if any(lo >= hi for lo, hi in zip(ladder, ladder[1:])):  # each rung refines
         raise ConfigError(f"calculus.ladder: {ladder!r} is not strictly increasing")
-    scenarios = _number(int, opts.get("scenarios", 128), "calculus.scenarios")
+    scenarios = _count(opts.get("scenarios", 128), "calculus.scenarios", 1)
     results: list[acc.CriterionResult] = []
 
     per_case: dict[str, list[tuple[float, float, float]]] = {}

@@ -741,3 +741,66 @@ def test_cli_constant_terminal_without_a_value_is_exit_2(tmp_path, capsys, termi
     assert (f"config error: solver.terminal.value: {shown} cannot be read as float"
             in captured.err)
     assert "OVERALL" not in captured.out
+
+
+def test_cli_failed_svd_is_exit_3(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError: it was reported as a config error, exit 2
+    import numpy as np
+
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    code = main(["solve-bdsde", "--config", str(write_config(tmp_path)),
+                 "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical failure: SVD did not converge" in captured.err
+    assert "OVERALL" not in captured.out
+
+
+@pytest.mark.parametrize("suite, section, field, value, floor", [
+    ("verify-flow", "flow", "samples", 0, 1),
+    ("verify-calculus", "calculus", "scenarios", 0, 1),
+    ("simulate-reflected", "reflected", "csv_scenarios", -3, 0),
+])
+def test_cli_count_option_below_its_floor_is_exit_2(
+        tmp_path, capsys, suite, section, field, value, floor):
+    # samples 0 failed in a reshape, scenarios 0 in the sampler, neither naming
+    # its field; csv_scenarios -3 wrote a header-only CSV and passed
+    cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
+    cfg.setdefault(section, {})[field] = value
+    if section == "reflected":
+        cfg["reflected"]["x0"] = [0.5]
+    out = tmp_path / "out"
+    code = main([suite, "--config", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"config error: {section}.{field}: must be >= {floor}" in captured.err
+    assert "OVERALL" not in captured.out
+    assert not out.exists()
+
+
+def test_cli_solver_start_row_se_is_the_pathwise_totals_se(tmp_path, monkeypatch):
+    # the start row's se_Y was the spread of one fitted value: round-off, ~1e-19
+    import csv
+
+    import gbdsde.suites as suites
+
+    solutions = []
+
+    def solve(*args, **kwargs):
+        solutions.append(real(*args, **kwargs))
+        return solutions[-1]
+
+    real = suites.solve_bdsde_markov
+    monkeypatch.setattr(suites, "solve_bdsde_markov", solve)
+    out = tmp_path / "out"
+    assert main(["solve-bdsde", "--config", str(write_config(tmp_path)),
+                 "--out-dir", str(out)]) == 0
+    with open(out / "bdsde_solution.csv") as fh:
+        start = next(csv.DictReader(fh))
+    solution, _ = solutions[0]
+    se = solution.initial_se()[0]
+    assert start["se_Y"] == suites.FLOAT_FMT % se
+    assert float(start["se_Y"]) > 1e-6

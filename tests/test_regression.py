@@ -146,10 +146,46 @@ def test_projector_build_matches_two_pass_reference(case):
     assert np.array_equal(proj.fit(targets), u_ref @ (u_ref.T @ targets))
 
 
-def _same_projector(proj, ref):
-    return (proj.rank == ref.rank and proj.scenario_count == ref.scenario_count
-            and proj._u.flags.c_contiguous
-            and np.array_equal(proj._u, ref._u))
+def _per_step_build(feature_points, basis):
+    """The one-design build the block build replaced, verbatim: (u, rank), or
+    the error it raised."""
+    from gbdsde.regression import MIN_SCENARIO_RATIO, RCOND
+
+    design = basis.features(feature_points)
+    s, p = design.shape
+    if s < MIN_SCENARIO_RATIO * p:
+        raise ValueError(
+            f"need >= {MIN_SCENARIO_RATIO}x more scenarios than basis functions "
+            f"({s} scenarios, {p} functions of {basis.name})"
+        )
+    if not np.all(np.isfinite(design)):
+        raise RegressionRankError(
+            f"non-finite feature values in basis {basis.name}")
+    mean = np.add.reduce(design, axis=0) / s
+    centered = np.subtract(design, mean, out=design)
+    std = np.sqrt(np.add.reduce(centered * centered, axis=0) / s)
+    keep = std > 1e-12 * (1.0 + np.abs(mean))
+    a = np.empty((centered.shape[0], 1 + np.count_nonzero(keep)))
+    a[:, 0] = 1.0
+    np.divide(centered[:, keep], std[keep], out=a[:, 1:])
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    retain = sv > RCOND * sv[0]
+    rank = int(np.count_nonzero(retain))
+    if rank == 0:
+        raise RegressionRankError(
+            f"design matrix of basis {basis.name} has rank 0")
+    return (u if rank == sv.size else np.ascontiguousarray(u[:, retain])), rank
+
+
+def _same_basis(u, feature_points, basis):
+    u_ref, _ = _per_step_build(feature_points, basis)
+    return u.flags.c_contiguous and np.array_equal(u, u_ref)
+
+
+def _same_projector(proj, feature_points, basis):
+    u_ref, rank_ref = _per_step_build(feature_points, basis)
+    return (proj.rank == rank_ref and proj.scenario_count == len(feature_points)
+            and _same_basis(proj._u, feature_points, basis))
 
 
 def _walk_points(steps=37, count=400, dim=1, seed=10):
@@ -161,9 +197,10 @@ def _walk_points(steps=37, count=400, dim=1, seed=10):
 
 
 @pytest.mark.parametrize("case", ["poly3_1d", "poly2_2d", "poly3_2d", "rank_deficient",
-                                  "constant_column", "poly0", "over_budget"])
+                                  "constant_column", "poly0", "over_budget", "overflow"])
 def test_stack_matches_per_step_build(case, monkeypatch):
     from gbdsde import regression
+    from gbdsde.regression import orthonormal_bases
 
     points, basis = _walk_points(steps=12), PolynomialBasis(3)
     if case in ("poly2_2d", "poly3_2d"):
@@ -181,20 +218,25 @@ def test_stack_matches_per_step_build(case, monkeypatch):
     elif case == "over_budget":
         # a block larger than one stacked design may hold is split, not cut
         monkeypatch.setattr(regression, "BLOCK_BYTES", 3 * 8 * 400 * 4)
-    block = DesignProjector.stack(points, basis)
-    assert len(block) == points.shape[0]
-    # only the constant start step keeps a different set of columns; it is
-    # still stacked (on its own) and still bit-identical; with PolynomialBasis(0)
-    # the one column is the intercept, whose sums are exact in any order
-    assert all(proj is not None for proj in block)
-    for c, proj in enumerate(block):
-        ref = DesignProjector(points[c], basis)
-        assert _same_projector(proj, ref), c
-        u_ref, rank_ref = _reference_projector(points[c], basis)
-        assert proj.rank == rank_ref and np.array_equal(proj._u, u_ref)
-    assert block[0].rank == 1
+    elif case == "overflow":
+        # finite cubes whose column sum overflows: the column is dropped
+        points[7, :2, 0] = 5e102
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = orthonormal_bases(points, basis)
+        assert len(block) == points.shape[0]
+        # only the constant start step keeps a different set of columns; it is
+        # still stacked (on its own) and still bit-identical; with PolynomialBasis(0)
+        # the one column is the intercept, whose sums are exact in any order
+        for c, u in enumerate(block):
+            assert _same_basis(u, points[c], basis), c
+            if case != "overflow":
+                u_ref, rank_ref = _reference_projector(points[c], basis)
+                assert u.shape[1] == rank_ref and np.array_equal(u, u_ref)
+    assert block[0].shape[1] == 1
     if case == "rank_deficient":
-        assert block[5].rank < block[4].rank == basis.feature_count(2)
+        assert block[5].shape[1] < block[4].shape[1] == basis.feature_count(2)
+    if case == "overflow":
+        assert block[7].shape[1] < block[6].shape[1] == basis.feature_count(1)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -221,7 +263,7 @@ def test_projector_walk_matches_per_step_builds(dim, order, monkeypatch):
     assert all(hi - lo <= 5 for lo, hi in calls)
     assert sorted(i for lo, hi in calls for i in range(lo, hi)) == sorted(walk)
     for i, proj in got:
-        assert _same_projector(proj, DesignProjector(points[i], basis)), i
+        assert _same_projector(proj, points[i], basis), i
 
 
 @pytest.mark.parametrize("basis", [PolynomialBasis(0)])
@@ -232,20 +274,39 @@ def test_projector_walk_per_step_fallbacks(basis):
     got = list(projector_walk(lambda lo, hi: points[lo:hi], basis, range(19, -1, -1)))
     assert [i for i, _ in got] == list(range(19, -1, -1))
     for i, proj in got:
-        assert _same_projector(proj, DesignProjector(points[i], basis)), i
+        assert _same_projector(proj, points[i], basis), i
+
+
+def _svd_failing_at_outliers(monkeypatch, how):
+    """Make np.linalg.svd raise LinAlgError (``how`` = "raise") or give zero
+    singular values ("zero") for every design holding a standardized entry
+    beyond 10: of a random walk's steps, only one with an outlier."""
+    real = np.linalg.svd
+
+    def svd(a, full_matrices=True):
+        bad = (np.abs(a) > 10).any(axis=(-2, -1))
+        if how == "raise" and bad.any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        u, sv, vt = real(a, full_matrices=full_matrices)
+        return u, np.where(bad[..., None], 0.0, sv), vt
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("case", ["nan", "inf", "too_few_scenarios"])
-def test_projector_walk_raises_at_the_per_step_step(case):
+@pytest.mark.parametrize("case", ["nan", "inf", "too_few_scenarios", "rank_0", "svd_fails"])
+def test_projector_walk_raises_at_the_per_step_step(case, monkeypatch):
     from gbdsde.regression import projector_walk
 
     points, basis, bad = _walk_points(steps=30), PolynomialBasis(2), 13
     if case in ("nan", "inf"):
         points[bad, 7, 0] = np.nan if case == "nan" else np.inf
         points[bad, 9, 0] = -np.inf  # inf - inf: no warning from the block build
-    else:
+    elif case == "too_few_scenarios":
         points, bad = points[:, :20], 29  # 20 scenarios for 6 functions
+    else:
+        points[bad, 7, 0] = 50.0
+        _svd_failing_at_outliers(monkeypatch, "zero" if case == "rank_0" else "raise")
     walk = range(29, -1, -1)
     reached = []
     with pytest.raises((ValueError, RegressionRankError)) as got:
@@ -253,8 +314,24 @@ def test_projector_walk_raises_at_the_per_step_step(case):
             reached.append(i)
     assert reached == list(range(29, bad, -1))
     with pytest.raises(type(got.value)) as ref:
-        DesignProjector(points[bad], basis)
+        _per_step_build(points[bad], basis)
     assert type(got.value) is type(ref.value) and str(got.value) == str(ref.value)
+    if case == "svd_fails":
+        assert isinstance(got.value, np.linalg.LinAlgError)
+
+
+def test_failed_stacked_svd_leaves_the_other_designs_their_bits(monkeypatch):
+    from gbdsde.regression import orthonormal_bases
+
+    points, basis = _walk_points(steps=12), PolynomialBasis(2)
+    points[5, 7, 0] = 50.0
+    refs = [_per_step_build(points[c], basis)[0] for c in range(12)]
+    _svd_failing_at_outliers(monkeypatch, "raise")
+    block = orthonormal_bases(points, basis)
+    assert isinstance(block[5], np.linalg.LinAlgError)
+    for c, u in enumerate(block):
+        if c != 5:
+            assert u.flags.c_contiguous and np.array_equal(u, refs[c]), c
 
 
 @settings(max_examples=30, deadline=None)
@@ -285,11 +362,26 @@ def test_projection_idempotent_and_mean_preserving(seed, degree, dim, loc, scale
         assert np.max(np.abs(once.mean(axis=0) - y.mean(axis=0))) <= tol
 
 
+def _node_fit(projs, targets):
+    """The per-node fit the one projector type replaced, verbatim."""
+    s = projs[0].scenario_count
+    if len({proj.rank for proj in projs}) == 1:
+        stack = np.stack([proj._u for proj in projs])
+        targets = np.asarray(targets, dtype=float)
+        blocks = targets.reshape(len(projs), s, -1)
+        fitted = stack @ (np.swapaxes(stack, 1, 2) @ blocks)
+        return fitted.reshape(targets.shape)
+    fitted = np.empty(np.shape(targets))
+    for n, proj in enumerate(projs):
+        fitted[n * s:(n + 1) * s] = proj.fit(targets[n * s:(n + 1) * s])
+    return fitted
+
+
 @pytest.mark.parametrize("mixed", [False, True], ids=["equal_ranks", "mixed_ranks"])
 def test_node_projectors_fit_equals_per_node_fits(mixed):
     # equal ranks take the stacked (N, S, r) products, mixed ranks the loop;
     # either way each node block has the bits of its own projector's fit
-    from gbdsde.regression import NodeProjectors
+    from gbdsde.regression import projector_walk
 
     rng = np.random.default_rng(12)
     s, basis = 400, PolynomialBasis(3)
@@ -297,10 +389,17 @@ def test_node_projectors_fit_equals_per_node_fits(mixed):
     if mixed:
         points[2] = np.zeros((s, 1))  # constant features: rank 1
     projs = [DesignProjector(p, basis) for p in points]
-    nodes = NodeProjectors(projs)
-    assert (nodes._stack is None) == mixed
+    for p, proj in zip(points, projs):
+        assert _same_projector(proj, p, basis)
+    [(_, nodes)] = projector_walk(lambda lo, hi: np.concatenate(points)[None], basis,
+                                  range(1), nodes=5)
+    assert isinstance(nodes._u, list) == mixed
+    assert nodes.rank == sum(proj.rank for proj in projs)
     for shape in ((5 * s, 1), (5 * s, 3), (5 * s, 1, 2)):
         targets = rng.normal(size=shape)
         expect = np.concatenate([proj.fit(targets[n * s:(n + 1) * s])
                                  for n, proj in enumerate(projs)])
+        assert np.array_equal(_node_fit(projs, targets), expect)
         assert np.array_equal(nodes.fit(targets), expect)
+    with pytest.raises(ValueError, match="feature rows"):
+        nodes.fit(np.ones(4 * s))
