@@ -56,6 +56,10 @@ from .geometry import interval_domain
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 HEAT_AMPLITUDE = math.exp(-math.pi**2 / 2.0)  # terminal-cosine decay over unit horizon
+# the flows' finite-difference step, and the gate of the flow derivative
+# identities (criterion 2 and `verify-flow`)
+FD_STEP = 1e-4
+FLOW_IDENTITY_TOL = 1e-3
 
 
 @dataclass
@@ -136,10 +140,10 @@ class SinNoise:
         return self.amp * (1.0 + abs(self.x_mod))
 
 
-def noise_flow(noise: SinNoise, grid: TimeGrid, seed: int, fd_step: float) -> BrownianFlow:
+def noise_flow(noise: SinNoise, grid: TimeGrid, seed: int) -> BrownianFlow:
     """The flow of ``noise`` along the B path of the seed's one-scenario bundle."""
     bundle = sample_paths(grid, d=1, seed=seed, count=1)
-    return BrownianFlow(noise, bundle.B[0], grid, fd_step=fd_step,
+    return BrownianFlow(noise, bundle.B[0], grid, fd_step=FD_STEP,
                         lipschitz_hint=noise.lipschitz)
 
 
@@ -212,14 +216,15 @@ def criterion_reflection_oracle(seed: int = 2024) -> list[CriterionResult]:
 
 def criterion_flow_identities(seed: int = 2024) -> list[CriterionResult]:
     grid = TimeGrid(0.0, 1.0, 10_000)  # dt = 1e-4
-    flow = noise_flow(SinNoise(amp=1.0, x_mod=0.25), grid, seed, 1e-4)
+    flow = noise_flow(SinNoise(amp=1.0, x_mod=0.25), grid, seed)
     t_idx, xs, ys = flow_samples(seed, 21, grid.step_count, 1000)
     w = flow.solve(t_idx, xs, ys)
     back = flow.invert(t_idx, xs, w, guess=ys)
     inv_gap = float(np.max(np.abs(back - ys) / (1.0 + np.abs(ys))))
     results = [_le("flow_inversion_identity", inv_gap, 1e-9)]
     viol = flow_derivative_identities(flow, (t_idx, xs, ys))
-    return results + [_le(f"flow_identity_{name}", value, 1e-3) for name, value in viol.items()]
+    return results + [_le(f"flow_identity_{name}", value, FLOW_IDENTITY_TOL)
+                      for name, value in viol.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +363,7 @@ def criterion_transform_equivalence(seed: int = 2024) -> list[CriterionResult]:
     direct, reflected = solve_bdsde_markov(
         coeffs, domain, 0.0, np.array([0.5]), bundle, basis)
 
-    flow = BrownianFlow(TRANSFORM_NOISE, bundle.B[0], grid, fd_step=1e-4,
+    flow = BrownianFlow(TRANSFORM_NOISE, bundle.B[0], grid, fd_step=FD_STEP,
                         lipschitz_hint=TRANSFORM_NOISE.lipschitz)
     y_all = direct.Y[:, :, 0]
     pad = 1.5
@@ -392,7 +397,7 @@ def criterion_operator_identity(seed: int = 2024) -> list[CriterionResult]:
                             + 0.1 * x[..., :1]),
         lambda t, x, y: np.zeros_like(y), drift=0.1, K=2.0, c=2.0, alpha=0.5, beta1=1.0)
     grid = TimeGrid(0.0, 1.0, 10_000)
-    flow = noise_flow(noise, grid, seed, 1e-4)
+    flow = noise_flow(noise, grid, seed)
     t_idx, xs, _ = flow_samples(seed, 31, grid.step_count, 100)
     field = trig_test_field(amp=0.8, freq=2.0, decay=0.4)
     # (x + 2) / 4 is exactly the U[0, 1) draw behind each x
@@ -571,11 +576,7 @@ def criterion_estimate_stability(seed: int = 2024) -> list[CriterionResult]:
     for delta in STABILITY_DELTAS:
         pert = _perturbed_driver(coeffs, delta)
         sol_pert = picard_solve(pert, xi, k_path, bundle, basis, tol=1e-12, max_iter=9)
-        gap = stability_gap(
-            {"xi": xi, "coeffs": coeffs, "k": k_path},
-            {"xi": xi, "coeffs": pert, "k": k_path},
-            sol_base, sol_pert)
-        scalings.append(gap["lhs"] / delta**2)
+        scalings.append(stability_gap(sol_base, sol_pert, k_path, k_path) / delta**2)
     spread = max(scalings) / min(scalings)
     results.append(_le("stability_quadratic_scaling", spread, 2.0,
                        scalings=scalings))

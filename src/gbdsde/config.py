@@ -32,15 +32,15 @@ SUITES = (
 # the sections a config may hold, each a mapping, with the keys each may hold:
 # the parser's own sections, then the suites' options (read in suites.py)
 SECTION_KEYS = {
-    "grid": ("t_start", "t_end", "dt", "step_count"),
+    "grid": ("t_start", "t_end", "dt"),
     "monte_carlo": ("scenarios", "seed", "shared_b"),
     "basis": ("kind", "degree"),
     "output": ("dir",),
     "problem": ("n", "d", "x_dim", "f", "g", "h", "l", "b", "sigma", "constants"),
     "domain": ("kind", "a", "b", "center", "r"),
     "reflected": ("x0", "csv_scenarios"),
-    "solver": ("x0", "terminal", "tol", "max_iter"),
-    "flow": ("noise_amp", "x_mod", "fd_step", "samples", "tolerance"),
+    "solver": ("x0", "tol", "max_iter"),
+    "flow": ("noise_amp", "samples"),
     "calculus": ("ladder", "scenarios"),
     "field": ("nodes", "mode"),
     "acceptance": ("criteria",),
@@ -107,19 +107,16 @@ def _count(value, name: str, floor: int) -> int:
 def _grid_from(section: dict) -> TimeGrid:
     t_start = _number(float, section.get("t_start", 0.0), "grid.t_start")
     t_end = _number(float, section.get("t_end", 1.0), "grid.t_end")
-    if "step_count" in section:
-        steps = _number(int, section["step_count"], "grid.step_count")
-    elif "dt" in section:
-        dt = _number(float, section["dt"], "grid.dt")
-        if dt <= 0:
-            raise ConfigError("grid.dt: must be positive")
-        steps_f = (t_end - t_start) / dt
-        steps = int(round(steps_f))
-        if steps < 1 or abs(steps - steps_f) > 1e-9 * max(1.0, steps_f):
-            raise ConfigError(
-                f"grid.dt: {dt} does not divide the horizon {t_end - t_start}")
-    else:
-        raise ConfigError("grid: needs dt or step_count")
+    if "dt" not in section:
+        raise ConfigError("grid: needs dt")
+    dt = _number(float, section["dt"], "grid.dt")
+    if dt <= 0:
+        raise ConfigError("grid.dt: must be positive")
+    steps_f = (t_end - t_start) / dt
+    steps = int(round(steps_f))
+    if steps < 1 or abs(steps - steps_f) > 1e-9 * max(1.0, steps_f):
+        raise ConfigError(
+            f"grid.dt: {dt} does not divide the horizon {t_end - t_start}")
     try:
         return TimeGrid(t_start, t_end, steps)
     except ValueError as exc:
@@ -152,7 +149,6 @@ def parse_config(mapping: dict, overrides: dict | None = None) -> ExperimentConf
     grid_sec = dict(data.get("grid", {}))
     if "dt" in overrides and overrides["dt"] is not None:
         grid_sec["dt"] = overrides["dt"]
-        grid_sec.pop("step_count", None)
     grid = _grid_from(grid_sec)
 
     mc = dict(data.get("monte_carlo", {}))

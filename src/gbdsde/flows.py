@@ -487,18 +487,18 @@ class FlowTable:
         self.y_grid = y_grid
         xs, ys = np.meshgrid(x_grid, y_grid, indexing="ij")
         traj = flow.solve(0, xs.ravel()[:, None], ys.ravel(), store=True)
-        self.values = traj.reshape(len(self.grid), x_grid.size, y_grid.size)
-        bad = np.count_nonzero(~np.isfinite(self.values))
+        values = traj.reshape(len(self.grid), x_grid.size, y_grid.size)
+        bad = np.count_nonzero(~np.isfinite(values))
         if bad:
             raise FlowBlowup(f"flow table has {bad} non-finite tabulated values")
-        if np.any(np.diff(self.values, axis=2) <= 0):
+        if np.any(np.diff(values, axis=2) <= 0):
             raise InversionError("tabulated flow is not strictly increasing in y")
         self._x_axis = _SplineAxis(x_grid, min(5, x_grid.size - 1))
         self._y_axis = _SplineAxis(y_grid, min(5, y_grid.size - 1))
-        self.coeffs = self._x_axis.fit @ self.values @ self._y_axis.fit.T
+        self.coeffs = self._x_axis.fit @ values @ self._y_axis.fit.T
         # common inverse range across x columns, slightly shrunk for safety
-        lo = float(self.values[:, :, 0].max())
-        hi = float(self.values[:, :, -1].min())
+        lo = float(values[:, :, 0].max())
+        hi = float(values[:, :, -1].min())
         if lo >= hi:
             raise InversionError("flow table has no common invertible range")
         pad = 1e-9 * (hi - lo)

@@ -134,22 +134,16 @@ def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
         solution, reflected = solve_bdsde_markov(coeffs, domain, config.grid.t_start, x0,
                                                  bundle, basis)
         terminal = coeffs.l(reflected.X[:, -1, :])[:, None]
-        trace = []
+        trace, checks = [], []
     else:
-        terminal = opts.get("terminal", "w_terminal")
-        if terminal == "w_terminal":
-            xi = bundle.W[:, -1, :coeffs.n]
-        elif isinstance(terminal, dict) and terminal.get("kind") == "constant":
-            value = _number(float, terminal.get("value"), "solver.terminal.value")
-            xi = np.full((config.scenarios, coeffs.n), value)
-        else:
-            raise ValueError(f"unknown terminal spec {terminal!r}")
-        solution = picard_solve(coeffs, xi, None, bundle, basis,
-                                tol=_number(float, opts.get("tol", 1e-10), "solver.tol"),
-                                max_iter=_number(int, opts.get("max_iter", 10),
-                                                 "solver.max_iter"))
-        terminal = xi
+        # the terminal value W_T
+        terminal = bundle.W[:, -1, :coeffs.n]
+        tol = _number(float, opts.get("tol", 1e-10), "solver.tol")
+        solution = picard_solve(coeffs, terminal, None, bundle, basis, tol=tol,
+                                max_iter=_count(opts.get("max_iter", 10), "solver.max_iter", 1))
         trace = solution.picard_trace
+        # the iteration met its tolerance within max_iter passes
+        checks = [acc._le("picard_converged", trace[-1], tol)]
 
     S = solution.Y.shape[0]
     rows = []
@@ -166,24 +160,20 @@ def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
     write_csv(config.out_dir / "bdsde_solution.csv", header, rows)
 
     gap = float(np.max(np.abs(solution.Y[:, -1, :] - terminal)))
-    return [acc.CriterionResult("terminal_condition_exact", gap, 0.0,
-                                gap == 0.0, "<=")]
+    return [acc.CriterionResult("terminal_condition_exact", gap, 0.0, gap == 0.0, "<="),
+            *checks]
 
 
 def run_verify_flow(config: ExperimentConfig) -> list[acc.CriterionResult]:
     opts = config.options.get("flow", {})
-    noise = acc.SinNoise(amp=_number(float, opts.get("noise_amp", 1.0), "flow.noise_amp"),
-                         x_mod=_number(float, opts.get("x_mod", 0.25), "flow.x_mod"))
-    fd_step = _number(float, opts.get("fd_step", 1e-4), "flow.fd_step")
-    if not (np.isfinite(fd_step) and fd_step > 0):  # the stencils divide by it
-        raise ConfigError(f"flow.fd_step: {fd_step!r} is not a positive finite step")
+    noise = acc.SinNoise(amp=_number(float, opts.get("noise_amp", 1.0), "flow.noise_amp"))
     n_samples = _count(opts.get("samples", 100), "flow.samples", 1)
-    flow = acc.noise_flow(noise, config.grid, config.seed, fd_step)
+    flow = acc.noise_flow(noise, config.grid, config.seed)
     samples = acc.flow_samples(config.seed, 77, config.grid.step_count, n_samples)
     viol = flow_derivative_identities(flow, samples)
 
-    tol = _number(float, opts.get("tolerance", 1e-3), "flow.tolerance")
-    rows = [[name, value, n_samples, fd_step, config.grid.dt]
+    tol = acc.FLOW_IDENTITY_TOL
+    rows = [[name, value, n_samples, acc.FD_STEP, config.grid.dt]
             for name, value in viol.items()]
     write_csv(config.out_dir / "flow_identities.csv",
               ["identity", "max_violation", "samples", "fd_step", "dt"], rows)

@@ -35,6 +35,15 @@ BASE_CONFIG = {
 }
 
 
+# keys that were options and are now constants: any value is the unknown-key error
+CONSTANT_KEYS = {("grid", "step_count"), ("solver", "terminal"), ("flow", "x_mod"),
+                 ("flow", "fd_step"), ("flow", "tolerance")}
+
+
+def unknown_key_error(section, key):
+    return f"{section}: unknown keys [{key!r}]; pick from"
+
+
 def write_config(tmp_path: Path, mapping=None) -> Path:
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(mapping or BASE_CONFIG))
@@ -150,9 +159,12 @@ def test_cli_rejects_out_and_abbreviated_flags(tmp_path, flag):
     assert not target.exists()
 
 
-def test_cli_failing_criterion_exit_1(tmp_path):
+def test_cli_failing_criterion_exit_1(tmp_path, monkeypatch):
+    import gbdsde.acceptance as acceptance
+
+    monkeypatch.setattr(acceptance, "FLOW_IDENTITY_TOL", 1e-18)
     cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
-    cfg["flow"] = {"samples": 10, "noise_amp": 0.4, "tolerance": 1e-18}
+    cfg["flow"] = {"samples": 10, "noise_amp": 0.4}
     path = write_config(tmp_path, cfg)
     code = main(["verify-flow", "--config", str(path),
                  "--out-dir", str(tmp_path / "flowout")])
@@ -229,6 +241,29 @@ def test_cli_non_finite_solution_is_exit_3(tmp_path, capsys, suite, markov):
     assert code == 3
     assert "numerical failure" in captured.err and "non-finite" in captured.err
     assert "OVERALL: PASS" not in captured.out
+
+
+@pytest.mark.parametrize("degree, code, status", [(None, 1, "FAIL"), (2, 0, "PASS")],
+                         ids=["cubic", "quadratic"])
+def test_cli_picard_path_gates_convergence(tmp_path, capsys, degree, code, status):
+    # the Picard path gated only its terminal value: on the default cubic basis
+    # it stopped at max_iter 10 with the trace 6.1e-10 above tol 1e-10 and
+    # printed OVERALL: PASS; the quadratic basis reaches 3.6e-12 in 9 passes
+    cfg = {
+        "suite": "solve-bdsde",
+        "problem": {"n": 1, "d": 1, "f": {"kind": "linear", "y": -0.5},
+                    "g": {"kind": "linear", "z": 0.5}, "h": {"kind": "constant", "value": 0.2}},
+        "grid": {"dt": 0.02},
+        "monte_carlo": {"scenarios": 1000, "seed": 2024, "shared_b": False},
+    }
+    if degree is not None:
+        cfg["basis"] = {"kind": "polynomial", "degree": degree}
+    assert main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
+                 "--out-dir", str(tmp_path / "out")]) == code
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [line for line in lines if line.startswith("picard_converged:")]
+    assert line.endswith(f"<= 1e-10 -> {status}")
+    assert f"OVERALL: {status}" in lines
 
 
 def test_cli_non_finite_flow_table_is_exit_3(tmp_path, capsys, monkeypatch):
@@ -336,7 +371,9 @@ def test_cli_non_numeric_config_number_is_exit_2(tmp_path, capsys, section, fiel
     # the problem's builder reads its sizes; its errors carry the section first
     name = (f"problem: {field}" if section == "problem"
             else f"{section}.{field}" if section else field)
-    assert f"config error: {name}: {value!r} cannot be read as" in capsys.readouterr().err
+    expected = (unknown_key_error(section, field) if (section, field) in CONSTANT_KEYS
+                else f"{name}: {value!r} cannot be read as")
+    assert f"config error: {expected}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, field, value", [
@@ -351,9 +388,11 @@ def test_parse_rejects_truncated_integer_field(section, field, value):
     # the problem's builder reads its sizes; its errors carry the section first
     name = (f"problem: {field}" if section == "problem"
             else f"{section}.{field}" if section else field)
+    expected = (unknown_key_error(section, field) if (section, field) in CONSTANT_KEYS
+                else f"{name}: {value!r} cannot be read as int")
     with pytest.raises(ConfigError) as info:
         parse_config(cfg)
-    assert str(info.value).startswith(f"{name}: {value!r} cannot be read as int")
+    assert str(info.value).startswith(expected)
 
 
 @pytest.mark.parametrize("field, value", [("d", None), ("n", [1]), ("n", "one"),
@@ -506,8 +545,9 @@ def test_cli_suite_option_that_is_not_a_number_is_exit_2(
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
     shown = value[-1] if field == "ladder" else value
-    assert (f"config error: {section}.{field}: {shown!r} cannot be read as {kind}"
-            in capsys.readouterr().err)
+    expected = (unknown_key_error(section, field) if (section, field) in CONSTANT_KEYS
+                else f"{section}.{field}: {shown!r} cannot be read as {kind}")
+    assert f"config error: {expected}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key", [
@@ -523,7 +563,7 @@ def test_cli_unknown_key_in_a_section_is_exit_2(tmp_path, capsys, section, key):
     code = main(["solve-bdsde", "--config", str(write_config(tmp_path, cfg)),
                  "--out-dir", str(out)])
     assert code == 2
-    assert f"config error: {section}: unknown keys [{key!r}]; pick from" in capsys.readouterr().err
+    assert f"config error: {unknown_key_error(section, key)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -641,15 +681,15 @@ def test_cli_acceptance_criteria_that_are_not_criterion_names_is_exit_2(
 
 @pytest.mark.parametrize("fd_step", [0.0, -1e-4, float("inf"), float("nan")])
 def test_cli_flow_fd_step_that_is_not_positive_and_finite_is_exit_2(tmp_path, capsys, fd_step):
-    # a zero step divided by zero: nan in every row of flow_identities.csv, exit 1
+    # a zero step divided by zero: nan in every row of flow_identities.csv, exit 1;
+    # the step is now the constant acceptance.FD_STEP, so any flow.fd_step is unknown
     cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
     cfg["flow"] = {"fd_step": fd_step, "samples": 5}
     out = tmp_path / "out"
     code = main(["verify-flow", "--config", str(write_config(tmp_path, cfg)),
                  "--out-dir", str(out)])
     assert code == 2
-    assert (f"config error: flow.fd_step: {fd_step!r} is not a positive finite step"
-            in capsys.readouterr().err)
+    assert f"config error: {unknown_key_error('flow', 'fd_step')}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -725,12 +765,11 @@ def test_cli_sum_or_scale_without_its_keys_is_exit_2(tmp_path, capsys, spec, mes
     assert not out.exists()
 
 
-@pytest.mark.parametrize("terminal, shown", [
-    ({"kind": "constant"}, "None"),
-    ({"kind": "constant", "value": "one"}, "'one'"),
-], ids=["missing", "not-a-number"])
-def test_cli_constant_terminal_without_a_value_is_exit_2(tmp_path, capsys, terminal, shown):
-    # the Picard path read terminal["value"] unchecked: KeyError: 'value', exit 1
+@pytest.mark.parametrize("terminal", [{"kind": "constant"}, {"kind": "constant", "value": "one"}],
+                         ids=["missing", "not-a-number"])
+def test_cli_constant_terminal_without_a_value_is_exit_2(tmp_path, capsys, terminal):
+    # the Picard path read terminal["value"] unchecked: KeyError: 'value', exit 1;
+    # it now always takes W_T, so any solver.terminal is unknown
     cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
     del cfg["domain"]
     cfg["solver"] = {"terminal": terminal}
@@ -738,8 +777,7 @@ def test_cli_constant_terminal_without_a_value_is_exit_2(tmp_path, capsys, termi
                  "--out-dir", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert code == 2
-    assert (f"config error: solver.terminal.value: {shown} cannot be read as float"
-            in captured.err)
+    assert f"config error: {unknown_key_error('solver', 'terminal')}" in captured.err
     assert "OVERALL" not in captured.out
 
 
@@ -763,15 +801,20 @@ def test_cli_failed_svd_is_exit_3(tmp_path, capsys, monkeypatch):
     ("verify-flow", "flow", "samples", 0, 1),
     ("verify-calculus", "calculus", "scenarios", 0, 1),
     ("simulate-reflected", "reflected", "csv_scenarios", -3, 0),
+    ("solve-bdsde", "solver", "max_iter", 0, 1),
+    ("solve-bdsde", "solver", "max_iter", -1, 1),
 ])
 def test_cli_count_option_below_its_floor_is_exit_2(
         tmp_path, capsys, suite, section, field, value, floor):
-    # samples 0 failed in a reshape, scenarios 0 in the sampler, neither naming
-    # its field; csv_scenarios -3 wrote a header-only CSV and passed
+    # samples 0 failed in a reshape, scenarios 0 in the sampler, max_iter 0 in
+    # a Picard solve that ran no pass, none naming its field; csv_scenarios -3
+    # wrote a header-only CSV and passed
     cfg = yaml.safe_load(yaml.safe_dump(BASE_CONFIG))
     cfg.setdefault(section, {})[field] = value
     if section == "reflected":
         cfg["reflected"]["x0"] = [0.5]
+    if section == "solver":
+        del cfg["domain"]  # the Picard path, which reads max_iter
     out = tmp_path / "out"
     code = main([suite, "--config", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
     captured = capsys.readouterr()

@@ -621,8 +621,12 @@ def _table(x_count, y_count, steps=30):
 
 
 def _fitpack_slice(table, t_index):
-    """FITPACK's interpolant of one tabulated slice, the oracle of the table's fit."""
-    return RectBivariateSpline(table.x_grid, table.y_grid, table.values[t_index],
+    """FITPACK's interpolant of one tabulated slice, the oracle of the table's fit;
+    the slice comes from the table's own sweep, rerun (the table keeps no values)."""
+    xs, ys = np.meshgrid(table.x_grid, table.y_grid, indexing="ij")
+    traj = table.flow.solve(0, xs.ravel()[:, None], ys.ravel(), store=True)
+    values = traj.reshape(len(table.grid), table.x_grid.size, table.y_grid.size)
+    return RectBivariateSpline(table.x_grid, table.y_grid, values[t_index],
                                kx=table._x_axis.k, ky=table._y_axis.k)
 
 

@@ -23,7 +23,7 @@ from gbdsde import (
     stability_gap,
 )
 from gbdsde.acceptance import SinNoise, _bm_coeffs, _transform_instance, _zeros_coeffs
-from gbdsde.solver import PicardDivergence
+from gbdsde.solver import LAM, PicardDivergence
 
 BASIS = PolynomialBasis(3)
 
@@ -126,7 +126,7 @@ def test_apriori_trivial_and_homogeneous_scaling():
     zero = picard_solve(_zeros_coeffs(), np.zeros(2000), None, bundle, BASIS,
                         max_iter=3)
     rep = apriori_ratio(zero, _zeros_coeffs(), np.zeros(2000), None)
-    assert rep["trivial"] and rep["ratio"] == 0.0
+    assert rep["lhs"] == 0.0 and rep["ratio"] == 0.0
 
     # linear homogeneous data: doubling xi multiplies both sides by 4
     coeffs = _zeros_coeffs(
@@ -150,9 +150,7 @@ def test_stability_identical_data_zero_gap():
     coeffs = _zeros_coeffs(f=lambda t, x, y, z: -y)
     xi = bundle.W[:, -1, 0]
     sol = picard_solve(coeffs, xi, None, bundle, BASIS, tol=1e-13, max_iter=8)
-    out = stability_gap({"xi": xi, "coeffs": coeffs, "k": None},
-                        {"xi": xi, "coeffs": coeffs, "k": None}, sol, sol)
-    assert out["lhs"] == 0.0
+    assert stability_gap(sol, sol) == 0.0
 
 
 def test_stability_equal_k_drops_variation_term():
@@ -164,12 +162,14 @@ def test_stability_equal_k_drops_variation_term():
     xi = bundle.W[:, -1, 0]
     sol1 = picard_solve(coeffs, xi, k, bundle, BASIS, tol=1e-13, max_iter=8)
     sol2 = picard_solve(coeffs2, xi, k, bundle, BASIS, tol=1e-13, max_iter=8)
-    out = stability_gap({"xi": xi, "coeffs": coeffs, "k": k},
-                        {"xi": xi, "coeffs": coeffs2, "k": k}, sol1, sol2)
-    # with equal boundary processes only the h-difference term contributes:
-    # rhs = int |h - h'|^2 dk' * weights = 0.04 * k_T-ish, and lhs is bounded by it
-    assert out["rhs"] > 0
-    assert out["lhs"] <= 10 * out["rhs"]
+    gap = stability_gap(sol1, sol2, k, k)
+    # with equal boundary processes |k - k'|_tv vanishes and the weight is e^{LAM k}
+    w = np.exp(LAM * k)
+    y_sq = (sol1.Y - sol2.Y)[..., 0] ** 2
+    z_sq = (sol1.Z - sol2.Z)[:, :-1, 0, 0] ** 2
+    expected = np.mean(np.max(w * y_sq, axis=1) + np.sum(w[:-1] * z_sq * grid.dt, axis=1))
+    assert gap > 0
+    assert gap == pytest.approx(expected, rel=1e-12)
 
 
 def test_stability_quadratic_in_perturbation():
@@ -182,24 +182,22 @@ def test_stability_quadratic_in_perturbation():
     for delta in (0.1, 0.05):
         pert = _zeros_coeffs(f=lambda t, x, y, z, _d=delta: -0.5 * y + _d * np.cos(y))
         sol_p = picard_solve(pert, xi, None, bundle, BASIS, tol=1e-13, max_iter=8)
-        out = stability_gap({"xi": xi, "coeffs": coeffs, "k": None},
-                            {"xi": xi, "coeffs": pert, "k": None}, base, sol_p)
-        scalings.append(out["lhs"] / delta**2)
+        scalings.append(stability_gap(base, sol_p) / delta**2)
     assert max(scalings) / min(scalings) <= 2.0
 
 
-# reprs of the Picard trace, the a-priori sides and the stability sides with
-# unequal boundary processes, pinned so that any change of the energy weight
-# or of the squared norms shows
+# reprs of the Picard trace, the a-priori sides and the stability estimate's
+# left side with unequal boundary processes, pinned so that any change of the
+# energy weight or of the squared norms shows
 PINNED_ESTIMATES = {
     (1, 1): (["2.240888436790923", "0.14125809617323182", "0.005398215941477161",
               "0.0001648638388937151"],
              ["3.5728647966641107", "7.420842215125326", "0.48146351762901224"],
-             ["0.001674206609001328", "0.011289282454912446"]),
+             "0.001674206609001328"),
     (2, 2): (["6.908959857049905", "0.5263500080683883", "0.030346063662642545",
               "0.0013829639830112788"],
              ["9.107123671942183", "9.981468357988042", "0.9124032001417776"],
-             ["0.0052802076423908465", "0.0225511468993766"]),
+             "0.0052802076423908465"),
 }
 
 
@@ -224,12 +222,11 @@ def test_estimates_and_picard_trace_are_pinned(n, d):
     sol = picard_solve(coeffs, xi, k, bundle, basis, tol=1e-12, max_iter=4)
     sol_p = picard_solve(pert, xi, k_prime, bundle, basis, tol=1e-12, max_iter=4)
     est = apriori_ratio(sol, coeffs, xi, k)
-    gap = stability_gap({"xi": xi, "coeffs": coeffs, "k": k},
-                        {"xi": xi, "coeffs": pert, "k": k_prime}, sol, sol_p)
-    trace, sides, gap_sides = PINNED_ESTIMATES[(n, d)]
+    gap = stability_gap(sol, sol_p, k, k_prime)
+    trace, sides, gap_lhs = PINNED_ESTIMATES[(n, d)]
     assert [repr(v) for v in sol.picard_trace] == trace
     assert [repr(est[key]) for key in ("lhs", "rhs", "ratio")] == sides
-    assert [repr(gap[key]) for key in ("lhs", "rhs")] == gap_sides
+    assert repr(gap) == gap_lhs
 
 
 def test_markov_constant_terminal_exact():

@@ -91,7 +91,7 @@ CONFIG = {
     "monte_carlo": {"scenarios": 100, "seed": 11},
     "suite": "verify-flow",
     "calculus": {"ladder": [20, 40, 80], "scenarios": 48},
-    "flow": {"samples": 12, "noise_amp": 0.6, "x_mod": 0.3, "fd_step": 2e-4},
+    "flow": {"samples": 12, "noise_amp": 0.6},
 }
 
 
