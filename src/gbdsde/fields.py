@@ -120,8 +120,9 @@ class NewtonFailure(RuntimeError):
 def _fill_bands(jac: np.ndarray, sel: np.ndarray, dcol: np.ndarray) -> None:
     """Scatter the response to perturbing nodes ``sel`` into banded Jacobian rows.
 
-    Rows of ``jac`` are (upper, diagonal, lower) in `solve_banded` layout;
-    ``dcol`` is the finite-difference response of every node.
+    Rows of ``jac`` are (upper, diagonal, lower) in the layout
+    `_solve_tridiagonal` reads: column j holds the entries (j-1, j), (j, j)
+    and (j+1, j); ``dcol`` is the finite-difference response of every node.
     """
     last = jac.shape[1] - 1
     jac[1, sel] = dcol[sel]                 # diagonal
@@ -129,6 +130,55 @@ def _fill_bands(jac: np.ndarray, sel: np.ndarray, dcol: np.ndarray) -> None:
     jac[0, up] = dcol[up - 1]               # upper band entries (j-1, j)
     lo = sel[sel < last]
     jac[2, lo] = dcol[lo + 1]               # lower band entries (j+1, j)
+
+
+def _solve_tridiagonal(bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system ``bands`` (`_fill_bands` layout) for ``rhs``.
+
+    LAPACK's ``dgtsv`` with one right-hand side, line for line: Gaussian
+    elimination with partial pivoting, which swaps rows i and i+1 where
+    |d_i| < |dl_i| and keeps row i's new entry in column i+2 in ``dl_i``; the
+    last row, which has no column i+2; and a back solve through ``du`` and
+    that fill-in ``dl``.
+    The same operations in the same order give the bits of the routine
+    `scipy.linalg.solve_banded` calls for (1, 1) bands.  It loops over
+    Python floats: indexing numpy arrays element by element is ~2x slower.
+    Raises LinAlgError at an exact zero pivot.
+    """
+    n = len(rhs)
+    du, d, dl = bands[0, 1:].tolist(), bands[1].tolist(), bands[2, :-1].tolist()
+    x = rhs.tolist()
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            # no interchange: eliminate dl_i with pivot d_i
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            x[i + 1] = x[i + 1] - fact * x[i]
+            dl[i] = 0.0
+        else:
+            # interchange rows i and i+1; before the last row, row i gains
+            # the fill-in du_{i+1} at (i, i+2), kept in dl_i
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            temp = x[i]
+            x[i] = x[i + 1]
+            x[i + 1] = temp - fact * x[i + 1]
+    if d[n - 1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    x[n - 1] = x[n - 1] / d[n - 1]
+    if n > 1:
+        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
+    return np.array(x)
 
 
 def _oracle_pass(
@@ -141,10 +191,12 @@ def _oracle_pass(
     t_end: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Crank-Nicolson sweep of the terminal-value problem; each step is
-    solved by Newton to a relative residual of 1e-11 within 30 iterations."""
-    # imported here, its one user, so a run that solves no oracle never loads it
-    from scipy.linalg import solve_banded
+    solved by Newton to a relative residual of 1e-11 within 30 iterations,
+    each iteration a `_solve_tridiagonal` of the finite-difference Jacobian.
 
+    Raises NewtonFailure, naming t, when a step does not converge, when its
+    Newton system is not finite or when that system has an exact zero pivot.
+    """
     xs = np.linspace(a, b, space_points + 1)
     ts = np.linspace(t_start, t_end, time_points + 1)
     dx = xs[1] - xs[0]
@@ -196,9 +248,11 @@ def _oracle_pass(
                 vp[sel] += fd_eps
                 pert = vp - half_dt * rhs_operator(t, vp)
                 _fill_bands(jac, sel, (pert - base) / fd_eps)
+            if not (np.isfinite(jac).all() and np.isfinite(resid).all()):
+                raise NewtonFailure(f"non-finite Newton system at t = {t}")
             try:
-                delta = solve_banded((1, 1), jac, resid)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
+                delta = _solve_tridiagonal(jac, resid)
+            except np.linalg.LinAlgError as exc:
                 raise NewtonFailure(f"banded solve failed at t = {t}") from exc
             v = v - delta
         raise NewtonFailure(f"Newton did not converge at t = {t}")

@@ -317,6 +317,30 @@ def test_cli_non_finite_oracle_is_exit_3(tmp_path, capsys, monkeypatch):
     assert "OVERALL: PASS" not in captured.out
 
 
+def test_cli_non_finite_oracle_newton_system_is_exit_3(tmp_path, capsys, monkeypatch):
+    # a NaN in the oracle's Newton system is a numerical failure, exit 3,
+    # not a bare ValueError that the CLI would report as a config error
+    from dataclasses import replace
+
+    import numpy as np
+
+    import gbdsde.suites as suites
+    from gbdsde.fields import pde_oracle_g0
+
+    def nan_f_oracle(coeffs, domain, **kwargs):
+        def nan_f(t, x, y, z):
+            return coeffs.f(t, x, y, z) + (np.nan if t < 0.25 else 0.0)
+        return pde_oracle_g0(replace(coeffs, f=nan_f), domain, **kwargs)
+
+    monkeypatch.setattr(suites, "pde_oracle_g0", nan_f_oracle)
+    code = main(["field", "--config", str(write_config(tmp_path)),
+                 "--out-dir", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical failure: non-finite Newton system at t = 0.24" in captured.err
+    assert "OVERALL" not in captured.out
+
+
 def test_cli_field_csv_is_pinned(tmp_path):
     # the shipped heat config at a small size; the hash is that of the
     # per-node solves the node blocks replaced

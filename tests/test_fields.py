@@ -191,6 +191,102 @@ def test_oracle_band_fill_matches_per_node_loop(nodes):
     assert ref[0, 0] == 0.0 and ref[2, -1] == 0.0
 
 
+def _tridiagonal_system(rng, n, pivoting):
+    """Random bands in `_fill_bands` layout and a right-hand side; with
+    ``pivoting`` the lower band outweighs the diagonal, so rows interchange."""
+    bands = rng.normal(size=(3, n))
+    if pivoting:
+        bands[2] *= 4.0
+    else:
+        bands[1] += 4.0 * np.sign(bands[1])
+    return bands, rng.normal(size=n)
+
+
+@pytest.mark.parametrize("pivoting", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 101, 201])
+def test_solve_tridiagonal_matches_scipy_solve_banded(n, pivoting):
+    # dgtsv's operations in dgtsv's order give the bits of scipy's (1, 1)
+    # solve_banded, which the tests alone import as the reference
+    from scipy.linalg import solve_banded
+
+    from gbdsde.fields import _solve_tridiagonal
+
+    rng = np.random.default_rng(100 * n + pivoting)
+    swaps = 0
+    for _ in range(40):
+        bands, rhs = _tridiagonal_system(rng, n, pivoting)
+        swaps += n > 1 and abs(bands[1, 0]) < abs(bands[2, 0])
+        ref = solve_banded((1, 1), bands, rhs)
+        assert np.array_equal(_solve_tridiagonal(bands, rhs), ref)
+    assert (swaps > 0) == (pivoting and n > 1)
+
+
+def test_solve_tridiagonal_matches_scipy_on_the_oracle_newton_systems(tmp_path, monkeypatch):
+    # every Newton system the field suite's oracle solves on the shipped heat
+    # config, the benchmark's heat_field problem; field.csv prints the oracle
+    # at %.12g, rounding noise at x = 0.5 included, so its bits are pinned
+    from pathlib import Path
+
+    from scipy.linalg import solve_banded
+
+    from gbdsde import fields
+    from gbdsde.cli import main
+
+    real = fields._solve_tridiagonal
+    systems = []
+
+    def recording(bands, rhs):
+        systems.append((bands.copy(), rhs.copy()))
+        return real(bands, rhs)
+
+    monkeypatch.setattr(fields, "_solve_tridiagonal", recording)
+    config = Path(__file__).resolve().parents[1] / "configs" / "neumann-heat.yaml"
+    assert main(["field", "--config", str(config), "--scenarios", "200", "--dt", "0.02",
+                 "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(systems) == 379  # two passes, 100 and 200 steps
+    for bands, rhs in systems:
+        assert np.array_equal(real(bands, rhs), solve_banded((1, 1), bands, rhs))
+
+
+def test_solve_tridiagonal_raises_at_an_exact_zero_pivot():
+    from scipy.linalg import solve_banded
+
+    from gbdsde.fields import _solve_tridiagonal
+
+    # rows (1 1 0), (1 1 0), (0 0 1): eliminating row 1 leaves a zero pivot
+    bands = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+    for solve in (_solve_tridiagonal, lambda ab, b: solve_banded((1, 1), ab, b)):
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            solve(bands, np.ones(3))
+
+
+def test_oracle_non_finite_newton_system_is_newton_failure(monkeypatch):
+    # a NaN in the Newton system is a NewtonFailure naming t, not a bare
+    # ValueError that the CLI would report as a config error
+    from dataclasses import replace
+
+    from gbdsde import fields
+
+    monkeypatch.setattr(fields, "ORACLE_POINTS", 20)
+    base = _heat_coeffs()
+
+    def nan_before_half(t, x, y, z):
+        return base.f(t, x, y, z) + (np.nan if t < 0.5 else 0.0)
+
+    with pytest.raises(fields.NewtonFailure, match=r"non-finite Newton system at t = 0\.45"):
+        pde_oracle_g0(replace(base, f=nan_before_half), interval_domain(0.0, 1.0))
+
+
+def test_oracle_zero_pivot_is_newton_failure(monkeypatch):
+    from gbdsde import fields
+
+    # an all-zero Jacobian: the first pivot is an exact zero
+    monkeypatch.setattr(fields, "_fill_bands", lambda jac, sel, dcol: None)
+    monkeypatch.setattr(fields, "ORACLE_POINTS", 20)
+    with pytest.raises(fields.NewtonFailure, match=r"banded solve failed at t = 0\.95"):
+        pde_oracle_g0(_heat_coeffs(), interval_domain(0.0, 1.0))
+
+
 def _block_problem(case):
     """(coeffs, domain, nodes, bundle, basis) of one node-block case."""
     from dataclasses import replace

@@ -792,13 +792,13 @@ print(bool(np.isfinite(oracle.u).all()), "scipy.linalg" in sys.modules)
 """
 
 
-def test_scipy_linalg_is_loaded_only_by_the_oracle():
-    # solve_banded is the oracle's alone: a flow's solve and invert and a
-    # table's derivs and invert never load scipy.linalg; the oracle still runs
+def test_scipy_linalg_is_not_loaded_even_by_the_oracle():
+    # a flow's solve and invert, a table's derivs and invert and the oracle's
+    # Newton solves (fields._solve_tridiagonal) never load scipy.linalg
     env = dict(os.environ, PYTHONPATH=str(Path(gbdsde.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _LINALG_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
-    assert out == ["False", "True", "True"]
+    assert out == ["False", "True", "False"]
 
 
 _SCIPY_PROBE = """\
@@ -817,6 +817,41 @@ def test_no_scipy_module_is_loaded_by_the_cli_import_and_a_sampling():
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+_FIELD_PROBE = """\
+import contextlib, io, sys
+import yaml
+from gbdsde.cli import main
+config = {
+    "suite": "field",
+    "problem": {"n": 1, "d": 1, "x_dim": 1, "f": {"kind": "zero"}, "g": {"kind": "zero"},
+                "h": {"kind": "zero"}, "b": {"kind": "zero"},
+                "sigma": {"kind": "constant", "value": 1.0},
+                "l": {"kind": "trig", "amp": 1.0, "func": "cos", "of": "x",
+                      "freq": 3.141592653589793}},
+    "domain": {"kind": "interval", "a": 0.0, "b": 1.0},
+    "grid": {"dt": 0.05},
+    "monte_carlo": {"scenarios": 100, "seed": 3, "shared_b": True},
+    "field": {"nodes": [[0.0, 0.25], [0.5, 0.75]]},
+}
+with open(sys.argv[1] + "/field.yaml", "w") as fh:
+    yaml.safe_dump(config, fh)
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    code = main(["field", "--config", sys.argv[1] + "/field.yaml",
+                 "--out-dir", sys.argv[1] + "/out"])
+print(code, report.getvalue().count("field_vs_oracle"))
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_scipy_module_is_loaded_by_a_field_run_with_its_oracle(tmp_path):
+    # the field suite on an interval with g = 0 solves the Crank-Nicolson
+    # oracle too; its Newton systems are solved without scipy.linalg
+    env = dict(os.environ, PYTHONPATH=str(Path(gbdsde.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _FIELD_PROBE, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout.splitlines()
+    assert out == ["0 2", "[]"]
 
 
 class _StubDerivs:
