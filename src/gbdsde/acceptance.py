@@ -88,20 +88,19 @@ def _ge(name: str, measured: float, threshold: float, **details) -> CriterionRes
 
 
 def _zeros_coeffs(n: int = 1, d: int = 1, **kw) -> CoefficientSet:
+    """Zero f and h and no backward noise (g None) unless ``kw`` sets them."""
+
     def zero_v(t, x, y, z=None):
         return np.zeros_like(y)
 
-    def zero_m(t, x, y, z):
-        return np.zeros(y.shape + (d,))
-
-    defaults = dict(n=n, d=d, f=zero_v, g=zero_m, h=zero_v,
+    defaults = dict(n=n, d=d, f=zero_v, g=None, h=zero_v,
                     K=1.0, c=1.0, alpha=0.5, beta1=1.0)
     defaults.update(kw)
     return CoefficientSet(**defaults)
 
 
 def _bm_coeffs(x_dim: int = 1, d: int = 1) -> CoefficientSet:
-    """Driftless unit-diffusion forward dynamics with zero reaction terms."""
+    """Driftless unit-diffusion forward dynamics, zero reactions, no backward noise."""
 
     def b_fn(x):
         return np.zeros_like(x)
@@ -273,11 +272,12 @@ def criterion_closed_forms(seed: int = 2024) -> list[CriterionResult]:
     err = float(np.max(np.abs(sol.Y[:, :, 0].mean(axis=0) - target)))
     results.append(_le("closed_form_exponential_decay", err, 1e-3))
 
-    # (b) pure boundary payment: Y_0 = E k_T = sqrt(2/pi), 1e5 scenarios
+    # (b) pure boundary payment: Y_0 = E k_T = sqrt(2/pi), 1e5 scenarios.  With
+    # no g, (b) and (c) read no B: one B path is drawn, and h is a broadcast view
     grid_b = TimeGrid(0.0, 1.0, 100)
-    bundle_b = sample_paths(grid_b, d=1, seed=seed + 1, count=100_000)
+    bundle_b = sample_paths(grid_b, d=1, seed=seed + 1, count=100_000, shared_b=True)
     _, k = skorokhod_bridge_exact(0.0, bundle_b.W[:, :, 0], grid_b.dt, seed + 2)
-    h_path = np.ones((100_000, 101, 1))
+    h_path = np.broadcast_to(1.0, (100_000, 101, 1))
     sol_b = solve_simple(np.zeros(100_000), None, None, h_path, k, bundle_b,
                          PolynomialBasis(3))
     y0 = float(sol_b.Y[:, 0, 0].mean())
@@ -287,7 +287,7 @@ def criterion_closed_forms(seed: int = 2024) -> list[CriterionResult]:
 
     # (c) terminal Brownian value: control = 1 within 3 SE at every probe time
     grid_c = TimeGrid(0.0, 1.0, 100)
-    bundle_c = sample_paths(grid_c, d=1, seed=seed + 3, count=10_000)
+    bundle_c = sample_paths(grid_c, d=1, seed=seed + 3, count=10_000, shared_b=True)
     xi = bundle_c.W[:, -1, 0]
     sol_c = solve_simple(xi, None, None, None, None, bundle_c, PolynomialBasis(3))
     worst_margin = 0.0
@@ -324,9 +324,8 @@ def criterion_heat_benchmark(seed: int = 2024) -> list[CriterionResult]:
 
     grid = TimeGrid(0.0, 1.0, 500)
     bundle = sample_paths(grid, d=1, seed=seed, count=10_000, shared_b=True)
-    nodes = evaluate_u(
-        coeffs, domain, [(0.0, np.array([x])) for x in xs], bundle,
-        PolynomialBasis(3), g_is_zero=True)
+    nodes = evaluate_u(coeffs, domain, [(0.0, np.array([x])) for x in xs], bundle,
+                       PolynomialBasis(3))
     worst_margin = 0.0
     for node, truth in zip(nodes, closed):
         tol = 3.0 * (node.se_u + 2e-3)
@@ -635,8 +634,7 @@ def criterion_determinism(seed: int = 2024) -> list[CriterionResult]:
         details["field_workers_2"] = "identical" if match else "MISMATCH"
         all_ok = all_ok and match
 
-    return [CriterionResult("suite_determinism", 1.0 if all_ok else 0.0, 1.0,
-                            all_ok, ">=", details)]
+    return [_ge("suite_determinism", float(all_ok), 1.0, **details)]
 
 
 _DETERMINISM_CONFIG = """\

@@ -180,7 +180,7 @@ def number(kind, value, name: str):
 
 
 def build_coefficient_set(problem: dict) -> CoefficientSet:
-    """Assemble a CoefficientSet from a config 'problem' section."""
+    """Assemble a CoefficientSet from a config 'problem' section (a zero g is None)."""
     n, d = number(int, problem.get("n", 1), "n"), number(int, problem.get("d", 1), "d")
     x_dim = None if problem.get("x_dim") is None else number(int, problem["x_dim"], "x_dim")
     built = {}
@@ -194,6 +194,8 @@ def build_coefficient_set(problem: dict) -> CoefficientSet:
             built[role] = build_coefficient(spec, role, n, d, x_dim or 0)
         except KeyError as exc:
             raise ValueError(f"unknown catalog entry in {role!r}: {exc}") from exc
+    if problem["g"]["kind"] == "zero":
+        built["g"] = None
     constants = problem.get("constants", {})
     if not isinstance(constants, dict):
         raise ValueError(f"constants: must be a mapping, not {constants!r}")

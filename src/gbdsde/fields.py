@@ -59,7 +59,6 @@ def evaluate_u(
     field_grid: list[tuple[float, np.ndarray]],
     bundle: PathBundle,
     basis,
-    g_is_zero: bool = False,
 ) -> list[FieldNode]:
     """Estimate u on the requested (t, x) nodes, one backward solve from each.
 
@@ -76,7 +75,7 @@ def evaluate_u(
     for block in field_blocks(times, grid, bundle.scenario_count, domain.dim):
         y_start, totals = _markov_start_values(
             coeffs, domain, times[block[0]], np.stack([points[j] for j in block]),
-            bundle, basis, g_is_zero=g_is_zero)
+            bundle, basis)
         for j, y, total in zip(block, y_start, totals):
             estimates[j] = float(y.mean()), float(_standard_error(total[:, None])[0])
     return [FieldNode(t_node, x_node, u_val, se)
@@ -284,8 +283,11 @@ def pde_oracle_g0(coeffs: CoefficientSet, domain: SmoothDomain, *,
     steps; refines (doubling both grids) until two successive solutions
     differ by less than ``ORACLE_REFINE_TOL`` on shared nodes, at most
     ``ORACLE_MAX_REFINEMENTS`` times.
-    Raises FloatingPointError when a pass yields a non-finite value.
+    Raises ValueError when g is not None or the domain is not an interval,
+    and FloatingPointError when a pass yields a non-finite value.
     """
+    if coeffs.g is not None:
+        raise ValueError("the deterministic oracle needs a problem without backward noise")
     if domain.dim != 1:
         raise ValueError("the deterministic oracle is one-dimensional")
     # interval endpoints from the projection map

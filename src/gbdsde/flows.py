@@ -610,7 +610,9 @@ def flow_derivative_identities(
 
 def _g_and_dyg(coeffs: CoefficientSet, t, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<g, D_y g>(t, x, y) for the scalar-flow g, via central differences of
-    the fixed step 1e-6 (1 + |y|)."""
+    the fixed step 1e-6 (1 + |y|); zero when g is None."""
+    if coeffs.g is None:
+        return np.zeros(np.shape(y))
     g_flow = spde_noise_coefficient(coeffs)
     h = 1e-6 * (1.0 + np.abs(y))
     g0 = g_flow(t, x, y)

@@ -14,7 +14,7 @@ The constants are declared, not checked against the callables.
 All callables are vectorized over a leading scenario axis:
 f(t, x, y, z) -> (S, n), g(t, x, y, z) -> (S, n, d), h(t, x, y) -> (S, n),
 l(x) -> (S,), b(x) -> (S, m), sigma(x) -> (S, m, d), with x of shape (S, m)
-or None for problems without a spatial component.
+or None for problems without a spatial component.  g = None: no backward noise.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class CoefficientSet:
     n: int
     d: int
     f: Coefficient
-    g: Coefficient
+    g: Coefficient | None
     h: Coefficient
     K: float
     c: float

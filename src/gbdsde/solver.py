@@ -18,10 +18,10 @@ The last two run one backward-induction kernel, `_backward_induction`: per
 step it regresses the control on the centred one-step target times dW / dt
 and the value on base + f dt + h dk, the bracket of driver and boundary
 terms evaluated at the current value for ``INNER_SWEEPS`` sweeps.  The base
-is Y_{i+1} plus the backward-noise term g dB of the direct solver (zero for
-g = 0 and for the transformed solver, which brackets the transformed
-coefficients).  Its rows are time-major views of scenario-major storage,
-which both solvers return as is.
+is Y_{i+1} plus the backward-noise term g dB of the direct solver (none
+when g is None, and none for the transformed solver, which brackets the
+transformed coefficients).  Its rows are time-major views of scenario-major
+storage, which both solvers return as is.
 
 The kernel's rows carry a node axis: N blocks of the bundle's S scenarios,
 started from N points at one time and driven by the same increments.  The
@@ -287,18 +287,19 @@ def picard_solve(
     k = _as_k(k_path, S, n_pts)
     # built once per solve: every pass reads the same increments
     increments = (time_major_increments(k), time_major_increments(bundle.W),
-                  time_major_increments(bundle.B))
+                  None if coeffs.g is None else time_major_increments(bundle.B))
     weights, dk = _norm_weights(k, grid)
     times = grid.points
     backward = range(grid.step_count - 1, -1, -1)
 
+    # B_T - B_t stays a feature when g is None: one feature set for every problem
     projectors = [proj for _, proj in projector_walk(_points_of(bundle, True), basis,
                                                      range(grid.step_count))]
     y_rows = np.zeros((n_pts, S, n))
     z_rows = np.zeros((n_pts, S, n, coeffs.d))
     f_rows = np.empty((n_pts, S, n))
     h_rows = np.empty((n_pts, S, n))
-    g_rows = np.empty((n_pts, S, n, coeffs.d))
+    g_rows = None if coeffs.g is None else np.empty((n_pts, S, n, coeffs.d))
     trace: list[float] = []
     totals = None
     grew = 0
@@ -306,7 +307,8 @@ def picard_solve(
         for i in range(n_pts):
             f_rows[i] = coeffs.f(times[i], None, y_rows[i], z_rows[i])
             h_rows[i] = coeffs.h(times[i], None, y_rows[i])
-            g_rows[i] = coeffs.g(times[i], None, y_rows[i], z_rows[i])
+            if g_rows is not None:
+                g_rows[i] = coeffs.g(times[i], None, y_rows[i], z_rows[i])
         Y, Z, totals = _simple_induction(xi, f_rows, g_rows, h_rows, *increments, grid.dt,
                                          ((i, projectors[i]) for i in backward))
         norm = _weighted_norm(swap_scenario_time(Y - y_rows), swap_scenario_time(Z - z_rows),
@@ -400,13 +402,12 @@ def solve_bdsde_markov(
     x0: np.ndarray,
     bundle: PathBundle,
     basis,
-    g_is_zero: bool = False,
 ) -> tuple[BdsdeSolution, ReflectedPath]:
     """Backward induction for the Markovian equation on a reflected diffusion.
 
     Simulates (X, k) from (start_time, x0) and runs `_backward_induction`
     from the terminal map, with the backward-noise term read at the right
-    endpoint (zero when ``g_is_zero``).  Scalar-valued problems only
+    endpoint (none when ``coeffs.g`` is None).  Scalar-valued problems only
     (n = 1).  Raises FloatingPointError when Y or Z is not finite.
 
     The path stays in the Euler loop's time-major buffers, with its dW, for
@@ -419,7 +420,7 @@ def solve_bdsde_markov(
     start_idx = grid.index_of(start_time)
     *buffers, excluded, dW = _euler_projection(coeffs, domain, start_time, x0, bundle)
     Y, Z, totals = _markov_induction(
-        coeffs, buffers[0], np.diff(buffers[1], axis=0), dW, bundle, basis, start_idx, g_is_zero)
+        coeffs, buffers[0], np.diff(buffers[1], axis=0), dW, bundle, basis, start_idx)
     del dW
     Y[:start_idx] = Y[start_idx]
     reflected = _reflected_path(grid, buffers, excluded)
@@ -433,7 +434,6 @@ def _markov_start_values(
     starts: np.ndarray,
     bundle: PathBundle,
     basis,
-    g_is_zero: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The Markovian solutions from N start points at one time, solved together.
 
@@ -455,7 +455,7 @@ def _markov_start_values(
         np.subtract(k[i], k[i - 1], out=k[i])
     dk = k[1:]
     Y, _, totals = _markov_induction(
-        coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero, history=False)
+        coeffs, X, dk, dW, bundle, basis, start_idx, history=False)
     S = bundle.scenario_count
     return Y[start_idx % len(Y), :, 0].reshape(-1, S), totals.reshape(-1, S)
 
@@ -467,18 +467,18 @@ def _require_markov(coeffs: CoefficientSet) -> None:
         raise ValueError("Markovian problems need a terminal map l")
 
 
-def _markov_induction(coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero, history=True):
+def _markov_induction(coeffs, X, dk, dW, bundle, basis, start_idx, history=True):
     """The Markovian induction from the terminal map down to ``start_idx``.
 
     Binds the backward-noise term (g at the right endpoint against dB; none
-    when ``g_is_zero``) and the driver and boundary bracket to
+    when ``coeffs.g`` is None) and the driver and boundary bracket to
     `_backward_induction` on node-major rows X (T+1, N S, m), dk (T, N S);
     returns the kernel's (Y, Z, totals).
     """
     grid = bundle.grid
     times, dt = grid.points, grid.dt
     S = bundle.scenario_count
-    dB = None if g_is_zero else time_major_increments(bundle.B)
+    dB = None if coeffs.g is None else time_major_increments(bundle.B)
 
     def noise(i, y_next, z_next):
         g_right = coeffs.g(times[i + 1], X[i + 1], y_next, z_next)
@@ -491,7 +491,7 @@ def _markov_induction(coeffs, X, dk, dW, bundle, basis, start_idx, g_is_zero, hi
     return _backward_induction(
         "solve_bdsde_markov", X, dk, dW, bundle, basis,
         range(grid.step_count - 1, start_idx - 1, -1), coeffs.l(X[-1]),
-        None if g_is_zero else noise, bracket, history)
+        None if coeffs.g is None else noise, bracket, history)
 
 
 def solve_transformed_gbsde(

@@ -160,8 +160,7 @@ def run_solve_bdsde(config: ExperimentConfig) -> list[acc.CriterionResult]:
     write_csv(config.out_dir / "bdsde_solution.csv", header, rows)
 
     gap = float(np.max(np.abs(solution.Y[:, -1, :] - terminal)))
-    return [acc.CriterionResult("terminal_condition_exact", gap, 0.0, gap == 0.0, "<="),
-            *checks]
+    return [acc._le("terminal_condition_exact", gap, 0.0), *checks]
 
 
 def run_verify_flow(config: ExperimentConfig) -> list[acc.CriterionResult]:
@@ -177,8 +176,7 @@ def run_verify_flow(config: ExperimentConfig) -> list[acc.CriterionResult]:
             for name, value in viol.items()]
     write_csv(config.out_dir / "flow_identities.csv",
               ["identity", "max_violation", "samples", "fd_step", "dt"], rows)
-    return [acc.CriterionResult(f"flow_identity_{name}", value, tol, value <= tol)
-            for name, value in viol.items()]
+    return [acc._le(f"flow_identity_{name}", value, tol) for name, value in viol.items()]
 
 
 def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
@@ -214,13 +212,11 @@ def run_verify_calculus(config: ExperimentConfig) -> list[acc.CriterionResult]:
         for (dt_hi, rms_hi, _), (dt_lo, rms_lo, _) in zip(series[:-1], series[1:]):
             orders.append(np.log(rms_hi / rms_lo) / np.log(dt_hi / dt_lo))
         measured = min(orders) if orders else 0.0
-        results.append(acc.CriterionResult(
-            f"residual_order_{name}", float(measured), 0.4, measured >= 0.4, ">="))
+        results.append(acc._ge(f"residual_order_{name}", measured, 0.4))
     return results
 
 
-def _field_node_entry(config: ExperimentConfig, g_zero: bool,
-                      nodes: list[list]) -> list[FieldNode]:
+def _field_node_entry(config: ExperimentConfig, nodes: list[list]) -> list[FieldNode]:
     """Worker entry: rebuild the problem and return the `FieldNode`s of one
     `field_blocks` block, as `evaluate_u` gives them.
 
@@ -235,8 +231,7 @@ def _field_node_entry(config: ExperimentConfig, g_zero: bool,
         bundle = sample_paths(config.grid, coeffs.d, config.seed, config.scenarios,
                               config.shared_b)
     field_grid = [(float(node[0]), np.asarray(node[1:], dtype=float)) for node in nodes]
-    return evaluate_u(coeffs, config.domain(), field_grid, bundle, config.basis(),
-                      g_is_zero=g_zero)
+    return evaluate_u(coeffs, config.domain(), field_grid, bundle, config.basis())
 
 
 def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
@@ -244,8 +239,9 @@ def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
 
     The nodes go to the workers in the blocks that `evaluate_u` solves
     together (`field_blocks`); each row of field.csv is built once, from its
-    node's `FieldNode`, in the configured order.  With g = 0 on an interval
-    the rows also carry the Crank-Nicolson oracle and their gap to it.
+    node's `FieldNode`, in the configured order.  Without backward noise (g
+    None) on an interval the rows also carry the Crank-Nicolson oracle and
+    their gap to it.
     ``field.mode`` may only be ``pointwise``, the one estimator.
     """
     opts = config.options.get("field", {})
@@ -256,12 +252,12 @@ def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
     if mode != "pointwise":
         raise ConfigError(f"field.mode: unknown mode {mode!r}; the field suite "
                           f"has only 'pointwise'")
-    g_zero = (config.problem or {}).get("g", {}).get("kind") == "zero"
+    coeffs = config.coefficient_set()
     domain = config.domain()
 
     blocks = field_blocks([float(node[0]) for node in nodes], config.grid,
                           config.scenarios, domain.dim)
-    entry = partial(_field_node_entry, config, g_zero)
+    entry = partial(_field_node_entry, config)
     block_nodes = [[nodes[j] for j in block] for block in blocks]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -272,8 +268,8 @@ def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
                 for j, node in zip(block, found)}
 
     oracle = None
-    if g_zero and domain.dim == 1:
-        oracle = pde_oracle_g0(config.coefficient_set(), domain,
+    if coeffs.g is None and domain.dim == 1:
+        oracle = pde_oracle_g0(coeffs, domain,
                                t_start=config.grid.t_start, t_end=config.grid.t_end)
     header = ["t"] + [f"x{j}" for j in range(domain.dim)] + ["u", "se_u", "v"]
     if oracle is not None:
@@ -289,8 +285,7 @@ def run_field(config: ExperimentConfig) -> list[acc.CriterionResult]:
             gap = abs(node.u - o)
             tol = 3.0 * (node.se_u + 2e-3)
             row += [o, gap]
-            results.append(acc.CriterionResult(
-                f"field_vs_oracle_t{node.t:g}_x{x[0]:g}", gap, tol, gap <= tol))
+            results.append(acc._le(f"field_vs_oracle_t{node.t:g}_x{x[0]:g}", gap, tol))
         rows.append(row)
     write_csv(config.out_dir / "field.csv", header, rows)
     return results

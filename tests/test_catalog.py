@@ -245,6 +245,18 @@ def test_set_reports_unknown_and_missing_entries():
         build_coefficient_set({"f": {"kind": "zero"}})
 
 
+def test_zero_g_is_no_backward_noise():
+    # a top-level zero g is stored as None; a zero f, h or nested g term is not
+    zero = {"kind": "zero"}
+    coeffs = build_coefficient_set({"f": zero, "g": zero, "h": zero})
+    assert coeffs.g is None and callable(coeffs.f) and callable(coeffs.h)
+    nested = {"kind": "sum", "terms": [zero, zero]}
+    assert build_coefficient_set({"f": zero, "g": nested, "h": zero}).g is not None
+    # it is validated first: a key the zero kind does not know is still an error
+    with pytest.raises(ValueError, match=r"g: unknown keys \['value'\] for kind 'zero'"):
+        build_coefficient_set({"f": zero, "g": {"kind": "zero", "value": 1.0}, "h": zero})
+
+
 @pytest.mark.parametrize("spec, message", [
     ({"kind": "trig", "func": "tan"}, "unknown catalog entry in 'g'"),
     ({"kind": "trig", "of": "z"}, "trig 'of' must be y, x or t, got 'z'"),

@@ -85,13 +85,20 @@ def test_oracle_requires_interval():
         pde_oracle_g0(_heat_coeffs(), ball_domain([0.0, 0.0], 1.0))
 
 
+def test_oracle_rejects_a_problem_with_backward_noise():
+    # the oracle never reads g: a problem with one must not get the g = 0 answer
+    from gbdsde.acceptance import _transform_instance
+
+    with pytest.raises(ValueError, match="without backward noise"):
+        pde_oracle_g0(_transform_instance(), interval_domain(0.0, 1.0))
+
+
 def test_field_constant_everywhere():
     coeffs = _coeffs_with(lambda x: np.full(x.shape[:-1], 1.5))
     grid = TimeGrid(0.0, 1.0, 50)
     bundle = sample_paths(grid, d=1, seed=30, count=500, shared_b=True)
     nodes = [(0.0, np.array([0.2])), (0.5, np.array([0.8])), (1.0, np.array([0.5]))]
-    est = evaluate_u(coeffs, interval_domain(0.0, 1.0), nodes, bundle, BASIS,
-                     g_is_zero=True)
+    est = evaluate_u(coeffs, interval_domain(0.0, 1.0), nodes, bundle, BASIS)
     for node in est:
         assert node.u == pytest.approx(1.5, abs=1e-10)
 
@@ -101,8 +108,7 @@ def test_field_terminal_slice_is_terminal_map():
     grid = TimeGrid(0.0, 1.0, 20)
     bundle = sample_paths(grid, d=1, seed=31, count=300, shared_b=True)
     nodes = [(1.0, np.array([x])) for x in (0.1, 0.5, 0.9)]
-    est = evaluate_u(coeffs, interval_domain(0.0, 1.0), nodes, bundle, BASIS,
-                     g_is_zero=True)
+    est = evaluate_u(coeffs, interval_domain(0.0, 1.0), nodes, bundle, BASIS)
     for node, (_, x) in zip(est, nodes):
         assert node.u == pytest.approx(math.cos(math.pi * x[0]), abs=1e-12)
 
@@ -113,7 +119,7 @@ def test_field_matches_oracle_small_scale():
     grid = TimeGrid(0.0, 1.0, 200)
     bundle = sample_paths(grid, d=1, seed=32, count=4000, shared_b=True)
     nodes = [(0.0, np.array([x])) for x in (0.0, 0.3, 0.7, 1.0)]
-    est = evaluate_u(coeffs, dom, nodes, bundle, BASIS, g_is_zero=True)
+    est = evaluate_u(coeffs, dom, nodes, bundle, BASIS)
     for node, (_, x) in zip(est, nodes):
         truth = HEAT_AMPLITUDE * math.cos(math.pi * x[0])
         assert abs(node.u - truth) <= 3 * (node.se_u + 2e-3)
@@ -127,8 +133,7 @@ def test_field_basis_degree_invariance():
     node = [(0.0, np.array([0.4]))]
     values, ses = [], []
     for degree in (2, 3, 4):
-        est = evaluate_u(coeffs, dom, node, bundle, PolynomialBasis(degree),
-                         g_is_zero=True)
+        est = evaluate_u(coeffs, dom, node, bundle, PolynomialBasis(degree))
         values.append(est[0].u)
         ses.append(est[0].se_u)
     spread = max(values) - min(values)
@@ -139,8 +144,8 @@ def _mean_sq_gap(coeffs, bundle, x1: float, x2: float) -> float:
     """E|Y_s - Y'_s|^2 over the grid between the solutions started at (0, x1)
     and (0, x2) on one bundle (common random numbers)."""
     dom = interval_domain(0.0, 1.0)
-    y1, y2 = (solve_bdsde_markov(coeffs, dom, 0.0, np.array([x]), bundle, BASIS,
-                                 g_is_zero=True)[0].Y[:, :, 0] for x in (x1, x2))
+    y1, y2 = (solve_bdsde_markov(coeffs, dom, 0.0, np.array([x]), bundle, BASIS)[0].Y[:, :, 0]
+              for x in (x1, x2))
     return float(np.mean((y1 - y2) ** 2))
 
 
@@ -314,14 +319,18 @@ def _block_problem(case):
     return coeffs, interval_domain(0.0, 1.0), nodes, bundle, BASIS
 
 
-@pytest.mark.parametrize("g_is_zero", [True, False])
+@pytest.mark.parametrize("g_none", [True, False])
 @pytest.mark.parametrize("case", ["shared_b", "own_b", "ball_2d"])
-def test_field_blocks_match_per_node_solves(case, g_is_zero, monkeypatch):
+def test_field_blocks_match_per_node_solves(case, g_none, monkeypatch):
     # each node of a block is bit-identical to its own solve_bdsde_markov;
-    # own_b with g != 0 regresses on the backward tail B_T - B_t as well
+    # own_b with a g regresses on the backward tail B_T - B_t as well
+    from dataclasses import replace
+
     from gbdsde import fields, solve_bdsde_markov
 
     coeffs, dom, nodes, bundle, basis = _block_problem(case)
+    if g_none:
+        coeffs = replace(coeffs, g=None)
     grid = bundle.grid
     # blocks of three nodes, which do not divide the five t = 0 nodes
     monkeypatch.setattr(fields, "FIELD_BLOCK_BYTES",
@@ -331,9 +340,9 @@ def test_field_blocks_match_per_node_solves(case, g_is_zero, monkeypatch):
     if case != "ball_2d":
         assert blocks == [[0, 1, 3], [4, 6], [2, 5], [7]]
     assert max(len(b) for b in blocks) == 3
-    est = evaluate_u(coeffs, dom, nodes, bundle, basis, g_is_zero=g_is_zero)
+    est = evaluate_u(coeffs, dom, nodes, bundle, basis)
     for node, (t, x) in zip(est, nodes):
-        sol, _ = solve_bdsde_markov(coeffs, dom, t, x, bundle, basis, g_is_zero=g_is_zero)
+        sol, _ = solve_bdsde_markov(coeffs, dom, t, x, bundle, basis)
         assert node.t == t and np.array_equal(node.x, x)
         assert node.u == float(sol.Y[:, grid.index_of(t), 0].mean())
         assert node.se_u == float(sol.initial_se()[0])
@@ -362,7 +371,7 @@ def test_field_block_judges_lost_scenarios_per_node(monkeypatch):
             _euler_projection(coeffs, dom, 0.0, starts, bundle)
     with pytest.raises(SimulationBlowup):
         evaluate_u(coeffs, dom, [(0.0, np.array([0.25])), (0.0, np.array([0.75]))],
-                   bundle, BASIS, g_is_zero=True)
+                   bundle, BASIS)
 
 
 def test_oracle_raises_on_non_finite_values(monkeypatch):

@@ -238,7 +238,7 @@ def test_markov_constant_terminal_exact():
         beta1=1.0, b=base.b, sigma=base.sigma, x_dim=1,
         l=lambda x: np.full(x.shape[:-1], 3.0))
     sol, _ = solve_bdsde_markov(coeffs, interval_domain(0.0, 1.0), 0.0,
-                                np.array([0.5]), bundle, BASIS, g_is_zero=True)
+                                np.array([0.5]), bundle, BASIS)
     assert np.max(np.abs(sol.Y - 3.0)) <= 1e-12
     assert np.max(np.abs(sol.Z)) <= 1e-12
 
@@ -252,7 +252,7 @@ def test_markov_linear_ode_field_independent():
         alpha=0.5, beta1=1.0, b=base.b, sigma=base.sigma, x_dim=1,
         l=lambda x: np.ones(x.shape[:-1]))
     sol, _ = solve_bdsde_markov(coeffs, interval_domain(0.0, 1.0), 0.0,
-                                np.array([0.5]), bundle, BASIS, g_is_zero=True)
+                                np.array([0.5]), bundle, BASIS)
     target = np.exp(-(1.0 - grid.points))
     assert np.max(np.abs(sol.Y[:, :, 0].mean(axis=0) - target)) <= 5e-3
 
@@ -268,7 +268,7 @@ def test_transformed_solver_matches_markov_when_noise_vanishes():
         l=lambda x: np.cos(math.pi * x[..., 0]))
     dom = interval_domain(0.0, 1.0)
     direct, refl = solve_bdsde_markov(coeffs, dom, 0.0, np.array([0.5]),
-                                      bundle, BASIS, g_is_zero=True)
+                                      bundle, BASIS)
     flow0 = BrownianFlow(lambda t, x, y: np.zeros(np.shape(y) + (1,)),
                          bundle.B[0], grid)
     table = FlowTable(flow0, np.linspace(0, 1, 11), np.linspace(-4, 4, 41))
@@ -329,8 +329,7 @@ def test_vector_valued_simple_solver():
         assert rms <= 0.15
 
 
-def _reference_markov(coeffs, domain, start_time, x0, bundle, basis,
-                      inner_sweeps=2, g_is_zero=False):
+def _reference_markov(coeffs, domain, start_time, x0, bundle, basis, inner_sweeps=2):
     """The scenario-major Markovian induction, kept as the bit-for-bit reference."""
     from gbdsde.regression import DesignProjector
 
@@ -343,7 +342,7 @@ def _reference_markov(coeffs, domain, start_time, x0, bundle, basis,
     dk = np.diff(k, axis=1)
     dB, dW = bundle.dB, bundle.dW
     times = grid.points
-    use_backward_tail = not bundle.shared_b and not g_is_zero
+    use_backward_tail = not bundle.shared_b and coeffs.g is not None
 
     def feature_fn(i):
         cols = [X[:, i, :]]
@@ -357,7 +356,7 @@ def _reference_markov(coeffs, domain, start_time, x0, bundle, basis,
     increments = np.zeros(S)
     for i in range(grid.step_count - 1, start_idx - 1, -1):
         proj = DesignProjector(feature_fn(i), basis)
-        if g_is_zero:
+        if coeffs.g is None:
             g_term = np.zeros((S, 1))
         else:
             g_right = coeffs.g(times[i + 1], X[:, i + 1, :], Y[:, i + 1, :], Z[:, i + 1, :, :])
@@ -380,7 +379,8 @@ def _reference_markov(coeffs, domain, start_time, x0, bundle, basis,
 
 
 def _markov_case(name):
-    """(coeffs, domain, start_time, x0, bundle, basis, g_is_zero) for one case."""
+    """(coeffs, domain, start_time, x0, bundle, basis) for one case; shared_g0
+    has no backward noise (g None)."""
     from dataclasses import replace
 
     from gbdsde import ball_domain
@@ -397,24 +397,45 @@ def _markov_case(name):
             l=lambda x: np.cos(2.0 * x[..., 0]) + x[..., 1])
         bundle = sample_paths(grid, d=2, seed=51, count=400)
         return coeffs, ball_domain([0.0, 0.0], 0.6), 0.0, np.array([0.1, 0.2]), \
-            bundle, PolynomialBasis(2), False
+            bundle, PolynomialBasis(2)
     shared = name in ("shared_g0", "late_start", "poly0")
     bundle = sample_paths(grid, d=1, seed=52, count=400, shared_b=shared)
     t0 = 0.25 if name == "late_start" else 0.0
     basis = PolynomialBasis(0) if name == "poly0" else BASIS
-    return coeffs, dom, t0, np.array([0.5]), bundle, basis, name == "shared_g0"
+    if name == "shared_g0":
+        coeffs = replace(coeffs, g=None)
+    return coeffs, dom, t0, np.array([0.5]), bundle, basis
 
 
 @pytest.mark.parametrize("case", ["shared_g0", "ball_2d", "backward_tail", "late_start",
                                   "poly0"])
 def test_markov_solver_matches_scenario_major_reference(case):
-    coeffs, dom, t0, x0, bundle, basis, g0 = _markov_case(case)
-    sol, _ = solve_bdsde_markov(coeffs, dom, t0, x0, bundle, basis, g_is_zero=g0)
-    Y, Z, totals = _reference_markov(coeffs, dom, t0, x0, bundle, basis, g_is_zero=g0)
+    coeffs, dom, t0, x0, bundle, basis = _markov_case(case)
+    sol, _ = solve_bdsde_markov(coeffs, dom, t0, x0, bundle, basis)
+    Y, Z, totals = _reference_markov(coeffs, dom, t0, x0, bundle, basis)
     assert sol.Y.flags.c_contiguous and sol.Z.flags.c_contiguous
     assert np.array_equal(sol.Y, Y) and np.array_equal(sol.Z, Z)
     assert np.array_equal(sol.pathwise_totals, totals)
     assert np.any(Z != 0.0)
+
+
+def test_markov_zero_g_on_own_b_has_one_start_value():
+    # a catalog zero g is no backward noise: the start step regresses on the
+    # one start point alone, not on B_T - B_t, so every scenario gets one value
+    from gbdsde.catalog import build_coefficient_set
+
+    coeffs = build_coefficient_set({
+        "x_dim": 1, "f": {"kind": "linear", "y": -0.5}, "g": {"kind": "zero"},
+        "h": {"kind": "constant", "value": 0.2},
+        "l": {"kind": "trig", "func": "cos", "of": "x", "freq": math.pi},
+        "b": {"kind": "zero"}, "sigma": {"kind": "constant", "value": 1.0}})
+    bundle = sample_paths(TimeGrid(0.0, 1.0, 40), d=1, seed=57, count=400)
+    sol, _ = solve_bdsde_markov(coeffs, interval_domain(0.0, 1.0), 0.0, np.array([0.5]),
+                                bundle, BASIS)
+    assert not bundle.shared_b
+    y_start = sol.Y[:, 0, 0]
+    assert np.allclose(y_start, y_start[0], rtol=1e-12, atol=0.0)
+    assert np.ptp(sol.Y[:, 1, 0]) > 1e-3
 
 
 def _reference_picard(coeffs, xi, k_path, bundle, basis, tol, max_iter):
@@ -567,8 +588,8 @@ def test_residuals_share_the_solver_k_helper():
 
 @pytest.mark.parametrize("t0", [0.0, 0.25])
 def test_markov_simulated_path_matches_simulate_reflected(t0):
-    coeffs, dom, _, x0, bundle, basis, g0 = _markov_case("backward_tail")
-    _, refl = solve_bdsde_markov(coeffs, dom, t0, x0, bundle, basis, g_is_zero=g0)
+    coeffs, dom, _, x0, bundle, basis = _markov_case("backward_tail")
+    _, refl = solve_bdsde_markov(coeffs, dom, t0, x0, bundle, basis)
     ref = simulate_reflected(coeffs, dom, t0, x0, bundle)
     for name in ("X", "k", "boundary_flags", "excluded"):
         a, b = getattr(refl, name), getattr(ref, name)
